@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 from .errors import ContextError, InputError
@@ -299,6 +300,16 @@ def format_polynomial(f: Polynomial) -> str:
 def exp_divides(g: tuple, m: tuple) -> bool:
     """Does the monomial with exponents g divide the one with exponents m?"""
     return all(a <= b for a, b in zip(g, m))
+
+
+_POWERS = tuple(1 << i for i in range(64))
+
+
+def support_mask(exps: tuple) -> int:
+    """Bitmask of the variables whose exponent is nonzero."""
+    if len(exps) <= len(_POWERS):
+        return sum(compress(_POWERS, exps))
+    return sum(1 << i for i, e in enumerate(exps) if e)
 
 
 def exp_mul(a: tuple, b: tuple) -> tuple:

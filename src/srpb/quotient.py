@@ -2,13 +2,20 @@
 
 Monomial quotients admit term-dropping normal forms: a term survives iff
 its monomial is divisible by no ideal generator, which makes normal forms
-canonical and multiplicative.  The fiber square built from an apex
-decomposition is the workhorse for all patching constructions.
+canonical and multiplicative.  For a square-free ideal (every Stanley-Reisner
+ideal) a generator divides a monomial iff its support lies inside the
+monomial's, so survival is a test ``g & m == g`` on variable bitmasks, with
+the generator masks computed once per ring; any other ideal compares
+exponent vectors.  A ring hom whose images are all 0 or bare variables
+(quotient maps, square maps, sections, augmentations) renames exponents
+instead of substituting.  The fiber square built from an apex decomposition
+is the workhorse for all patching constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -16,9 +23,11 @@ from .errors import (ContextError, GlueError, HomError, InputError,
                      InternalCheckError, PreconditionError)
 from .fields import Field
 from .matrix import PolyMatrix
-from .poly import GREVLEX, Polynomial, PolyRing, TermOrder, exp_divides
+from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, exp_divides,
+                   support_mask)
 from .simplicial import (ApexDecomposition, SimplicialComplex,
-                         apex_decomposition, sr_ideal)
+                         apex_decomposition, bit_indices, maximal_members,
+                         sr_ideal, up_closure)
 
 
 def _minimalize(gens: Sequence[tuple]) -> tuple:
@@ -60,16 +69,34 @@ class QuotientRing:
     def is_square_free(self) -> bool:
         return all(all(e <= 1 for e in g) for g in self.generators)
 
+    @cached_property
+    def generator_masks(self) -> Optional[tuple]:
+        """Support masks of the generators if the ideal is square-free, else None."""
+        if not self.is_square_free():
+            return None
+        return tuple(support_mask(g) for g in self.generators)
+
+    def _survives(self, exps: tuple, mask: int) -> bool:
+        """Survival of the monomial with exponents exps and support mask."""
+        masks = self.generator_masks
+        if masks is None:
+            return not any(exp_divides(g, exps) for g in self.generators)
+        for g in masks:
+            if g & mask == g:
+                return False
+        return True
+
     def survives(self, exps: tuple) -> bool:
-        return not any(exp_divides(g, exps) for g in self.generators)
+        return self._survives(exps, support_mask(exps))
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Drop every term divisible by an ideal generator."""
-        if f.ring != self.context:
+        if f.ring is not self.context and f.ring != self.context:
             raise ContextError("polynomial over a different context")
         if not self.generators:
             return f
-        kept = tuple(t for t in f.terms if self.survives(t[0]))
+        survives = self._survives
+        kept = tuple(t for t in f.terms if survives(t[0], support_mask(t[0])))
         return f if len(kept) == len(f.terms) else Polynomial(self.context, kept)
 
     def nf_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -112,13 +139,13 @@ def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
     """Recover the complex whose Stanley-Reisner ideal presents r."""
     if not r.is_square_free():
         raise PreconditionError("ideal is not square-free; no underlying complex")
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in r.generators]
-    faces = []
-    for m in range(1 << r.nvars):
-        verts = frozenset(i for i in range(r.nvars) if m >> i & 1)
-        if not any(s <= verts for s in supports):
-            faces.append(verts)
-    c = SimplicialComplex.from_facets(r.nvars, [sorted(f) for f in faces])
+    n = r.nvars
+    nonfaces = 0
+    for g in r.generator_masks:
+        nonfaces |= 1 << g
+    faces = ((1 << (1 << n)) - 1) & ~up_closure(nonfaces, n)
+    facets = [list(bit_indices(m)) for m in bit_indices(maximal_members(faces, n))]
+    c = SimplicialComplex.from_facets(n, facets)
     if sr_quotient(r.field, c, r.context.order) != r:
         raise InternalCheckError("complex reconstruction does not round-trip")
     return c
@@ -153,10 +180,56 @@ class RingHom:
         imgs = [target.context.variable(i) for i in range(source.nvars)]
         return RingHom.make(source, target, imgs)
 
+    @cached_property
+    def renaming(self) -> Optional[tuple]:
+        """Target variable (None for 0) of each source variable, or None.
+
+        Defined when source and target share a field and every image is 0 or
+        a bare target variable with coefficient 1; applying the hom then
+        renames exponents and drops the terms that meet a variable sent to 0.
+        """
+        ctx = self.target.context
+        if self.source.field != ctx.field:
+            return None
+        out = []
+        for img in self.images:
+            if img.ring != ctx or len(img.terms) > 1:
+                return None
+            if not img.terms:
+                out.append(None)
+                continue
+            exps, c = img.terms[0]
+            if c != ctx.field.one or sum(exps) != 1:
+                return None
+            out.append(exps.index(1))
+        return tuple(out)
+
     def __call__(self, f: Polynomial) -> Polynomial:
-        assignment = {i: img for i, img in enumerate(self.images)}
-        return self.target.normal_form(
-            f.substitute(assignment, target=self.target.context))
+        ren = self.renaming
+        if ren is None or f.ring != self.source.context:
+            assignment = {i: img for i, img in enumerate(self.images)}
+            return self.target.normal_form(
+                f.substitute(assignment, target=self.target.context))
+        ctx = self.target.context
+        fld = ctx.field
+        n = ctx.nvars
+        d: dict = {}
+        for exps, c in f.terms:
+            new = [0] * n
+            for i, e in enumerate(exps):
+                if e:
+                    j = ren[i]
+                    if j is None:
+                        break
+                    new[j] += e
+            else:
+                key = tuple(new)
+                s = fld.add(d[key], c) if key in d else c
+                if s:
+                    d[key] = s
+                else:
+                    del d[key]
+        return self.target.normal_form(ctx.from_terms(d))
 
     def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
         return m.map_entries(self.__call__)
@@ -293,12 +366,15 @@ class FiberReport:
 
 
 def _monomials_up_to(nvars: int, degree: int):
+    """(exponents, support mask) of each monomial of total degree <= degree."""
     for total in range(degree + 1):
         for combo in combinations_with_replacement(range(nvars), total):
             exps = [0] * nvars
+            mask = 0
             for v in combo:
                 exps[v] += 1
-            yield tuple(exps)
+                mask |= 1 << v
+            yield tuple(exps), mask
 
 
 def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
@@ -312,13 +388,14 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
     """
     n = square.a.nvars
     apex_bit = square.apex
+    a, a1, a2, a0 = square.a, square.a1, square.a2, square.a0
     c = c1 = c2 = c0 = 0
     diag = only1 = only2 = with_apex = 0
-    for exps in _monomials_up_to(n, degree):
-        s = square.a.survives(exps)
-        s1 = square.a1.survives(exps)
-        s2 = square.a2.survives(exps)
-        s0 = square.a0.survives(exps)
+    for exps, m in _monomials_up_to(n, degree):
+        s = a._survives(exps, m)
+        s1 = a1._survives(exps, m)
+        s2 = a2._survives(exps, m)
+        s0 = a0._survives(exps, m)
         c += s
         c1 += s1
         c2 += s2

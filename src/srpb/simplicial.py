@@ -4,7 +4,14 @@ Faces are stored implicitly through the set of facets (maximal faces).
 The empty face belongs to every complex; vertices of the ambient set that
 appear in no face ("ghost" vertices) are permitted and contribute degree-one
 generators to the Stanley-Reisner ideal.  Internally faces are vertex
-bitmasks.
+bitmasks, and a whole family of vertex sets is one int bitset over those
+masks: bit m is set iff the vertex set with mask m belongs to the family.
+``face_bits`` is the face family of a complex; closing a family downward or
+upward, or picking its maximal or minimal members, takes one shift per
+vertex on that int instead of a loop over the 2^n masks.  Such a bitset has
+2^n bits, so it backs only what visits every vertex set anyway (minimal
+non-faces, recovering a complex from its ring); everything else works on the
+facets and stays proportional to the number of faces.
 """
 
 from __future__ import annotations
@@ -23,15 +30,16 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
+def bit_indices(bits: int):
+    """Positions of the set bits of bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _unmask(m: int) -> tuple:
-    out = []
-    v = 0
-    while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(bit_indices(m))
 
 
 def _subsets(m: int):
@@ -42,6 +50,49 @@ def _subsets(m: int):
         if sub == 0:
             return
         sub = (sub - 1) & m
+
+
+def _vertex_columns(n: int):
+    """For each vertex v < n in turn, the bitset of the masks below 2^n that
+    contain v.  Each has 2^n bits, so they are built one at a time, not kept."""
+    for v in range(n):
+        half = 1 << v
+        col = ((1 << half) - 1) << half
+        width = half << 1
+        while width < 1 << n:
+            col |= col << width
+            width <<= 1
+        yield col
+
+
+def down_closure(bits: int, n: int) -> int:
+    """Every subset of a vertex set in the family bits (n vertices)."""
+    for v, col in enumerate(_vertex_columns(n)):
+        bits |= (bits & col) >> (1 << v)
+    return bits
+
+
+def up_closure(bits: int, n: int) -> int:
+    """Every superset, within the n vertices, of a vertex set in the family bits."""
+    for v, col in enumerate(_vertex_columns(n)):
+        bits |= (bits & ~col) << (1 << v)
+    return bits
+
+
+def maximal_members(bits: int, n: int) -> int:
+    """Members of the family none of whose one-vertex extensions is in it."""
+    extendable = 0
+    for v, col in enumerate(_vertex_columns(n)):
+        extendable |= (bits & col) >> (1 << v)
+    return bits & ~extendable
+
+
+def minimal_members(bits: int, n: int) -> int:
+    """Members of the family none of whose one-vertex deletions is in it."""
+    shrinkable = 0
+    for v, col in enumerate(_vertex_columns(n)):
+        shrinkable |= (bits & ~col) << (1 << v)
+    return bits & ~shrinkable
 
 
 @dataclass(frozen=True)
@@ -82,8 +133,17 @@ class SimplicialComplex:
     def facet_masks(self) -> tuple:
         return tuple(_mask(f) for f in self.facets)
 
-    @cached_property
+    @property
+    def face_bits(self) -> int:
+        """Bit m is set iff the vertex set with mask m is a face."""
+        bits = 0
+        for fm in self.facet_masks:
+            bits |= 1 << fm
+        return down_closure(bits, self.ambient)
+
+    @property
     def face_masks(self) -> frozenset:
+        """The faces as a frozenset of vertex masks (submasks of the facets)."""
         out = set()
         for fm in self.facet_masks:
             out.update(_subsets(fm))
@@ -114,7 +174,7 @@ class SimplicialComplex:
 
     def is_simplex(self) -> bool:
         """True when the used vertices themselves form a face."""
-        return self.used_mask in self.face_masks
+        return self.used_mask in self.facet_masks
 
     def __str__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, f)) + "}" for f in self.facets)
@@ -123,20 +183,9 @@ class SimplicialComplex:
 
 def minimal_nonfaces(c: SimplicialComplex) -> tuple:
     """Vertex sets that are not faces while every proper subset is a face."""
-    out = []
-    for m in range(1, 1 << c.ambient):
-        if m in c.face_masks:
-            continue
-        ok = True
-        mm = m
-        while mm:
-            low = mm & -mm
-            if (m ^ low) not in c.face_masks:
-                ok = False
-                break
-            mm ^= low
-        if ok:
-            out.append(_unmask(m))
+    everything = (1 << (1 << c.ambient)) - 1
+    nonfaces = everything & ~c.face_bits
+    out = [_unmask(m) for m in bit_indices(minimal_members(nonfaces, c.ambient))]
     out.sort(key=lambda t: (len(t), t))
     return tuple(out)
 
@@ -220,15 +269,25 @@ def apex_decomposition(c: SimplicialComplex) -> ApexDecomposition:
     return split
 
 
+def _within(masks, facet_masks) -> bool:
+    """Every mask in masks lies inside one of facet_masks."""
+    return all(any(m & f == m for f in facet_masks) for m in masks)
+
+
 def _check_split(c: SimplicialComplex, s: ApexDecomposition) -> None:
-    cone_faces = s.cone_part().face_masks
-    del_faces = s.deletion_part.face_masks
-    link_faces = s.link_part.face_masks
-    if del_faces | cone_faces != c.face_masks:
+    # The identities are checked on facets: the faces of a complex are the
+    # subsets of its facets, and faces(D) & faces(C) is generated by the
+    # pairwise intersections of the facets of D and C.
+    cone_facets = s.cone_part().facet_masks
+    del_facets = s.deletion_part.facet_masks
+    link_facets = s.link_part.facet_masks
+    if not (_within(del_facets + cone_facets, c.facet_masks)
+            and _within(c.facet_masks, del_facets + cone_facets)):
         raise PreconditionError("decomposition does not cover the complex")
-    if del_faces & cone_faces != link_faces:
+    if not (_within(link_facets, del_facets) and _within(link_facets, cone_facets)
+            and _within([d & k for d in del_facets for k in cone_facets], link_facets)):
         raise PreconditionError("decomposition overlap is not the link")
-    if not link_faces <= del_faces:
+    if not _within(link_facets, del_facets):
         raise PreconditionError("link is not contained in the deletion")
 
 

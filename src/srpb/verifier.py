@@ -83,8 +83,12 @@ def verify_file(path: str) -> VerifierReport:
 
 def verify_payload(payload: dict) -> VerifierReport:
     report = VerifierReport()
+    if not isinstance(payload, dict):
+        report.add("root", "structure", False,
+                   f"malformed certificate: body is a {type(payload).__name__}, not an object")
+        return report
     root = payload.get("root")
-    if root is None or root.get("kind") == "empty":
+    if root is None or isinstance(root, dict) and root.get("kind") == "empty":
         report.warnings.append("certificate claims nothing; vacuous pass")
         return report
     try:
@@ -93,10 +97,19 @@ def verify_payload(payload: dict) -> VerifierReport:
             _verify_stab(payload, root, report)
     except SrpbError as exc:
         report.add("root", "structure", False, f"malformed certificate: {exc}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # a JSON value of the wrong type (a node that is not an object, a
+        # number where a field name belongs) surfaces as one of these
         report.add("root", "structure", False, f"malformed certificate: {exc!r}")
-    for ob in payload.get("obligations", []):
-        report.warnings.append(f"undischarged obligation: {ob.get('kind')}")
+    obligations = payload.get("obligations", [])
+    if not isinstance(obligations, list):
+        report.add("root", "structure", False,
+                   f"malformed certificate: obligations is a {type(obligations).__name__}, "
+                   "not a list")
+        return report
+    for ob in obligations:
+        kind = ob.get("kind") if isinstance(ob, dict) else None
+        report.warnings.append(f"undischarged obligation: {kind}")
     return report
 
 

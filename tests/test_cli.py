@@ -58,6 +58,20 @@ def test_complex_decompose_exit_codes(workdir, capsys):
     assert run(["complex", "decompose", "--complex", workdir / "simplex.cplx"]) == 2
 
 
+def test_complex_verbs_on_a_large_ambient(tmp_path, capsys):
+    # 40 ambient vertices: faces, decompose and link work on the three
+    # facets and must not touch all 2^40 vertex sets
+    path = tmp_path / "wide.cplx"
+    files.save_complex(str(path), SimplicialComplex.from_facets(40, [[0, 1], [1, 2], [0, 2]]))
+    assert run(["complex", "faces", "--complex", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["faces"] == [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]]
+    assert run(["complex", "decompose", "--complex", path,
+                "--out-link", tmp_path / "link.cplx"]) == 0
+    assert json.loads(capsys.readouterr().out)["apex"] == 0
+    assert files.load_complex(str(tmp_path / "link.cplx")).facets == ((1,), (2,))
+
+
 def test_ring_nf(workdir, capsys):
     assert run(["ring", "nf", "--ring", workdir / "twopoints.ring",
                 "--expr", "x0*x1 + x0^2"]) == 0
@@ -212,3 +226,13 @@ def test_determinism_byte_identical(workdir, tmp_path):
     assert run(["extend", "--module", workdir / "mod.mat", "--out", c1]) == 0
     assert run(["extend", "--module", workdir / "mod.mat", "--out", c2]) == 0
     assert open(c1, "rb").read() == open(c2, "rb").read()
+
+
+@pytest.mark.parametrize("body", ['{"root": "x"}', '{"root": []}', '{"root": 7}', '["x"]'])
+def test_verify_non_object_certificate_fails_cleanly(tmp_path, capsys, body):
+    cert = tmp_path / "garbled.cert"
+    with open(cert, "w") as fh:
+        fh.write("srpb/1 cert\n" + body + "\n")
+    assert run(["verify", "--cert", cert]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "root structure" in out

@@ -1,0 +1,238 @@
+"""Differential tests for the bitmask monomial layer.
+
+Each fast path (mask survival, face bitsets, renaming ring homs) is checked
+against a direct reference computation on seeded random inputs.
+"""
+
+import pytest
+
+from srpb import (GF, QQ, Polynomial, PolyRing, QuotientRing, RingHom, SimplicialComplex,
+                  complex_of_ring)
+from srpb.errors import ContextError, PreconditionError
+from srpb.poly import exp_divides, support_mask
+from srpb.quotient import sr_quotient
+from srpb.simplicial import (ApexDecomposition, _check_split, apex_decomposition,
+                             bit_indices, complexes_on, down_closure,
+                             maximal_members, minimal_members, minimal_nonfaces,
+                             up_closure)
+from helpers import corpus_squares, make_rng, random_poly
+
+FIELDS = (QQ, GF(5))
+
+
+def reference_survives(r, exps):
+    return not any(exp_divides(g, exps) for g in r.generators)
+
+
+def reference_normal_form(r, f):
+    return Polynomial(f.ring, tuple(t for t in f.terms if reference_survives(r, t[0])))
+
+
+def random_square_free(field, n, rng):
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(range(n), rng.randint(1, n))
+        gens.append(tuple(1 if i in support else 0 for i in range(n)))
+    return QuotientRing.make(field, n, gens)
+
+
+def random_general(field, n, rng):
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        gens.append(tuple(rng.randint(0, 2) for _ in range(n)))
+    gens = [g for g in gens if any(g)] or [(2,) + (0,) * (n - 1)]
+    return QuotientRing.make(field, n, gens)
+
+
+def test_support_mask():
+    assert support_mask((0, 2, 0, 1)) == 0b1010
+    assert support_mask(()) == 0
+    wide = tuple(1 if i in (0, 70) else 0 for i in range(80))
+    assert support_mask(wide) == (1 << 70) | 1
+
+
+def test_mask_survival_matches_exponent_reference():
+    rng = make_rng("mask-survival")
+    for field in FIELDS:
+        rings = [QuotientRing.make(field, 3, ()),
+                 QuotientRing.make(field, 3, ((0, 1, 0), (1, 0, 1))),  # ghost x1
+                 QuotientRing.make(field, 2, ((2, 0), (1, 1)))]
+        for n in (2, 4, 6):
+            rings += [random_square_free(field, n, rng) for _ in range(4)]
+            rings += [random_general(field, n, rng) for _ in range(4)]
+        kinds = {r.generator_masks is None for r in rings if r.generators}
+        assert kinds == {True, False}
+        for r in rings:
+            for _ in range(20):
+                exps = tuple(rng.randint(0, 2) for _ in range(r.nvars))
+                assert r.survives(exps) == reference_survives(r, exps)
+                f = random_poly(r.context, rng, max_deg=4, terms=6)
+                assert r.normal_form(f) == reference_normal_form(r, f)
+
+
+def test_generator_masks_only_for_square_free():
+    assert QuotientRing.make(QQ, 3, ((1, 1, 0), (0, 0, 1))).generator_masks == (0b100, 0b011)
+    assert QuotientRing.make(QQ, 2, ((2, 0),)).generator_masks is None
+    assert QuotientRing.make(QQ, 2, ()).generator_masks == ()
+
+
+def faces_by_enumeration(c):
+    return {m for m in range(1 << c.ambient)
+            if any(m & f == m for f in c.facet_masks)}
+
+
+def test_face_bits_match_enumerated_faces():
+    for n in range(1, 5):
+        for c in complexes_on(n):
+            faces = faces_by_enumeration(c)
+            assert c.face_bits == sum(1 << m for m in faces)
+            assert c.face_masks == frozenset(faces)
+            assert c.is_simplex() == (c.used_mask in faces)
+            nonfaces = [m for m in range(1 << n) if m not in faces
+                        and all(m ^ (1 << v) in faces for v in bit_indices(m))]
+            assert [sum(1 << v for v in t) for t in minimal_nonfaces(c)] == \
+                sorted(nonfaces, key=lambda m: (bin(m).count("1"), tuple(bit_indices(m))))
+
+
+def reference_split_error(c, s):
+    """The first split identity that fails on the face sets, or None."""
+    cone_faces = s.cone_part().face_masks
+    del_faces = s.deletion_part.face_masks
+    link_faces = s.link_part.face_masks
+    if del_faces | cone_faces != c.face_masks:
+        return "decomposition does not cover the complex"
+    if del_faces & cone_faces != link_faces:
+        return "decomposition overlap is not the link"
+    if not link_faces <= del_faces:
+        return "link is not contained in the deletion"
+    return None
+
+
+def test_facet_split_check_matches_face_sets():
+    rng = make_rng("split-check")
+    for n in range(2, 5):
+        pool = list(complexes_on(n))
+        for c in pool:
+            if c.is_simplex():
+                continue
+            good = apex_decomposition(c)
+            splits = [good]
+            for _ in range(6):
+                d, l = rng.choice(pool), rng.choice(pool)
+                if l.used_mask >> good.apex & 1:
+                    continue  # the cone over l at the apex must exist
+                splits += [ApexDecomposition(good.apex, d, good.link_part),
+                           ApexDecomposition(good.apex, good.deletion_part, l),
+                           ApexDecomposition(good.apex, d, l)]
+            for s in splits:
+                expected = reference_split_error(c, s)
+                if expected is None:
+                    _check_split(c, s)
+                else:
+                    with pytest.raises(PreconditionError, match=expected):
+                        _check_split(c, s)
+
+
+def test_minimal_nonfaces_on_a_wider_ambient():
+    c = SimplicialComplex.from_facets(18, [[0, 1], [1, 2], [0, 2]])
+    assert minimal_nonfaces(c) == tuple((v,) for v in range(3, 18)) + ((0, 1, 2),)
+    assert complex_of_ring(sr_quotient(QQ, c)) == c
+
+
+def test_family_closures_match_brute_force():
+    rng = make_rng("closures")
+    for n in range(1, 6):
+        for _ in range(10):
+            family = {rng.randrange(1 << n) for _ in range(rng.randint(1, 4))}
+            bits = sum(1 << m for m in family)
+            down = {m for m in range(1 << n) if any(m & f == m for f in family)}
+            up = {m for m in range(1 << n) if any(m & f == f for f in family)}
+            assert down_closure(bits, n) == sum(1 << m for m in down)
+            assert up_closure(bits, n) == sum(1 << m for m in up)
+            assert set(bit_indices(maximal_members(down_closure(bits, n), n))) == \
+                {m for m in down if not any(m != o and m & o == m for o in down)}
+            assert set(bit_indices(minimal_members(up_closure(bits, n), n))) == \
+                {m for m in up if not any(m != o and m & o == o for o in up)}
+
+
+def test_complex_of_ring_roundtrips_exhaustive():
+    for n in range(1, 5):
+        for c in complexes_on(n):
+            for field in FIELDS:
+                assert complex_of_ring(sr_quotient(field, c)) == c
+
+
+def reference_apply(h, f):
+    assignment = dict(enumerate(h.images))
+    return h.target.normal_form(f.substitute(assignment, target=h.target.context))
+
+
+def test_renaming_matches_substitute_on_square_maps():
+    rng = make_rng("renaming-squares")
+    for field in FIELDS:
+        for _, sq in corpus_squares(field):
+            for h in (sq.i1, sq.i2, sq.j1, sq.j2, sq.section):
+                assert h.renaming is not None
+                for _ in range(10):
+                    f = random_poly(h.source, rng, max_deg=3, terms=5)
+                    assert h(f) == reference_apply(h, f)
+
+
+def test_renaming_collisions_cancel():
+    for field in FIELDS:
+        src = QuotientRing.make(field, 3, ())
+        tgt = QuotientRing.make(field, 2, ((1, 1),))
+        y0, y1 = tgt.context.variable(0), tgt.context.variable(1)
+        h = RingHom.make(src, tgt, [y0, y0, y1])  # not injective
+        assert h.renaming == (0, 0, 1)
+        x0, x1, x2 = (src.context.variable(i) for i in range(3))
+        assert h(x0 - x1).is_zero()
+        assert h(x0 * x0 - x0 * x1 + x2) == y1
+        assert h(x0 * x1 + x0 * x2) == y0 * y0
+        rng = make_rng("renaming-collide")
+        for _ in range(30):
+            f = random_poly(src, rng, max_deg=4, terms=6)
+            assert h(f) == reference_apply(h, f)
+
+
+def test_renaming_random_homs():
+    rng = make_rng("renaming-random")
+    for field in FIELDS:
+        for _ in range(20):
+            n_src, n_tgt = rng.randint(1, 5), rng.randint(1, 5)
+            src = QuotientRing.make(field, n_src, ())
+            tgt = QuotientRing.make(field, n_tgt, ())
+            ctx = tgt.context
+            imgs = [rng.choice([ctx.zero(), ctx.variable(rng.randrange(n_tgt))])
+                    for _ in range(n_src)]
+            h = RingHom.make(src, tgt, imgs)
+            assert h.renaming is not None
+            for _ in range(10):
+                f = random_poly(src, rng, max_deg=4, terms=6)
+                assert h(f) == reference_apply(h, f)
+
+
+def test_non_variable_images_take_substitute_path():
+    for field in FIELDS:
+        r = QuotientRing.make(field, 2, ())
+        ctx = r.context
+        x, y = ctx.variable(0), ctx.variable(1)
+        for imgs in ([x + y, y], [x.scale(field.from_int(2)), y], [x * x, y], [ctx.one(), y]):
+            h = RingHom.make(r, r, imgs)
+            assert h.renaming is None
+            f = x * y + x
+            assert h(f) == reference_apply(h, f)
+
+
+def test_foreign_polynomial_keeps_context_error():
+    src = QuotientRing.make(QQ, 2, ())
+    tgt = QuotientRing.make(QQ, 2, ((1, 1),))
+    h = RingHom.quotient_map(src, tgt)
+    assert h.renaming == (0, 1)
+    assignment = dict(enumerate(h.images))
+    for foreign in (PolyRing(GF(5), 2).variable(0), PolyRing(QQ, 3).variable(2)):
+        with pytest.raises(ContextError) as expected:
+            foreign.substitute(assignment, target=tgt.context)
+        with pytest.raises(ContextError) as got:
+            h(foreign)
+        assert str(got.value) == str(expected.value)

@@ -187,3 +187,62 @@ def test_verifier_covers_every_emitted_node_kind():
                  "whitehead", "gl-lift", "um-congruence", "augmentation",
                  "restriction", "compose", "rank"):
         assert rule in v.CHECK_KINDS
+
+
+def test_non_object_root_is_a_structure_failure():
+    for root in ("x", [], 7):
+        rep = verify_payload({"format": "srpb-cert", "version": 1, "root": root,
+                              "obligations": []})
+        assert not rep.ok
+        bad = rep.first_failure()
+        assert (bad.node, bad.check) == ("root", "structure")
+
+
+def test_non_object_payload_is_a_structure_failure():
+    for payload in (["x"], "x", 7, None):
+        rep = verify_payload(payload)
+        assert not rep.ok
+        assert rep.first_failure().check == "structure"
+
+
+def test_wrongly_typed_field_name_is_a_structure_failure():
+    cert = copy.deepcopy(dict(corpus_certificates())["extend-hollow"])
+    cert["root"]["ring"]["field"] = 7
+    rep = verify_payload(cert)
+    bad = rep.first_failure()
+    assert (bad.node, bad.check) == ("root", "structure")
+    assert "AttributeError" in bad.detail
+
+
+def test_garbled_obligations_do_not_raise():
+    rep = verify_payload({"root": {"kind": "mystery"}, "obligations": ["x", 7]})
+    assert not rep.ok
+    rep = verify_payload({"root": {"kind": "mystery"}, "obligations": "x"})
+    assert not rep.ok
+
+
+def test_wrongly_typed_values_are_structure_failures():
+    """Any subtree replaced by a value of another JSON type fails, never raises."""
+    rng = make_rng("verifier-garble")
+    for name, cert in corpus_certificates():
+        paths = list(_value_paths(cert))
+        for _ in range(12):
+            bad = copy.deepcopy(cert)
+            path = rng.choice(paths)
+            holder = bad
+            for step in path[:-1]:
+                holder = holder[step]
+            holder[path[-1]] = rng.choice(["x", [], 7, {}, ["x"], {"kind": "base"}])
+            rep = verify_payload(bad)  # must not raise
+            assert rep.entries or rep.warnings, (name, path)
+
+
+def _value_paths(node, path=()):
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _value_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            yield from _value_paths(value, path + (idx,))
