@@ -65,15 +65,20 @@ def ring_payload(r: QuotientRing) -> dict:
 
 
 def parse_ring(payload: dict) -> QuotientRing:
-    fld = Field.from_name(payload["field"])
-    nvars = int(payload["vars"])
-    ctx = PolyRing(fld, nvars, GREVLEX)
-    gens = []
-    for text in payload["ideal"]:
-        p = parse_expression(text, ctx)
-        if len(p.terms) != 1 or p.terms[0][1] != fld.one:
-            raise FileFormatError(f"ideal generator {text!r} is not a monomial")
-        gens.append(p.terms[0][0])
+    try:
+        fld = Field.from_name(payload["field"])
+        nvars = int(payload["vars"])
+        ctx = PolyRing(fld, nvars, GREVLEX)
+        gens = []
+        for text in payload["ideal"]:
+            p = parse_expression(text, ctx)
+            if len(p.terms) != 1 or p.terms[0][1] != fld.one:
+                raise FileFormatError(f"ideal generator {text!r} is not a monomial")
+            gens.append(p.terms[0][0])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a missing key, or a JSON value of the wrong type ("field": [],
+        # "ideal": [7], "vars": "x")
+        raise FileFormatError(f"bad ring: {exc!r}") from exc
     return QuotientRing.make(fld, nvars, gens)
 
 

@@ -1,13 +1,18 @@
 """Certificate-emitting engines: extension witnesses, cancellation
 witnesses, and unimodular-row lifting.
 
-The three engines share one recursion scheme: split the ring's complex at
-an apex, push the problem to the deletion side and the cone side, solve
-both (recursively, down to simplex base cases), fix the overlap mismatch
-with a lifter through the section, and glue.  Base cases are discharged by
-a built-in oracle chain (constant presentations, then univariate freeness
-via Smith normal form) followed by an optional caller oracle; anything
-else surfaces as an Obligation rather than a guess.
+Extension and cancellation are one patching recursion over a pair of modules
+(p, q): split the ring's complex at an apex, base-change both modules to the
+deletion side and the cone side, solve both (recursively, down to simplex
+base cases), fix the overlap mismatch with a lifter through the section, and
+glue.  Extension is the case where q is the augmentation of p; cancellation
+takes q from the caller.  The complex is recovered from the ring once, at
+the entry point, and each split hands its deletion and cone parts down.
+Extension base cases are discharged by a built-in oracle chain (constant
+presentations, then univariate freeness via Smith normal form) followed by
+an optional caller oracle; anything else surfaces as an Obligation rather
+than a guess.  Row lifting extends the row's kernel module and lifts the
+comparison matrix that the witness yields.
 
 Every step deposits its matrices into a certificate payload that the
 independent verifier re-checks with plain normal-form arithmetic; the
@@ -68,7 +73,9 @@ class HypothesisProfile:
 
 
 @dataclass
-class ExtendResult:
+class PatchResult:
+    """Outcome of the extension or cancellation engine."""
+
     iso: Optional[ModIso]
     certificate: dict
     obligations: tuple
@@ -78,15 +85,7 @@ class ExtendResult:
         return self.iso is not None and not self.obligations
 
 
-@dataclass
-class CancelResult:
-    iso: Optional[ModIso]
-    certificate: dict
-    obligations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.iso is not None and not self.obligations
+ExtendResult = CancelResult = PatchResult
 
 
 @dataclass
@@ -162,7 +161,7 @@ def chain_oracles(*oracles: Optional[ExtendOracle]) -> ExtendOracle:
     return oracle
 
 
-# -- built-in base oracle -------------------------------------------------------
+# -- base cases -----------------------------------------------------------------
 
 def _point_normalize(iso: ModIso) -> ModIso:
     """Compose with a constant corner automorphism so fwd(0) is the target."""
@@ -176,16 +175,23 @@ def _point_normalize(iso: ModIso) -> ModIso:
     return ModIso.make(iso.source, iso.target, fwd, bwd)
 
 
-def _builtin_extend_base(p: ProjModule):
-    """(method, iso) for constant or univariate base cases, else None."""
-    ring = p.ring
-    e = p.matrix
-    if e.is_constant():
-        target = ProjModule.make(ring, e)
-        return "constant", ModIso.make(p, target, e, e)
-    if len(ring.free_variables()) <= 1:
-        return "smith", _smith_freeness_iso(p)
-    return None
+def _extend_base(oracle: Optional[ExtendOracle]):
+    """Base hook of the extension: constant presentations, univariate freeness
+    via Smith normal form, then the caller's oracle, whose witness is checked."""
+    def base(p: ProjModule, q: ProjModule):
+        if p.matrix.is_constant():
+            return "constant", ModIso.make(p, q, p.matrix, p.matrix)
+        if len(p.ring.free_variables()) <= 1:
+            return "smith", _point_normalize(_smith_freeness_iso(p))
+        iso = oracle(p) if oracle is not None else None
+        if iso is None:
+            return None
+        if iso.source.matrix != p.matrix or iso.target.matrix != q.matrix:
+            raise InternalCheckError("oracle witness does not run from the module "
+                                     "to its augmentation")
+        return "oracle", _point_normalize(iso)
+
+    return base
 
 
 def _smith_freeness_iso(p: ProjModule) -> ModIso:
@@ -222,127 +228,11 @@ def _smith_freeness_iso(p: ProjModule) -> ModIso:
     return ModIso.make(p, target, fwd, bwd)
 
 
-# -- extension engine -----------------------------------------------------------
-
-def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> ExtendResult:
-    """Witness that p is extended from the base field, or obligations.
-
-    Returns the final isomorphism from p to the base change of its
-    augmentation together with a certificate tree; undischarged base cases
-    are collected as obligations and leave the tree partial.
-    """
-    if not p.ring.is_square_free():
-        raise PreconditionError("extension engine needs a square-free presentation")
-    budget = len(complex_of_ring(p.ring).face_masks) + 1
-    iso, node, obligations = _extend_rec(p, oracle, budget)
-    profile = HypothesisProfile(p.ring.field.char, module_rank(p))
-    cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations])
-    if iso is not None:
-        _assert_extend_result(p, iso)
-    return ExtendResult(iso, cert, tuple(obligations))
-
-
-def _assert_extend_result(p: ProjModule, iso: ModIso) -> None:
-    if iso.source.matrix != p.matrix:
-        raise InternalCheckError("witness source is not the input module")
-    if iso.target.matrix != p.augmented_matrix():
-        raise InternalCheckError("witness target is not the augmented module")
-
-
-def _oracle_kind(oracle) -> str:
-    return getattr(oracle, "obligation_kind", "extend")
-
-
-def _extend_rec(p: ProjModule, oracle: Optional[ExtendOracle], budget: int):
-    if budget <= 0:
-        raise InternalCheckError("decomposition recursion exceeded its face budget")
-    ring = p.ring
-    cplx = complex_of_ring(ring)
-    if cplx.is_simplex() or p.matrix.is_constant():
-        got = _builtin_extend_base(p)
-        method = None
-        iso = None
-        if got is not None:
-            method, iso = got
-        elif oracle is not None:
-            iso = oracle(p)
-            if iso is not None:
-                _assert_extend_result(p, iso)
-                iso = _point_normalize(iso)
-                method = "oracle"
-        if iso is None:
-            ob = Obligation(_oracle_kind(oracle), ring, p.matrix)
-            return None, certs.base_node("extend", ring, p.matrix, obligation=ob.kind), [ob]
-        iso = _point_normalize(iso)
-        node = certs.base_node("extend", ring, p.matrix, method=method,
-                               target=iso.target.matrix, iso=iso)
-        return iso, node, []
-
-    square = build_fiber_square(ring.field, cplx, ring.context.order)
-    if square.a != ring:
-        raise InternalCheckError("fiber square total ring mismatch")
-    p1 = base_change(p, square.i1)
-    p2 = base_change(p, square.i2)
-    iso1, node1, ob1 = _extend_rec(p1, oracle, budget - 1)
-    iso2, node2, ob2 = _extend_rec(p2, oracle, budget - 1)
-    obligations = list(ob1) + list(ob2)
-    if obligations:
-        node = certs.decompose_node("extend", ring, p.matrix, square, [node1, node2])
-        return None, node, obligations
-
-    q = ProjModule.make(ring, p.augmented_matrix())
-    q2 = base_change(q, square.i2)
-    lifter = section_aut_lifter(square, q2)
-    iso, trace = glue_iso_traced(square, p, q, iso1, iso2, lifter)
-    node = certs.decompose_node("extend", ring, p.matrix, square, [node1, node2],
-                                glue=trace, iso=iso, target=q.matrix)
-    return iso, node, []
-
-
-# -- cancellation engine ----------------------------------------------------------
-
-def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
-                   aut_lifter_factory=None) -> CancelResult:
-    """Witness p isomorphic to q given a stabilized isomorphism, or obligations.
-
-    ``stab`` must connect p + free(1) to q + free(1); it is validated and
-    recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
-    automorphism lifter (defaults to the constant lift through the section,
-    whose failures surface as obligations of kind "cancel").
-    """
-    if p.ring != q.ring:
-        raise PreconditionError("modules over different rings")
-    if not p.ring.is_square_free():
-        raise PreconditionError("cancellation engine needs a square-free presentation")
-    if module_rank(p) != module_rank(q):
-        raise PreconditionError("modules of different ranks cannot be matched")
-    _validate_stab(p, q, stab)
-    budget = len(complex_of_ring(p.ring).face_masks) + 1
-    factory = aut_lifter_factory or section_aut_lifter
-    iso, node, obligations = _cancel_rec(p, q, factory, budget)
-    profile = HypothesisProfile(p.ring.field.char, module_rank(p))
-    cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations],
-                           stab=stab)
-    if iso is not None and (iso.source.matrix != p.matrix or iso.target.matrix != q.matrix):
-        raise InternalCheckError("cancellation witness endpoints are wrong")
-    return CancelResult(iso, cert, tuple(obligations))
-
-
-def _validate_stab(p: ProjModule, q: ProjModule, stab: ModIso) -> None:
-    ctx = p.ring.context
-    one = PolyMatrix.identity(ctx, 1)
-    want_src = p.matrix.direct_sum(one)
-    want_tgt = q.matrix.direct_sum(one)
-    if stab.source.matrix != want_src or stab.target.matrix != want_tgt:
-        raise PreconditionError("stabilized iso does not connect P+free and Q+free")
-
-
 def _cancel_base(p: ProjModule, q: ProjModule):
-    ring = p.ring
-    ep, eq = p.matrix, q.matrix
-    if ep.is_constant() and eq.is_constant():
+    """Base hook of the cancellation: constant pairs, then univariate freeness."""
+    if p.matrix.is_constant() and q.matrix.is_constant():
         return "constant", _constant_pair_iso(p, q)
-    if len(ring.free_variables()) <= 1:
+    if len(p.ring.free_variables()) <= 1:
         ip = _smith_freeness_iso(p)
         iq = _smith_freeness_iso(q)
         mid = _constant_pair_iso(ip.target, iq.target)
@@ -373,44 +263,111 @@ def _constant_pair_iso(p: ProjModule, q: ProjModule) -> ModIso:
     return ModIso.make(p, q, fwd, bwd)
 
 
-def _cancel_rec(p: ProjModule, q: ProjModule, lifter_factory, budget: int):
+# -- the patching recursion ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Task:
+    """The per-engine pieces of the patching recursion."""
+
+    name: str                 # certificate task: "extend" or "cancel"
+    obligation_kind: str
+    base: Callable            # (p, q) -> (method, iso from p to q) or None
+    lifter_factory: Callable  # (square, q2) -> lifter of overlap automorphisms
+
+
+def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None):
+    """Witness p isomorphic to q, or obligations, with its certificate.
+
+    The ring's complex is recovered here, once; the recursion carries it
+    down, and its face count bounds the recursion depth.
+    """
+    cplx = complex_of_ring(p.ring)
+    iso, node, obligations = _patch(task, p, q, cplx, len(cplx.face_masks) + 1)
+    profile = HypothesisProfile(p.ring.field.char, module_rank(p))
+    cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations],
+                           stab=stab)
+    return PatchResult(iso, cert, tuple(obligations))
+
+
+def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx, budget: int):
+    """(iso p -> q or None, node, obligations); cplx is the complex of p's ring."""
     if budget <= 0:
         raise InternalCheckError("decomposition recursion exceeded its face budget")
     ring = p.ring
-    cplx = complex_of_ring(ring)
+    # an extension's q is the augmentation of p, so only cancellation records it
+    other = q.matrix if task.name == "cancel" else None
     if cplx.is_simplex() or (p.matrix.is_constant() and q.matrix.is_constant()):
-        got = _cancel_base(p, q)
+        got = task.base(p, q)
         if got is None:
-            ob = Obligation("cancel", ring, p.matrix)
-            node = certs.base_node("cancel", ring, p.matrix, other=q.matrix,
-                                   obligation=ob.kind)
+            ob = Obligation(task.obligation_kind, ring, p.matrix)
+            node = certs.base_node(task.name, ring, p.matrix, other=other, obligation=ob.kind)
             return None, node, [ob]
         method, iso = got
-        node = certs.base_node("cancel", ring, p.matrix, other=q.matrix,
-                               method=method, target=q.matrix, iso=iso)
+        node = certs.base_node(task.name, ring, p.matrix, other=other, method=method,
+                               target=q.matrix, iso=iso)
         return iso, node, []
 
     square = build_fiber_square(ring.field, cplx, ring.context.order)
-    p1, q1 = base_change(p, square.i1), base_change(q, square.i1)
-    p2, q2 = base_change(p, square.i2), base_change(q, square.i2)
-    iso1, node1, ob1 = _cancel_rec(p1, q1, lifter_factory, budget - 1)
-    iso2, node2, ob2 = _cancel_rec(p2, q2, lifter_factory, budget - 1)
-    obligations = list(ob1) + list(ob2)
-    if obligations:
-        node = certs.decompose_node("cancel", ring, p.matrix, square, [node1, node2],
-                                    other=q.matrix)
-        return None, node, obligations
-    try:
-        iso, trace = glue_iso_traced(square, p, q, iso1, iso2,
-                                     lifter_factory(square, q2))
-    except LifterError:
-        ob = Obligation("cancel", ring, p.matrix)
-        node = certs.decompose_node("cancel", ring, p.matrix, square, [node1, node2],
-                                    other=q.matrix)
-        return None, node, obligations + [ob]
-    node = certs.decompose_node("cancel", ring, p.matrix, square, [node1, node2],
-                                glue=trace, iso=iso, target=q.matrix, other=q.matrix)
-    return iso, node, []
+    if square.a != ring:
+        raise InternalCheckError("fiber square total ring mismatch")
+    q2 = base_change(q, square.i2)
+    iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1),
+                              square.split.deletion_part, budget - 1)
+    iso2, node2, ob2 = _patch(task, base_change(p, square.i2), q2,
+                              square.split.cone_part(), budget - 1)
+    obligations = ob1 + ob2
+    if not obligations:
+        try:
+            iso, trace = glue_iso_traced(square, p, q, iso1, iso2,
+                                         task.lifter_factory(square, q2))
+        except LifterError:
+            obligations = [Obligation(task.obligation_kind, ring, p.matrix)]
+        else:
+            node = certs.decompose_node(task.name, ring, p.matrix, square, [node1, node2],
+                                        glue=trace, iso=iso, target=q.matrix, other=other)
+            return iso, node, []
+    node = certs.decompose_node(task.name, ring, p.matrix, square, [node1, node2],
+                                other=other)
+    return None, node, obligations
+
+
+# -- extension and cancellation engines ----------------------------------------------
+
+def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> PatchResult:
+    """Witness that p is extended from the base field, or obligations.
+
+    Returns the final isomorphism from p to the base change of its
+    augmentation together with a certificate tree; undischarged base cases
+    are collected as obligations and leave the tree partial.
+    """
+    if not p.ring.is_square_free():
+        raise PreconditionError("extension engine needs a square-free presentation")
+    q = ProjModule.make(p.ring, p.augmented_matrix())
+    kind = getattr(oracle, "obligation_kind", "extend")
+    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
+
+
+def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
+                   aut_lifter_factory=None) -> PatchResult:
+    """Witness p isomorphic to q given a stabilized isomorphism, or obligations.
+
+    ``stab`` must connect p + free(1) to q + free(1); it is validated and
+    recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
+    automorphism lifter (defaults to the constant lift through the section,
+    whose failures surface as obligations of kind "cancel").
+    """
+    if p.ring != q.ring:
+        raise PreconditionError("modules over different rings")
+    if not p.ring.is_square_free():
+        raise PreconditionError("cancellation engine needs a square-free presentation")
+    if module_rank(p) != module_rank(q):
+        raise PreconditionError("modules of different ranks cannot be matched")
+    one = PolyMatrix.identity(p.ring.context, 1)
+    if (stab.source.matrix != p.matrix.direct_sum(one)
+            or stab.target.matrix != q.matrix.direct_sum(one)):
+        raise PreconditionError("stabilized iso does not connect P+free and Q+free")
+    task = _Task("cancel", "cancel", _cancel_base, aut_lifter_factory or section_aut_lifter)
+    return _solve(task, p, q, stab)
 
 
 # -- unimodular row lifting --------------------------------------------------------

@@ -26,8 +26,8 @@ from .matrix import PolyMatrix
 from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, exp_divides,
                    support_mask)
 from .simplicial import (ApexDecomposition, SimplicialComplex,
-                         apex_decomposition, bit_indices, maximal_members,
-                         sr_ideal, up_closure)
+                         apex_decomposition, bit_indices, check_bitset_width,
+                         maximal_members, sr_ideal, up_closure)
 
 
 def _minimalize(gens: Sequence[tuple]) -> tuple:
@@ -140,6 +140,7 @@ def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
     if not r.is_square_free():
         raise PreconditionError("ideal is not square-free; no underlying complex")
     n = r.nvars
+    check_bitset_width(n)
     nonfaces = 0
     for g in r.generator_masks:
         nonfaces |= 1 << g
@@ -462,9 +463,25 @@ class GLMat:
         eye = PolyMatrix.identity(ring.context, mat.rows)
         if ring.nf_matrix(mat * inv) != eye or ring.nf_matrix(inv * mat) != eye:
             raise PreconditionError("matrix inverse fails to verify")
+        self._set(ring, mat, inv)
+
+    def _set(self, ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "inv", inv)
+
+    @staticmethod
+    def _known_pair(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
+        """A product or swap of verified pairs, built without re-verifying.
+
+        The normal form is a ring map, so (AB)(B^-1 A^-1) = I holds exactly
+        once A and B are verified; the verifier still re-checks every pair
+        a certificate records (rules ``whitehead``: U*U^-1 == I, and
+        ``gl-lift``: delta*delta^-1 == I).
+        """
+        g = object.__new__(GLMat)
+        g._set(ring, mat, inv)
+        return g
 
     def __setattr__(self, *a):
         raise AttributeError("GLMat is immutable")
@@ -513,12 +530,12 @@ class GLMat:
     def __mul__(self, other: "GLMat") -> "GLMat":
         if self.ring != other.ring:
             raise ContextError("GL elements over different rings")
-        return GLMat(self.ring,
-                     self.ring.mat_mul(self.mat, other.mat),
-                     self.ring.mat_mul(other.inv, self.inv))
+        return GLMat._known_pair(self.ring,
+                                 self.ring.mat_mul(self.mat, other.mat),
+                                 self.ring.mat_mul(other.inv, self.inv))
 
     def inverse(self) -> "GLMat":
-        return GLMat(self.ring, self.inv, self.mat)
+        return GLMat._known_pair(self.ring, self.inv, self.mat)
 
     def apply_hom(self, h: RingHom) -> "GLMat":
         if h.source != self.ring:

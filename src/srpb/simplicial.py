@@ -10,8 +10,9 @@ masks: bit m is set iff the vertex set with mask m belongs to the family.
 upward, or picking its maximal or minimal members, takes one shift per
 vertex on that int instead of a loop over the 2^n masks.  Such a bitset has
 2^n bits, so it backs only what visits every vertex set anyway (minimal
-non-faces, recovering a complex from its ring); everything else works on the
-facets and stays proportional to the number of faces.
+non-faces, recovering a complex from its ring), and those refuse more than
+``MAX_BITSET_VERTICES`` vertices; everything else works on the facets and
+stays proportional to the number of faces.
 """
 
 from __future__ import annotations
@@ -21,6 +22,18 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, PreconditionError
+
+# At 24 vertices a family bitset is 2 MiB, and minimal_nonfaces or
+# complex_of_ring takes under half a second; each further vertex doubles both.
+MAX_BITSET_VERTICES = 24
+
+
+def check_bitset_width(n: int) -> None:
+    """Refuse a family bitset over the 2^n vertex sets of more than
+    MAX_BITSET_VERTICES vertices."""
+    if n > MAX_BITSET_VERTICES:
+        raise InputError(f"{n} vertices: visiting all 2^{n} vertex sets is limited to "
+                         f"{MAX_BITSET_VERTICES} vertices")
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -183,6 +196,7 @@ class SimplicialComplex:
 
 def minimal_nonfaces(c: SimplicialComplex) -> tuple:
     """Vertex sets that are not faces while every proper subset is a face."""
+    check_bitset_width(c.ambient)
     everything = (1 << (1 << c.ambient)) - 1
     nonfaces = everything & ~c.face_bits
     out = [_unmask(m) for m in bit_indices(minimal_members(nonfaces, c.ambient))]
@@ -287,8 +301,6 @@ def _check_split(c: SimplicialComplex, s: ApexDecomposition) -> None:
     if not (_within(link_facets, del_facets) and _within(link_facets, cone_facets)
             and _within([d & k for d in del_facets for k in cone_facets], link_facets)):
         raise PreconditionError("decomposition overlap is not the link")
-    if not _within(link_facets, del_facets):
-        raise PreconditionError("link is not contained in the deletion")
 
 
 def complexes_on(ambient: int):

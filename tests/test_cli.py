@@ -60,7 +60,8 @@ def test_complex_decompose_exit_codes(workdir, capsys):
 
 def test_complex_verbs_on_a_large_ambient(tmp_path, capsys):
     # 40 ambient vertices: faces, decompose and link work on the three
-    # facets and must not touch all 2^40 vertex sets
+    # facets and must not touch all 2^40 vertex sets; nonfaces, which must,
+    # is refused
     path = tmp_path / "wide.cplx"
     files.save_complex(str(path), SimplicialComplex.from_facets(40, [[0, 1], [1, 2], [0, 2]]))
     assert run(["complex", "faces", "--complex", path]) == 0
@@ -70,6 +71,7 @@ def test_complex_verbs_on_a_large_ambient(tmp_path, capsys):
                 "--out-link", tmp_path / "link.cplx"]) == 0
     assert json.loads(capsys.readouterr().out)["apex"] == 0
     assert files.load_complex(str(tmp_path / "link.cplx")).facets == ((1,), (2,))
+    assert run(["complex", "nonfaces", "--complex", path]) == 2
 
 
 def test_ring_nf(workdir, capsys):
@@ -81,6 +83,17 @@ def test_ring_nf(workdir, capsys):
 def test_ring_nf_parse_error_is_input_error(workdir, capsys):
     assert run(["ring", "nf", "--ring", workdir / "twopoints.ring",
                 "--expr", "x0 + "]) == 2
+
+
+@pytest.mark.parametrize("ring", [{"field": [], "vars": 2, "ideal": []},
+                                  {"field": "Q", "vars": 2, "ideal": [7]},
+                                  {"field": "Q", "vars": "x", "ideal": []}])
+def test_ring_file_with_wrongly_typed_value_is_input_error(tmp_path, capsys, ring):
+    path = tmp_path / "bad.ring"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 ring\n" + json.dumps(ring) + "\n")
+    assert run(["ring", "nf", "--ring", path, "--expr", "x0"]) == 2
+    assert "bad ring" in capsys.readouterr().err
 
 
 def test_gb_member(workdir, capsys, tmp_path):

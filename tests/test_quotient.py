@@ -6,7 +6,8 @@ from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
 from srpb.quotient import augmentation_hom, constants_inclusion
 from srpb.errors import GlueError, HomError, PreconditionError
 from helpers import (corpus_complexes, corpus_squares, hollow_triangle,
-                     make_rng, random_poly, two_points)
+                     make_rng, random_elementary_product, random_gl_with_units,
+                     random_poly, two_points)
 
 
 def xy_ring(field=QQ):
@@ -162,3 +163,20 @@ def test_glmat_verifies():
     with pytest.raises(PreconditionError):
         GLMat(r, PolyMatrix.from_scalars(ctx, [[1, 0], [0, 1]]),
               PolyMatrix.from_scalars(ctx, [[1, 1], [0, 1]]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_glmat_products_and_inverses_stay_inverse_pairs(field):
+    # products and inverses are built without re-verification; both
+    # identities must still hold exactly
+    rng = make_rng(f"glmat-pairs-{field.char}")
+    for ring in (xy_ring(field), sr_quotient(field, hollow_triangle())):
+        ctx = ring.context
+        for _ in range(8):
+            size = rng.randint(2, 3)
+            a = random_elementary_product(ring, size, rng)
+            b = random_gl_with_units(ring, size, rng)
+            for g in (a * b, (a * b).inverse(), b.inverse() * a, a.inverse() * a):
+                eye = PolyMatrix.identity(ctx, size)
+                assert ring.mat_mul(g.mat, g.inv) == eye
+                assert ring.mat_mul(g.inv, g.mat) == eye
