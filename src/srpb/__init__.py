@@ -17,7 +17,7 @@ from .errors import (AllStrategiesFailed, ContextError, ExprError, GlueError,
 from .expr import parse_expression
 from .fields import GF, QQ, Field
 from .groebner import (GroebnerBasis, MembershipCertificate, buchberger, member,
-                       unimodular_cert, unit_inverse)
+                       unimodular_cert)
 from .lifting import (DEFAULT_STRATEGIES, det_unit_inverse, lift_gl,
                       whitehead_lift)
 from .matrix import PolyMatrix
@@ -27,7 +27,8 @@ from .projmod import (ModIso, ProjModule, UmElement, UmRow, base_change,
                       pair_aut, pair_um, section_aut_lifter, section_um_lifter)
 from .quotient import (FiberSquare, GLMat, QuotientRing, RingHom,
                        build_fiber_square, complex_of_ring, fiber_check,
-                       glue_element, glue_matrix, hom_check, sr_quotient)
+                       glue_element, glue_matrix, hom_check, sr_quotient,
+                       unit_inverse)
 from .simplicial import (ApexDecomposition, SimplicialComplex,
                          apex_decomposition, cone, deletion, link,
                          minimal_nonfaces, sr_ideal, star)

@@ -64,10 +64,18 @@ def ring_payload(r: QuotientRing) -> dict:
     }
 
 
+def _count(payload: dict, key: str) -> int:
+    """payload[key], which must be a JSON integer (not a float, bool or string)."""
+    value = payload[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_ring(payload: dict) -> QuotientRing:
     try:
         fld = Field.from_name(payload["field"])
-        nvars = int(payload["vars"])
+        nvars = _count(payload, "vars")
         ctx = PolyRing(fld, nvars, GREVLEX)
         gens = []
         for text in payload["ideal"]:
@@ -91,9 +99,13 @@ def matrix_payload(m: PolyMatrix) -> dict:
 
 
 def parse_matrix(payload: dict, ctx: PolyRing) -> PolyMatrix:
-    rows = int(payload["rows"])
-    cols = int(payload["cols"])
-    entries = [parse_expression(t, ctx) for t in payload["entries"]]
+    try:
+        rows = _count(payload, "rows")
+        cols = _count(payload, "cols")
+        entries = [parse_expression(t, ctx) for t in payload["entries"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a missing key, or a JSON value of the wrong type ("entries": [7])
+        raise FileFormatError(f"bad matrix: {exc!r}") from exc
     return PolyMatrix(ctx, rows, cols, entries)
 
 
@@ -116,7 +128,10 @@ def complex_payload(c) -> dict:
 def parse_complex(payload: dict):
     from .simplicial import SimplicialComplex
 
-    return SimplicialComplex.from_facets(int(payload["ambient"]), payload["facets"])
+    try:
+        return SimplicialComplex.from_facets(_count(payload, "ambient"), payload["facets"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad complex: {exc!r}") from exc
 
 
 def square_payload(s: FiberSquare) -> dict:

@@ -17,6 +17,7 @@ The stack of strategies, tried in order:
               absorb the remaining cone-side factor, which is congruent to
               the identity modulo the apex variable.
 
+Unit inverses use the closed form ``quotient.unit_inverse``, not Buchberger.
 The stack is not known to be complete; exhaustion raises
 AllStrategiesFailed with one diagnostic per attempted strategy.
 """
@@ -27,10 +28,9 @@ from typing import Optional, Sequence
 
 from .errors import (AllStrategiesFailed, ContextError, InputError,
                      InternalCheckError, NonUnitError, PreconditionError)
-from .groebner import unit_inverse
 from .matrix import PolyMatrix
 from .quotient import (GLMat, QuotientRing, RingHom, build_fiber_square,
-                       complex_of_ring)
+                       complex_of_ring, unit_inverse)
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
 
@@ -38,9 +38,9 @@ DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
 def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
     """Exact inverse of m over the quotient; raises NonUnitError otherwise.
 
-    The determinant's unit certificate is found by ideal membership of 1 in
-    (det, ideal generators); the inverse is the certified cofactor times the
-    adjugate, and m * m^-1 == I is re-verified before returning.
+    The inverse is det^-1 (closed form, ``quotient.unit_inverse``) times the
+    adjugate; adj(m) * m == det * I makes it one by algebra, and ``GLMat``
+    checks both products wherever the pair becomes a GL element.
     """
     if not m.is_square:
         raise PreconditionError("inverse of a non-square matrix")
@@ -49,18 +49,7 @@ def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
     q = unit_inverse(d, ring)
     if q is None:
         raise NonUnitError(f"determinant {d} is not a unit", element=d)
-    inv = ring.nf_matrix(m.adjugate().scale(q))
-    eye = PolyMatrix.identity(ring.context, m.rows)
-    if ring.mat_mul(m, inv) != eye:
-        raise InternalCheckError("certified inverse failed verification")
-    return inv
-
-
-def try_gl(m: PolyMatrix, ring: QuotientRing) -> Optional[GLMat]:
-    try:
-        return GLMat(ring, m, det_unit_inverse(m, ring))
-    except NonUnitError:
-        return None
+    return ring.nf_matrix(m.adjugate().scale(q))
 
 
 def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
@@ -85,15 +74,12 @@ def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
     s_mat = section.apply_matrix(sigma.mat)
     s_inv = section.apply_matrix(sigma.inv)
 
-    def gld(mat: PolyMatrix, inv: PolyMatrix) -> GLMat:
-        return GLMat(up, mat, inv)
-
-    m1 = gld(PolyMatrix.block2(eye, s_mat, zero, eye),
-             PolyMatrix.block2(eye, -s_mat, zero, eye))
-    m2 = gld(PolyMatrix.block2(eye, zero, -s_inv, eye),
-             PolyMatrix.block2(eye, zero, s_inv, eye))
-    m4 = gld(PolyMatrix.block2(zero, -eye, eye, zero),
-             PolyMatrix.block2(zero, eye, -eye, zero))
+    m1 = GLMat._known_pair(up, PolyMatrix.block2(eye, s_mat, zero, eye),
+                           PolyMatrix.block2(eye, -s_mat, zero, eye))
+    m2 = GLMat._known_pair(up, PolyMatrix.block2(eye, zero, -s_inv, eye),
+                           PolyMatrix.block2(eye, zero, s_inv, eye))
+    m4 = GLMat._known_pair(up, PolyMatrix.block2(zero, -eye, eye, zero),
+                           PolyMatrix.block2(zero, eye, -eye, zero))
     u = m1 * m2 * m1 * m4
     target = sigma.mat.direct_sum(sigma.inv)
     if j2.apply_matrix(u.mat) != sigma.ring.nf_matrix(target):
@@ -121,14 +107,17 @@ def _require_compatible(sigma: GLMat, pi: RingHom) -> None:
             raise PreconditionError("pi is not a quotient map: upstairs ideal escapes")
 
 
+def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
+    """m's entries read over up as a GL element, or a failure naming the determinant."""
+    lifted = up.nf_matrix(PolyMatrix(up.context, m.rows, m.cols, m.entries))
+    try:
+        return GLMat(up, lifted, det_unit_inverse(lifted, up))
+    except NonUnitError as exc:
+        raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
+
+
 def _lift_entrywise(sigma: GLMat, pi: RingHom, _section) -> GLMat:
-    up = pi.source
-    lifted = up.nf_matrix(PolyMatrix(up.context, sigma.size, sigma.size, sigma.mat.entries))
-    got = try_gl(lifted, up)
-    if got is None:
-        d = up.normal_form(lifted.det())
-        raise _StrategyFailure(f"entrywise lift determinant {d} is not a unit upstairs")
-    return got
+    return _gl_upstairs(sigma.mat, pi.source, "entrywise lift")
 
 
 def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
@@ -157,6 +146,7 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
                 break
         if pivot is None:
             raise _StrategyFailure(f"no unit pivot available at elimination step {k}")
+        # the swaps below move the pivot to (k, k) unchanged, so pinv stays its inverse
         pi_, pj, pinv = pivot
         if pi_ != k:
             perm = list(range(n))
@@ -172,7 +162,6 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
             work = down.nf_matrix(PolyMatrix.from_rows(ctx, work) * pmat.mat).to_lists()
             right.append(pmat)
             right_up.append(GLMat.permutation(up, perm))
-        pinv = unit_inverse(work[k][k], down)
         for i in range(n):
             if i != k and not work[i][k].is_zero():
                 f = down.normal_form(-(work[i][k] * pinv))
@@ -247,12 +236,7 @@ def _lift_descent(sigma: GLMat, pi: RingHom, section: Optional[RingHom],
     for p in residue.entries:
         if any(exps[apex] == 0 for exps, _ in p.terms):
             raise InternalCheckError("descent residue has apex-free terms")
-    lifted = up.nf_matrix(PolyMatrix(up.context, sigma.size, sigma.size, gamma2.mat.entries))
-    got = try_gl(lifted, up)
-    if got is None:
-        d = up.normal_form(lifted.det())
-        raise _StrategyFailure(f"cone-side factor determinant {d} is not a unit upstairs")
-    return delta1 * got
+    return delta1 * _gl_upstairs(gamma2.mat, up, "cone-side factor")
 
 
 _STRATEGY_TABLE = {

@@ -129,6 +129,31 @@ class QuotientRing:
         return tuple(i for i in range(self.nvars) if i not in used)
 
 
+def unit_inverse(f: Polynomial, ring: QuotientRing) -> Optional[Polynomial]:
+    """Inverse of f modulo the ring's ideal, or None when f is not a unit.
+
+    f = c + n with c = f(0) is a unit iff c != 0 and n is nilpotent: the
+    support of each term of n contains some generator's support (so a
+    square-free ideal, where no surviving term's does, has units k*).  The
+    inverse is c^-1 * sum(u^k) with u = -n/c, summed until u^k vanishes.
+    """
+    f = ring.normal_form(f)
+    c = f.constant_term()
+    masks = [support_mask(g) for g in ring.generators]
+    tail = [support_mask(exps) for exps, _ in f.terms if any(exps)]
+    if not c or not all(any(g & m == g for g in masks) for m in tail):
+        return None
+    ctx, c_inv = ring.context, ring.field.inv(c)
+    u = (ctx.constant(c) - f).scale(c_inv)
+    q, power = ctx.one(), u
+    while not power.is_zero():
+        q, power = q + power, ring.mul(power, u)
+    q = q.scale(c_inv)
+    if ring.mul(q, f) != ctx.one():
+        raise InternalCheckError("unit inverse does not invert")
+    return q
+
+
 def sr_quotient(field_: Field, c: SimplicialComplex,
                 order: TermOrder = GREVLEX) -> QuotientRing:
     """The Stanley-Reisner ring of a complex over the given field."""
@@ -472,12 +497,12 @@ class GLMat:
 
     @staticmethod
     def _known_pair(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
-        """A product or swap of verified pairs, built without re-verifying.
+        """A normal-form pair that is inverse by algebra, built unverified.
 
-        The normal form is a ring map, so (AB)(B^-1 A^-1) = I holds exactly
-        once A and B are verified; the verifier still re-checks every pair
-        a certificate records (rules ``whitehead``: U*U^-1 == I, and
-        ``gl-lift``: delta*delta^-1 == I).
+        Products and swaps of verified pairs ((AB)(B^-1 A^-1) = I), and
+        I + fE_ij with I - fE_ij for i != j; the verifier still re-checks
+        every pair a certificate records (rules ``whitehead``: U*U^-1 == I,
+        and ``gl-lift``: delta*delta^-1 == I).
         """
         g = object.__new__(GLMat)
         g._set(ring, mat, inv)
@@ -493,7 +518,7 @@ class GLMat:
     @staticmethod
     def identity(ring: QuotientRing, n: int) -> "GLMat":
         eye = PolyMatrix.identity(ring.context, n)
-        return GLMat(ring, eye, eye)
+        return GLMat._known_pair(ring, eye, eye)
 
     @staticmethod
     def elementary(ring: QuotientRing, n: int, i: int, j: int, f: Polynomial) -> "GLMat":
@@ -505,7 +530,8 @@ class GLMat:
         minv = [row[:] for row in m]
         m[i][j] = ring.normal_form(f)
         minv[i][j] = ring.normal_form(-f)
-        return GLMat(ring, PolyMatrix.from_rows(ctx, m), PolyMatrix.from_rows(ctx, minv))
+        return GLMat._known_pair(ring, PolyMatrix.from_rows(ctx, m),
+                                 PolyMatrix.from_rows(ctx, minv))
 
     @staticmethod
     def permutation(ring: QuotientRing, perm: Sequence[int]) -> "GLMat":

@@ -96,6 +96,36 @@ def test_ring_file_with_wrongly_typed_value_is_input_error(tmp_path, capsys, rin
     assert "bad ring" in capsys.readouterr().err
 
 
+RING2 = {"field": "Q", "vars": 2, "ideal": ["x0*x1"]}
+
+
+@pytest.mark.parametrize("matrix", [{"rows": "x", "cols": 1, "entries": ["1"]},
+                                    {"rows": 1, "cols": 1, "entries": [7]},
+                                    {"rows": 1, "entries": ["1"]},
+                                    {"rows": 1.0, "cols": 1, "entries": ["1"]},
+                                    {"rows": 1, "cols": True, "entries": ["1"]}])
+def test_matrix_file_with_wrongly_typed_value_is_input_error(tmp_path, capsys, matrix):
+    path = tmp_path / "bad.mat"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 matrix\n" + json.dumps(dict(matrix, ring=RING2)) + "\n")
+    assert run(["extend", "--module", path, "--out", tmp_path / "c.cert"]) == 2
+    assert "bad matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_counts_must_be_json_integers(tmp_path, capsys, count):
+    ring = tmp_path / "bad.ring"
+    with open(ring, "w") as fh:
+        fh.write("srpb/1 ring\n" + json.dumps(dict(RING2, vars=count)) + "\n")
+    assert run(["ring", "nf", "--ring", ring, "--expr", "x0"]) == 2
+    assert "vars must be an integer" in capsys.readouterr().err
+    cplx = tmp_path / "bad.cplx"
+    with open(cplx, "w") as fh:
+        fh.write("srpb/1 complex\n" + json.dumps({"ambient": count, "facets": [[0]]}) + "\n")
+    assert run(["complex", "faces", "--complex", cplx]) == 2
+    assert "ambient must be an integer" in capsys.readouterr().err
+
+
 def test_gb_member(workdir, capsys, tmp_path):
     gens = tmp_path / "g.gens"
     with open(gens, "w") as fh:

@@ -214,6 +214,16 @@ def test_wrongly_typed_field_name_is_a_structure_failure():
     assert "AttributeError" in bad.detail
 
 
+def test_wrongly_typed_matrix_count_is_a_structure_failure():
+    base = dict(corpus_certificates())["extend-hollow"]
+    for value in ("x", 2.0, True):
+        cert = copy.deepcopy(base)
+        cert["root"]["module"]["rows"] = value
+        bad = verify_payload(cert).first_failure()
+        assert (bad.node, bad.check) == ("root", "structure")
+        assert "bad matrix" in bad.detail
+
+
 def test_garbled_obligations_do_not_raise():
     rep = verify_payload({"root": {"kind": "mystery"}, "obligations": ["x", 7]})
     assert not rep.ok
