@@ -9,13 +9,13 @@ byte-identical certificate files.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import FileFormatError
 from .expr import parse_expression
 from .fields import Field
 from .matrix import PolyMatrix
-from .poly import GREVLEX, PolyRing, format_polynomial
+from .poly import GREVLEX, Polynomial, PolyRing, format_polynomial
 from .quotient import FiberSquare, QuotientRing, RingHom
 
 HEADER = "srpb/1"
@@ -98,11 +98,15 @@ def matrix_payload(m: PolyMatrix) -> dict:
     }
 
 
-def parse_matrix(payload: dict, ctx: PolyRing) -> PolyMatrix:
+def parse_matrix(payload: dict, ctx: PolyRing,
+                 parse: Optional[Callable[[str], Polynomial]] = None) -> PolyMatrix:
+    """The matrix payload over ctx; ``parse`` reads one entry text (default:
+    ``parse_expression`` over ctx)."""
     try:
         rows = _count(payload, "rows")
         cols = _count(payload, "cols")
-        entries = [parse_expression(t, ctx) for t in payload["entries"]]
+        read = parse if parse is not None else (lambda text: parse_expression(text, ctx))
+        entries = [read(t) for t in payload["entries"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # a missing key, or a JSON value of the wrong type ("entries": [7])
         raise FileFormatError(f"bad matrix: {exc!r}") from exc

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -50,7 +51,9 @@ def main(argv=None) -> int:
         return INPUT_ERROR
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; each parse gets a fresh Namespace."""
     p = argparse.ArgumentParser(prog="srpb")
     sub = p.add_subparsers(dest="command")
 

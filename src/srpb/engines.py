@@ -218,13 +218,13 @@ def _smith_freeness_iso(p: ProjModule) -> ModIso:
     ginv = g.adjugate().scale(inv_scalar)
     s = len([j for j in range(n) if dec1.d[j, j].is_zero()])
     corner = PolyMatrix.identity(ctx, s).direct_sum(PolyMatrix.zeros(ctx, n - s, n - s))
-    if ring.nf_matrix(ginv * e * g) != ring.nf_matrix(corner):
+    if ring.mat_mul(ring.mat_mul(ginv, e), g) != ring.nf_matrix(corner):
         raise InternalCheckError("basis change does not diagonalize the idempotent")
     g0 = g.augmentation()
     g0inv = scalar_inverse(g0)
     target = ProjModule.make(ring, p.augmented_matrix())
-    fwd = ring.nf_matrix(g0 * corner * ginv)
-    bwd = ring.nf_matrix(g * corner * g0inv)
+    fwd = ring.mat_mul(ring.mat_mul(g0, corner), ginv)
+    bwd = ring.mat_mul(ring.mat_mul(g, corner), g0inv)
     return ModIso.make(p, target, fwd, bwd)
 
 
@@ -401,10 +401,10 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     iso = ext.iso
     v0 = row.v.augmentation()
     w0 = row.w.augmentation()
-    sigma_m = ring.nf_matrix(iso.bwd + row.w.transpose() * v0)
-    sigma_inv = ring.nf_matrix(iso.fwd + w0.transpose() * row.v)
+    sigma_m = ring.nf_matrix(iso.bwd) + ring.mat_mul(row.w.transpose(), v0)
+    sigma_inv = ring.nf_matrix(iso.fwd) + ring.mat_mul(w0.transpose(), row.v)
     sigma = GLMat(ring, sigma_m, sigma_inv)
-    if ring.nf_matrix(row.v * sigma.mat) != ring.nf_matrix(v0):
+    if ring.mat_mul(row.v, sigma.mat) != ring.nf_matrix(v0):
         raise InternalCheckError("comparison matrix does not move v to v(0)")
 
     pi = RingHom.quotient_map(target, ring)
@@ -415,8 +415,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
                                 profile.payload(), sigma=sigma, partial=True)
         return UmLiftResult(None, cert, diagnostics=dict(exc.diagnostics))
 
-    u = target.nf_matrix(v0 * delta.inv)
-    w_prime = target.nf_matrix(w0 * delta.mat.transpose())
+    u = target.mat_mul(v0, delta.inv)
+    w_prime = target.mat_mul(w0, delta.mat.transpose())
     lifted = UmRow.make(target, u, w_prime)
     if pi.apply_matrix(lifted.v) != row.v:
         raise InternalCheckError("lifted row is not congruent to the input")

@@ -8,12 +8,22 @@ relative to the referring file.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 from . import certs
 from .errors import FileFormatError
 from .matrix import PolyMatrix
 from .quotient import GLMat, QuotientRing, RingHom
 from .simplicial import SimplicialComplex
+
+
+@contextmanager
+def _reading(kind: str):
+    """A missing key or a wrongly typed value in a file is a FileFormatError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad {kind} file: {exc!r}") from exc
 
 
 def save_complex(path: str, c: SimplicialComplex) -> None:
@@ -48,8 +58,9 @@ def save_matrix(path: str, ring: QuotientRing, m: PolyMatrix) -> None:
 
 def load_matrix(path: str) -> tuple:
     payload = certs.read_payload(path, "matrix")
-    ring = _resolve_ring(payload["ring"], os.path.dirname(path))
-    return ring, certs.parse_matrix(payload, ring.context)
+    with _reading("matrix"):
+        ring = _resolve_ring(payload["ring"], os.path.dirname(path))
+        return ring, certs.parse_matrix(payload, ring.context)
 
 
 def save_glmat(path: str, g: GLMat) -> None:
@@ -60,9 +71,10 @@ def save_glmat(path: str, g: GLMat) -> None:
 
 def load_glmat(path: str) -> GLMat:
     payload = certs.read_payload(path, "glmatrix")
-    ring = _resolve_ring(payload["ring"], os.path.dirname(path))
-    m = certs.parse_matrix(payload["m"], ring.context)
-    minv = certs.parse_matrix(payload["minv"], ring.context)
+    with _reading("glmatrix"):
+        ring = _resolve_ring(payload["ring"], os.path.dirname(path))
+        m = certs.parse_matrix(payload["m"], ring.context)
+        minv = certs.parse_matrix(payload["minv"], ring.context)
     return GLMat(ring, m, minv)
 
 
@@ -78,9 +90,10 @@ def save_hom(path: str, h: RingHom) -> None:
 def load_hom(path: str) -> RingHom:
     payload = certs.read_payload(path, "hom")
     base = os.path.dirname(path)
-    source = _resolve_ring(payload["source"], base)
-    target = _resolve_ring(payload["target"], base)
-    images = [certs.parse_expression(t, target.context) for t in payload["images"]]
+    with _reading("hom"):
+        source = _resolve_ring(payload["source"], base)
+        target = _resolve_ring(payload["target"], base)
+        images = [certs.parse_expression(t, target.context) for t in payload["images"]]
     return RingHom.make(source, target, images)
 
 
@@ -97,9 +110,10 @@ def load_umrow(path: str):
     from .projmod import UmRow
 
     payload = certs.read_payload(path, "umrow")
-    ring = _resolve_ring(payload["ring"], os.path.dirname(path))
-    v = certs.parse_matrix(payload["v"], ring.context)
-    w = certs.parse_matrix(payload["w"], ring.context)
+    with _reading("umrow"):
+        ring = _resolve_ring(payload["ring"], os.path.dirname(path))
+        v = certs.parse_matrix(payload["v"], ring.context)
+        w = certs.parse_matrix(payload["w"], ring.context)
     return UmRow.make(ring, v, w)
 
 

@@ -225,7 +225,7 @@ def unimodular_cert(v: PolyMatrix, ring: QuotientRing) -> Optional[PolyMatrix]:
         return None
     w = PolyMatrix(ring.context, 1, v.cols,
                    [ring.normal_form(c) for c in cert.coefficients[:v.cols]])
-    prod = ring.nf_matrix(v * w.transpose())
+    prod = ring.mat_mul(v, w.transpose())
     if prod[0, 0] != ring.context.one():
         raise InternalCheckError("unimodular certificate does not pair to 1")
     return w

@@ -152,28 +152,28 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
             perm = list(range(n))
             perm[k], perm[pi_] = perm[pi_], perm[k]
             pmat = GLMat.permutation(down, perm)
-            work = down.nf_matrix(pmat.mat * PolyMatrix.from_rows(ctx, work)).to_lists()
+            work = down.mat_mul(pmat.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
             left.append(pmat)
             left_up.append(GLMat.permutation(up, perm))
         if pj != k:
             perm = list(range(n))
             perm[k], perm[pj] = perm[pj], perm[k]
             pmat = GLMat.permutation(down, perm)
-            work = down.nf_matrix(PolyMatrix.from_rows(ctx, work) * pmat.mat).to_lists()
+            work = down.mat_mul(PolyMatrix.from_rows(ctx, work), pmat.mat).to_lists()
             right.append(pmat)
             right_up.append(GLMat.permutation(up, perm))
         for i in range(n):
             if i != k and not work[i][k].is_zero():
                 f = down.normal_form(-(work[i][k] * pinv))
                 e = GLMat.elementary(down, n, i, k, f)
-                work = down.nf_matrix(e.mat * PolyMatrix.from_rows(ctx, work)).to_lists()
+                work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
                 left.append(e)
                 left_up.append(GLMat.elementary(up, n, i, k, lift_entry(f)))
         for j in range(n):
             if j != k and not work[k][j].is_zero():
                 f = down.normal_form(-(work[k][j] * pinv))
                 e = GLMat.elementary(down, n, k, j, f)
-                work = down.nf_matrix(PolyMatrix.from_rows(ctx, work) * e.mat).to_lists()
+                work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
                 right.append(e)
                 right_up.append(GLMat.elementary(up, n, k, j, lift_entry(f)))
 

@@ -20,7 +20,7 @@ class PolyMatrix:
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeError(f"need {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
         for p in entries:
-            if p.ring != ring:
+            if p.ring is not ring and p.ring != ring:
                 raise ContextError("matrix entry over a different context")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)

@@ -249,7 +249,7 @@ def milnor_patch(square: FiberSquare, rank: int, sigma: GLMat) -> ProjModule:
     u = whitehead_lift(sigma, square.j2, square.section)
     ctx = square.a.context
     corner = PolyMatrix.identity(ctx, rank).direct_sum(PolyMatrix.zeros(ctx, rank, rank))
-    e2 = square.a2.nf_matrix(u.mat * corner * u.inv)
+    e2 = square.a2.mat_mul(square.a2.mat_mul(u.mat, corner), u.inv)
     e1 = square.a1.nf_matrix(corner)
     if square.j1.apply_matrix(e1) != square.j2.apply_matrix(e2):
         raise InternalCheckError("patch data incompatible over the overlap")

@@ -17,7 +17,8 @@ One rule per identity type:
     rank                   augmentation rank equals the claimed rank
 
 Failures are report entries naming the node and the identity, with both
-sides' normal forms; the verifier never raises on bad certificates.
+sides' normal forms; the verifier never raises on bad certificates.  Each
+distinct ring, matrix or entry text is parsed once per certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional
 from . import certs
 from .errors import SrpbError
 from .matrix import PolyMatrix, scalar_rank
-from .poly import PolyRing, format_polynomial
+from .poly import Polynomial, PolyRing, format_polynomial
 from .quotient import QuotientRing, RingHom
 
 CHECK_KINDS = (
@@ -81,6 +82,57 @@ def verify_file(path: str) -> VerifierReport:
     return verify_payload(certs.read_payload(path, "cert"))
 
 
+class _Reader:
+    """The parsed payloads of one certificate, keyed by canonical text.
+
+    Equal ring payloads parse to one QuotientRing, equal matrix payloads
+    over one context to one PolyMatrix, and equal entry or hom-image texts
+    over one context to one Polynomial; matrices and texts are keyed with
+    their context because children's modules are read over their parent's.
+    A reader lives for one ``verify_payload`` call.
+    """
+
+    def __init__(self):
+        self._rings: dict = {}
+        self._matrices: dict = {}
+        self._texts: dict = {}
+
+    def expression(self, text, ctx: PolyRing) -> Polynomial:
+        if type(text) is not str:
+            return certs.parse_expression(text, ctx)  # no key; the parser reports it
+        key = (text, ctx)
+        f = self._texts.get(key)
+        if f is None:
+            f = self._texts[key] = certs.parse_expression(text, ctx)
+        return f
+
+    def ring(self, payload) -> QuotientRing:
+        key = certs.dump_canonical(payload)
+        r = self._rings.get(key)
+        if r is None:
+            r = self._rings[key] = certs.parse_ring(payload)
+        return r
+
+    def matrix(self, payload, ctx: PolyRing) -> PolyMatrix:
+        key = (certs.dump_canonical(payload), ctx)
+        m = self._matrices.get(key)
+        if m is None:
+            m = self._matrices[key] = certs.parse_matrix(
+                payload, ctx, lambda text: self.expression(text, ctx))
+        return m
+
+    def pair(self, payload, ctx: PolyRing, first: str = "fwd", second: str = "bwd") -> tuple:
+        return self.matrix(payload[first], ctx), self.matrix(payload[second], ctx)
+
+    def glpair(self, payload, ctx: PolyRing) -> tuple:
+        return self.pair(payload, ctx, "m", "minv")
+
+    def node_iso(self, node: dict, ctx: PolyRing) -> tuple:
+        """The final iso of a discharged base or decompose node."""
+        return self.pair(node["glue"]["iso"] if node.get("kind") == "decompose"
+                         else node["iso"], ctx)
+
+
 def verify_payload(payload: dict) -> VerifierReport:
     report = VerifierReport()
     if not isinstance(payload, dict):
@@ -91,10 +143,11 @@ def verify_payload(payload: dict) -> VerifierReport:
     if root is None or isinstance(root, dict) and root.get("kind") == "empty":
         report.warnings.append("certificate claims nothing; vacuous pass")
         return report
+    rd = _Reader()
     try:
-        _verify_node(root, "root", report)
+        _verify_node(rd, root, "root", report)
         if "stab" in payload:
-            _verify_stab(payload, root, report)
+            _verify_stab(rd, payload, root, report)
     except SrpbError as exc:
         report.add("root", "structure", False, f"malformed certificate: {exc}")
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -113,40 +166,19 @@ def verify_payload(payload: dict) -> VerifierReport:
     return report
 
 
-def _verify_stab(payload: dict, root: dict, report: VerifierReport) -> None:
+def _verify_stab(rd: _Reader, payload: dict, root: dict, report: VerifierReport) -> None:
     """The recorded stabilized iso must connect E_P (+) 1 and E_Q (+) 1."""
-    ring = certs.parse_ring(root["ring"])
+    ring = rd.ring(root["ring"])
     ctx = ring.context
-    e_p = certs.parse_matrix(root["module"], ctx)
-    e_q = certs.parse_matrix(root["module_other"], ctx)
+    e_p = rd.matrix(root["module"], ctx)
+    e_q = rd.matrix(root["module_other"], ctx)
     one = PolyMatrix.identity(ctx, 1)
-    fwd = certs.parse_matrix(payload["stab"]["fwd"], ctx)
-    bwd = certs.parse_matrix(payload["stab"]["bwd"], ctx)
+    fwd, bwd = rd.pair(payload["stab"], ctx)
     _check_iso_laws(report, "root.stab", ring, e_p.direct_sum(one),
                     e_q.direct_sum(one), fwd, bwd)
 
 
 # -- shared helpers --------------------------------------------------------------
-
-def _mat(node: dict, key: str, ctx: PolyRing) -> PolyMatrix:
-    return certs.parse_matrix(node[key], ctx)
-
-def _pair(node: dict, key: str, ctx: PolyRing) -> tuple:
-    return (certs.parse_matrix(node[key]["fwd"], ctx),
-            certs.parse_matrix(node[key]["bwd"], ctx))
-
-
-def _node_iso(node: dict, ctx: PolyRing) -> tuple:
-    """The final iso of a discharged base or decompose node."""
-    payload = node["glue"]["iso"] if node.get("kind") == "decompose" else node["iso"]
-    return (certs.parse_matrix(payload["fwd"], ctx),
-            certs.parse_matrix(payload["bwd"], ctx))
-
-
-def _glpair(node: dict, key: str, ctx: PolyRing) -> tuple:
-    return (certs.parse_matrix(node[key]["m"], ctx),
-            certs.parse_matrix(node[key]["minv"], ctx))
-
 
 def _eq(report, where, check, lhs: PolyMatrix, rhs: PolyMatrix, what: str) -> bool:
     ok = lhs == rhs
@@ -193,13 +225,13 @@ def _check_hom_defined(report, where, h: RingHom, label: str) -> None:
 
 # -- square ----------------------------------------------------------------------
 
-def _load_square(node: dict) -> dict:
-    rings = {k: certs.parse_ring(v) for k, v in node["square"]["rings"].items()}
+def _load_square(rd: _Reader, node: dict) -> dict:
+    rings = {k: rd.ring(v) for k, v in node["square"]["rings"].items()}
     ctxs = {k: r.context for k, r in rings.items()}
     homs_raw = node["square"]["homs"]
 
     def hom(name, src, tgt):
-        imgs = [certs.parse_expression(t, ctxs[tgt]) for t in homs_raw[name]]
+        imgs = [rd.expression(t, ctxs[tgt]) for t in homs_raw[name]]
         return RingHom.make(rings[src], rings[tgt], imgs, verify=False)
 
     return {
@@ -237,51 +269,51 @@ def _check_square(report, where, sq: dict) -> None:
 
 # -- node dispatch -----------------------------------------------------------------
 
-def _verify_node(node: dict, where: str, report: VerifierReport) -> None:
+def _verify_node(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
     kind = node.get("kind")
     if kind == "base":
-        _verify_base(node, where, report)
+        _verify_base(rd, node, where, report)
     elif kind == "decompose":
-        _verify_decompose(node, where, report)
+        _verify_decompose(rd, node, where, report)
     elif kind == "umrow-lift":
-        _verify_umrow(node, where, report)
+        _verify_umrow(rd, node, where, report)
     elif kind == "gl-lift":
-        _verify_gl_lift(node, where, report)
+        _verify_gl_lift(rd, node, where, report)
     elif kind == "patch":
-        _verify_patch(node, where, report)
+        _verify_patch(rd, node, where, report)
     elif kind == "empty":
         report.warnings.append(f"{where}: empty node")
     else:
         report.add(where, "structure", False, f"unknown node kind {kind!r}")
 
 
-def _verify_base(node: dict, where: str, report: VerifierReport) -> None:
-    ring = certs.parse_ring(node["ring"])
+def _verify_base(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    ring = rd.ring(node["ring"])
     ctx = ring.context
-    e = _mat(node, "module", ctx)
+    e = rd.matrix(node["module"], ctx)
     _check_idempotent(report, where, ring, e)
     if not node.get("discharged", False):
         report.warnings.append(f"{where}: obligation ({node.get('obligation')}) pending")
         return
-    target = _mat(node, "target", ctx)
-    fwd, bwd = _pair(node, "iso", ctx)
+    target = rd.matrix(node["target"], ctx)
+    fwd, bwd = rd.pair(node["iso"], ctx)
     _check_idempotent(report, where, ring, target)
     if node.get("task") == "extend":
         ok = target == e.augmentation() and target.is_constant()
         report.add(where, "augmentation", ok,
                    "" if ok else "target is not the augmented module")
     else:
-        _eq(report, where, "restriction", target, _mat(node, "module_other", ctx),
+        _eq(report, where, "restriction", target, rd.matrix(node["module_other"], ctx),
             "cancel target vs other module")
     _check_iso_laws(report, where, ring, e, target, fwd, bwd)
 
 
-def _verify_decompose(node: dict, where: str, report: VerifierReport) -> None:
-    ring = certs.parse_ring(node["ring"])
+def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    ring = rd.ring(node["ring"])
     ctx = ring.context
-    e = _mat(node, "module", ctx)
+    e = rd.matrix(node["module"], ctx)
     _check_idempotent(report, where, ring, e)
-    sq = _load_square(node)
+    sq = _load_square(rd, node)
     _check_square(report, where, sq)
     ok = sq["rings"]["a"] == ring
     report.add(where, "structure", ok, "" if ok else "square total ring differs")
@@ -293,19 +325,19 @@ def _verify_decompose(node: dict, where: str, report: VerifierReport) -> None:
         return
     for idx, (corner, hom) in enumerate((("a1", sq["i1"]), ("a2", sq["i2"]))):
         child = children[idx]
-        child_ring = certs.parse_ring(child["ring"])
+        child_ring = rd.ring(child["ring"])
         ok = child_ring == sq["rings"][corner]
         report.add(where, "structure", ok,
                    "" if ok else f"child {idx} ring is not the {corner} corner")
-        child_e = certs.parse_matrix(child["module"], ctx)
+        child_e = rd.matrix(child["module"], ctx)
         _eq(report, f"{where}.child{idx}", "restriction",
             child_e, hom.apply_matrix(e), "child module vs restriction")
         if task == "cancel" and "module_other" in node:
-            other = _mat(node, "module_other", ctx)
-            child_other = certs.parse_matrix(child["module_other"], ctx)
+            other = rd.matrix(node["module_other"], ctx)
+            child_other = rd.matrix(child["module_other"], ctx)
             _eq(report, f"{where}.child{idx}", "restriction",
                 child_other, hom.apply_matrix(other), "child other-module vs restriction")
-        _verify_node(child, f"{where}.child{idx}", report)
+        _verify_node(rd, child, f"{where}.child{idx}", report)
 
     if not node.get("discharged", False):
         report.warnings.append(f"{where}: decomposition left partial")
@@ -316,23 +348,23 @@ def _verify_decompose(node: dict, where: str, report: VerifierReport) -> None:
 
     a1, a2, a0 = sq["rings"]["a1"], sq["rings"]["a2"], sq["rings"]["a0"]
     j1, j2 = sq["j1"], sq["j2"]
-    target = _mat(node, "target", ctx)
+    target = rd.matrix(node["target"], ctx)
     _check_idempotent(report, where, ring, target)
     if task == "extend":
         ok = target == e.augmentation() and target.is_constant()
         report.add(where, "augmentation", ok,
                    "" if ok else "target is not the augmented module")
     else:
-        _eq(report, where, "restriction", target, _mat(node, "module_other", ctx),
+        _eq(report, where, "restriction", target, rd.matrix(node["module_other"], ctx),
             "cancel target vs other module")
 
-    phi1_f, phi1_b = _node_iso(children[0], ctx)
-    phi2_f, phi2_b = _node_iso(children[1], ctx)
+    phi1_f, phi1_b = rd.node_iso(children[0], ctx)
+    phi2_f, phi2_b = rd.node_iso(children[1], ctx)
     glue = node["glue"]
-    alpha0_f, alpha0_b = _pair(glue, "alpha0", ctx)
-    alpha2_f, alpha2_b = _pair(glue, "alpha2", ctx)
-    fix_f, fix_b = _pair(glue, "phi2", ctx)
-    iso_f, iso_b = _pair(glue, "iso", ctx)
+    alpha0_f, alpha0_b = rd.pair(glue["alpha0"], ctx)
+    alpha2_f, alpha2_b = rd.pair(glue["alpha2"], ctx)
+    fix_f, fix_b = rd.pair(glue["phi2"], ctx)
+    iso_f, iso_b = rd.pair(glue["iso"], ctx)
 
     # mismatch definition: alpha0 = j2(phi2) o j1(phi1)^-1 over a0
     _eq(report, where, "compose", alpha0_f,
@@ -368,61 +400,61 @@ def _verify_decompose(node: dict, where: str, report: VerifierReport) -> None:
     _check_iso_laws(report, where, ring, e, target, iso_f, iso_b)
 
 
-def _verify_umrow(node: dict, where: str, report: VerifierReport) -> None:
-    ring = certs.parse_ring(node["ring"])
+def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    ring = rd.ring(node["ring"])
     ctx = ring.context
-    v = _mat(node, "v", ctx)
-    w = _mat(node, "w", ctx)
+    v = rd.matrix(node["v"], ctx)
+    w = rd.matrix(node["w"], ctx)
     one = PolyMatrix.identity(ctx, 1)
     _eq(report, where, "um-congruence", ring.mat_mul(v, w.transpose()), ring.nf_matrix(one),
         "v*w^T vs 1")
 
     extend = node["extend"]
-    kernel = ring.nf_matrix(PolyMatrix.identity(ctx, v.cols) - w.transpose() * v)
-    ext_ring = certs.parse_ring(extend["ring"])
+    kernel = ring.nf_matrix(PolyMatrix.identity(ctx, v.cols)) - ring.mat_mul(w.transpose(), v)
+    ext_ring = rd.ring(extend["ring"])
     report.add(where, "structure", ext_ring == ring,
                "" if ext_ring == ring else "extend subtree over a different ring")
-    _eq(report, where, "restriction", certs.parse_matrix(extend["module"], ctx), kernel,
+    _eq(report, where, "restriction", rd.matrix(extend["module"], ctx), kernel,
         "extend module vs I - w^T v")
-    _verify_node(extend, f"{where}.extend", report)
+    _verify_node(rd, extend, f"{where}.extend", report)
 
     if not node.get("discharged", False) or "sigma" not in node:
         report.warnings.append(f"{where}: row lift left partial")
         return
-    sigma_m, sigma_i = _glpair(node, "sigma", ctx)
+    sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
         ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
     v0 = v.augmentation()
     w0 = w.augmentation()
     if extend.get("discharged"):
-        fwd, bwd = _node_iso(extend, ctx)
+        fwd, bwd = rd.node_iso(extend, ctx)
         _eq(report, where, "compose", sigma_m,
-            ring.nf_matrix(bwd + w.transpose() * v0), "sigma vs bwd + w^T v(0)")
+            ring.nf_matrix(bwd) + ring.mat_mul(w.transpose(), v0), "sigma vs bwd + w^T v(0)")
         _eq(report, where, "compose", sigma_i,
-            ring.nf_matrix(fwd + w0.transpose() * v), "sigma^-1 vs fwd + w(0)^T v")
+            ring.nf_matrix(fwd) + ring.mat_mul(w0.transpose(), v), "sigma^-1 vs fwd + w(0)^T v")
     _eq(report, where, "um-congruence", ring.mat_mul(v, sigma_m), ring.nf_matrix(v0),
         "v*sigma vs v(0)")
 
     if "delta" not in node:
         report.warnings.append(f"{where}: no GL lift recorded")
         return
-    target_ring = certs.parse_ring(node["target_ring"])
+    target_ring = rd.ring(node["target_ring"])
     tctx = target_ring.context
     ok = all(not ring.survives(g) for g in target_ring.generators)
     report.add(where, "structure", ok, "" if ok else "target ideal escapes the quotient")
-    delta_m, delta_i = _glpair(node, "delta", tctx)
+    delta_m, delta_i = rd.glpair(node["delta"], tctx)
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
         target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
     pi = _identity_hom(target_ring, ring)
     _eq(report, where, "gl-lift", pi.apply_matrix(delta_m), ring.nf_matrix(sigma_m),
         "pi(delta) vs sigma")
 
-    u = _mat(node, "u", tctx)
-    w_prime = _mat(node, "w_prime", tctx)
+    u = rd.matrix(node["u"], tctx)
+    w_prime = rd.matrix(node["w_prime"], tctx)
     _eq(report, where, "compose", u,
-        target_ring.nf_matrix(v0_in(tctx, v0) * delta_i), "u vs v(0)*delta^-1")
+        target_ring.mat_mul(v0_in(tctx, v0), delta_i), "u vs v(0)*delta^-1")
     _eq(report, where, "compose", w_prime,
-        target_ring.nf_matrix(v0_in(tctx, w0) * delta_m.transpose()), "w' vs w(0)*delta^T")
+        target_ring.mat_mul(v0_in(tctx, w0), delta_m.transpose()), "w' vs w(0)*delta^T")
     one_t = PolyMatrix.identity(tctx, 1)
     _eq(report, where, "um-congruence", target_ring.mat_mul(u, w_prime.transpose()),
         target_ring.nf_matrix(one_t), "u*w'^T vs 1")
@@ -436,12 +468,12 @@ def v0_in(ctx: PolyRing, m: PolyMatrix) -> PolyMatrix:
                       [ctx.constant(p.constant_term()) for p in m.entries])
 
 
-def _verify_gl_lift(node: dict, where: str, report: VerifierReport) -> None:
-    ring = certs.parse_ring(node["ring"])
-    target_ring = certs.parse_ring(node["target_ring"])
+def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    ring = rd.ring(node["ring"])
+    target_ring = rd.ring(node["target_ring"])
     ctx, tctx = ring.context, target_ring.context
-    sigma_m, sigma_i = _glpair(node, "sigma", ctx)
-    delta_m, delta_i = _glpair(node, "delta", tctx)
+    sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
+    delta_m, delta_i = rd.glpair(node["delta"], tctx)
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
         ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
@@ -451,16 +483,16 @@ def _verify_gl_lift(node: dict, where: str, report: VerifierReport) -> None:
         "pi(delta) vs sigma")
 
 
-def _verify_patch(node: dict, where: str, report: VerifierReport) -> None:
-    sq = _load_square(node)
+def _verify_patch(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    sq = _load_square(rd, node)
     _check_square(report, where, sq)
     a, a1, a2, a0 = (sq["rings"][k] for k in ("a", "a1", "a2", "a0"))
-    ring = certs.parse_ring(node["ring"])
+    ring = rd.ring(node["ring"])
     report.add(where, "structure", ring == a, "" if ring == a else "ring is not the square total")
     ctx = a.context
     rank = int(node["rank"])
-    sigma_m, sigma_i = _glpair(node, "sigma", ctx)
-    u_m, u_i = _glpair(node, "whitehead", ctx)
+    sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
+    u_m, u_i = rd.glpair(node["whitehead"], ctx)
     _eq(report, where, "gl-lift", a0.mat_mul(sigma_m, sigma_i),
         a0.nf_matrix(PolyMatrix.identity(ctx, rank)), "sigma*sigma^-1 vs I")
     _eq(report, where, "whitehead", a2.mat_mul(u_m, u_i),
@@ -468,8 +500,8 @@ def _verify_patch(node: dict, where: str, report: VerifierReport) -> None:
     _eq(report, where, "whitehead", sq["j2"].apply_matrix(u_m),
         a0.nf_matrix(sigma_m.direct_sum(sigma_i)), "j2(U) vs sigma (+) sigma^-1")
     corner = PolyMatrix.identity(ctx, rank).direct_sum(PolyMatrix.zeros(ctx, rank, rank))
-    e2 = a2.nf_matrix(u_m * corner * u_i)
-    e = _mat(node, "module", ctx)
+    e2 = a2.mat_mul(a2.mat_mul(u_m, corner), u_i)
+    e = rd.matrix(node["module"], ctx)
     _check_idempotent(report, where, a, e)
     _eq(report, where, "restriction", sq["i1"].apply_matrix(e), a1.nf_matrix(corner),
         "i1(E) vs I_r (+) 0")

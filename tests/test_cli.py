@@ -279,3 +279,68 @@ def test_verify_non_object_certificate_fails_cleanly(tmp_path, capsys, body):
     assert run(["verify", "--cert", cert]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "root structure" in out
+
+
+ONE = {"rows": 1, "cols": 1, "entries": ["1"]}
+
+
+@pytest.mark.parametrize("kind,payload,argv", [
+    ("matrix", ONE, ["extend", "--module", "{f}", "--out", "{d}/c.cert"]),
+    ("glmatrix", {"ring": RING2, "m": ONE},
+     ["gl", "lift", "--sigma", "{f}", "--to-ring", "{d}/free2.ring", "--out", "{d}/o.glm"]),
+    ("umrow", {"ring": RING2, "v": "x", "w": ONE},
+     ["umrow", "lift", "--row", "{f}", "--out", "{d}/o.umrow"]),
+    ("matrix", ["x"], ["extend", "--module", "{f}", "--out", "{d}/c.cert"]),
+], ids=["matrix-without-ring", "glmatrix-without-minv", "umrow-v-not-object",
+        "matrix-not-object"])
+def test_file_with_missing_or_wrongly_typed_key_is_input_error(workdir, capsys, kind,
+                                                               payload, argv):
+    path = workdir / f"bad.{kind}"
+    with open(path, "w") as fh:
+        fh.write(f"srpb/1 {kind}\n" + json.dumps(payload) + "\n")
+    assert run([a.format(f=path, d=workdir) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "Traceback" not in err
+
+
+def test_hom_file_with_wrongly_typed_images_is_a_file_format_error(tmp_path):
+    # no verb reads a hom file, so this boundary is tested on the loader
+    from srpb.errors import FileFormatError
+
+    path = tmp_path / "bad.hom"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 hom\n" + json.dumps({"source": RING2, "target": RING2,
+                                              "images": 7}) + "\n")
+    with pytest.raises(FileFormatError, match="bad hom file"):
+        files.load_hom(str(path))
+
+
+def test_main_twice_in_one_process_matches_fresh_processes(workdir, capsys, monkeypatch):
+    """The argument parser is built once per process; no call sees another's state."""
+    import os
+    import subprocess
+    import sys
+
+    import srpb
+
+    cert = workdir / "ext.cert"
+    assert run(["extend", "--module", workdir / "mod.mat", "--out", cert]) == 0
+    payload = files.load_cert(str(cert))
+    payload["root"]["glue"]["iso"]["fwd"]["entries"][0] = "7"
+    bad = workdir / "bad.cert"
+    files.save_cert(str(bad), payload)
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srpb.__file__)))
+    calls = [["ring", "nf", "--ring", workdir / "twopoints.ring", "--expr", "x0*x1 + 3*x0"],
+             ["verify", "--cert", bad],
+             ["complex", "faces", "--complex", workdir / "hollow.cplx"],
+             ["ring"],
+             ["verify", "--cert", cert],
+             ["ring", "nf", "--ring", workdir / "twopoints.ring", "--expr", "x0*x1 + 3*x0"]]
+    for argv in calls:
+        code = run(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "srpb.cli"] + [str(a) for a in argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
