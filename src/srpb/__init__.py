@@ -6,9 +6,9 @@ unimodular rows along the quotients, and emits certificates that an
 independent verifier re-checks with plain normal-form arithmetic.
 """
 
-from .engines import (CancelResult, ExtendResult, HypothesisProfile, Obligation,
-                      UmLiftResult, always_fail_oracle, cancel_witness,
-                      chain_oracles, conjugation_witness_oracle, extend_witness,
+from .engines import (HypothesisProfile, Obligation, UmLiftResult,
+                      always_fail_oracle, cancel_witness, chain_oracles,
+                      conjugation_witness_oracle, extend_witness,
                       stable_adapter, umrow_lift)
 from .errors import (AllStrategiesFailed, ContextError, ExprError, GlueError,
                      HomError, InputError, InternalCheckError, LifterError,
@@ -23,7 +23,7 @@ from .lifting import (DEFAULT_STRATEGIES, det_unit_inverse, lift_gl,
 from .matrix import PolyMatrix
 from .poly import GREVLEX, Polynomial, PolyRing, TermOrder, format_polynomial
 from .projmod import (ModIso, ProjModule, UmElement, UmRow, base_change,
-                      glue_iso, kernel_module, milnor_patch, module_rank,
+                      glue_iso_traced, kernel_module, milnor_patch, module_rank,
                       pair_aut, pair_um, section_aut_lifter, section_um_lifter)
 from .quotient import (FiberSquare, GLMat, QuotientRing, RingHom,
                        build_fiber_square, complex_of_ring, fiber_check,

@@ -173,18 +173,9 @@ def _run_ring_nf(args) -> int:
 
 
 def _run_gb_member(args) -> int:
-    import os
-
     from .groebner import member
 
-    payload = certs.read_payload(args.gens, "gens")
-    ref = payload["ring"]
-    if isinstance(ref, dict):
-        ring = certs.parse_ring(ref)
-    else:
-        base = os.path.dirname(args.gens)
-        ring = files.load_ring(ref if os.path.isabs(ref) else os.path.join(base, ref))
-    gens = [parse_expression(t, ring.context) for t in payload["generators"]]
+    ring, gens = files.load_gens(args.gens)
     target = parse_expression(args.target, ring.context)
     cert = member(target, gens)
     if cert is None:

@@ -85,9 +85,6 @@ class PatchResult:
         return self.iso is not None and not self.obligations
 
 
-ExtendResult = CancelResult = PatchResult
-
-
 @dataclass
 class UmLiftResult:
     row: Optional[UmRow]

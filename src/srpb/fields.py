@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ContextError, InputError
 
@@ -18,8 +19,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+@lru_cache(maxsize=64, typed=True)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; InputError at or above the bound where it is exact."""
+    """Deterministic Miller-Rabin, memoized; InputError at or above the bound where it is exact."""
     if p >= _MR_LIMIT:
         raise InputError(f"field characteristic {p} is too large to certify as prime "
                          f"(limit {_MR_LIMIT})")
@@ -54,10 +56,6 @@ class Field:
     def __post_init__(self):
         if self.char != 0 and not _is_prime(self.char):
             raise InputError(f"field characteristic must be 0 or prime, got {self.char}")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.char == 0
 
     @property
     def zero(self):

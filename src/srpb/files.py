@@ -1,7 +1,7 @@
-"""File formats for complexes, rings, homs, matrices and rows.
+"""File formats for complexes, rings, homs, matrices, generator lists and rows.
 
 Every file is a ``srpb/1 <kind>`` header line followed by canonical JSON.
-Ring references inside matrix/row files may be inline objects or paths
+Ring references inside the other files may be inline objects or paths
 relative to the referring file.
 """
 
@@ -78,15 +78,6 @@ def load_glmat(path: str) -> GLMat:
     return GLMat(ring, m, minv)
 
 
-def save_hom(path: str, h: RingHom) -> None:
-    payload = {
-        "source": certs.ring_payload(h.source),
-        "target": certs.ring_payload(h.target),
-        "images": certs.hom_images_payload(h),
-    }
-    certs.write_payload(path, "hom", payload)
-
-
 def load_hom(path: str) -> RingHom:
     payload = certs.read_payload(path, "hom")
     base = os.path.dirname(path)
@@ -95,6 +86,14 @@ def load_hom(path: str) -> RingHom:
         target = _resolve_ring(payload["target"], base)
         images = [certs.parse_expression(t, target.context) for t in payload["images"]]
     return RingHom.make(source, target, images)
+
+
+def load_gens(path: str) -> tuple:
+    """(ring, generator polynomials) of a gens file."""
+    payload = certs.read_payload(path, "gens")
+    with _reading("gens"):
+        ring = _resolve_ring(payload["ring"], os.path.dirname(path))
+        return ring, [certs.parse_expression(t, ring.context) for t in payload["generators"]]
 
 
 def save_umrow(path: str, ring: QuotientRing, v: PolyMatrix, w: PolyMatrix) -> None:

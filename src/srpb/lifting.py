@@ -38,9 +38,10 @@ DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
 def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
     """Exact inverse of m over the quotient; raises NonUnitError otherwise.
 
-    The inverse is det^-1 (closed form, ``quotient.unit_inverse``) times the
-    adjugate; adj(m) * m == det * I makes it one by algebra, and ``GLMat``
-    checks both products wherever the pair becomes a GL element.
+    The inverse is det^-1 (closed form, ``quotient.unit_inverse``, which
+    checks det * det^-1 == 1) times the adjugate; adj(m) * m == m * adj(m)
+    == det * I makes it one by algebra, so the pair is a GL element by
+    construction, and verifier rule ``gl-lift`` re-checks recorded lifts.
     """
     if not m.is_square:
         raise PreconditionError("inverse of a non-square matrix")
@@ -60,7 +61,7 @@ def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
         [[I, s],[0, I]] [[I, 0],[-s^-1, I]] [[I, s],[0, I]] [[0, -I],[I, 0]]
     whose unitriangular and rotation factors stay invertible under any
     entrywise lift; each factor is pushed through the section, so
-    j2(U) == sigma (+) sigma^-1 exactly.
+    j2(U) == sigma (+) sigma^-1 exactly (verifier rule ``whitehead``).
     """
     if sigma.ring != j2.target:
         raise ContextError("sigma must live over the target of the split surjection")
@@ -80,11 +81,7 @@ def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
                            PolyMatrix.block2(eye, zero, s_inv, eye))
     m4 = GLMat._known_pair(up, PolyMatrix.block2(zero, -eye, eye, zero),
                            PolyMatrix.block2(zero, eye, -eye, zero))
-    u = m1 * m2 * m1 * m4
-    target = sigma.mat.direct_sum(sigma.inv)
-    if j2.apply_matrix(u.mat) != sigma.ring.nf_matrix(target):
-        raise InternalCheckError("whitehead lift does not reduce to sigma (+) sigma^-1")
-    return u
+    return m1 * m2 * m1 * m4
 
 
 # -- strategy implementations -------------------------------------------------
@@ -111,7 +108,7 @@ def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
     """m's entries read over up as a GL element, or a failure naming the determinant."""
     lifted = up.nf_matrix(PolyMatrix(up.context, m.rows, m.cols, m.entries))
     try:
-        return GLMat(up, lifted, det_unit_inverse(lifted, up))
+        return GLMat._known_pair(up, lifted, det_unit_inverse(lifted, up))
     except NonUnitError as exc:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 

@@ -4,7 +4,7 @@ matrices (Gaussian elimination over the coefficient field)."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, List, Sequence
 
 from .errors import ContextError, ShapeError
 from .poly import Polynomial, PolyRing
@@ -199,12 +199,6 @@ class PolyMatrix:
         for i in range(c.rows):
             rows.append(list(c.row(i)) + list(d.row(i)))
         return PolyMatrix.from_rows(a.ring, rows)
-
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "PolyMatrix":
-        rows = list(rows)
-        cols = list(cols)
-        return PolyMatrix(self.ring, len(rows), len(cols),
-                          [self[i, j] for i in rows for j in cols])
 
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other) -> bool:

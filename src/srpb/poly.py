@@ -125,9 +125,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
 
-    def is_one(self) -> bool:
-        return self.is_constant() and bool(self.terms) and self.terms[0][1] == self.ring.field.one
-
     def constant_term(self):
         """Coefficient of the monomial 1 (the value at the augmentation)."""
         for exps, c in self.terms:
@@ -310,10 +307,6 @@ def support_mask(exps: tuple) -> int:
     if len(exps) <= len(_POWERS):
         return sum(compress(_POWERS, exps))
     return sum(1 << i for i, e in enumerate(exps) if e)
-
-
-def exp_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def exp_div(a: tuple, b: tuple) -> tuple:

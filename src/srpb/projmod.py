@@ -10,6 +10,10 @@ matrices (fwd, bwd) satisfying the four corner laws
 
 so that every claim in this module is an exact matrix identity a verifier
 can re-check without trusting the construction that produced it.
+
+``make`` checks these laws where data enters (caller matrices, oracle and
+lifter outputs, each glued result); ``inverse``, ``compose`` and
+``apply_hom`` along a verified hom keep them by algebra and skip the check.
 """
 
 from __future__ import annotations
@@ -129,20 +133,20 @@ class ModIso:
         return self.source.ring
 
     def inverse(self) -> "ModIso":
-        return ModIso.make(self.target, self.source, self.bwd, self.fwd)
+        return ModIso(self.target, self.source, self.bwd, self.fwd)
 
     def compose(self, inner: "ModIso") -> "ModIso":
-        """self after inner."""
+        """self after inner; corner laws are closed under composition."""
         if inner.target.matrix != self.source.matrix or inner.ring != self.ring:
             raise ContextError("isos do not compose")
         ring = self.ring
-        return ModIso.make(inner.source, self.target,
-                           ring.mat_mul(self.fwd, inner.fwd),
-                           ring.mat_mul(inner.bwd, self.bwd))
+        return ModIso(inner.source, self.target,
+                      ring.mat_mul(self.fwd, inner.fwd), ring.mat_mul(inner.bwd, self.bwd))
 
     def apply_hom(self, h: RingHom) -> "ModIso":
-        return ModIso.make(base_change(self.source, h), base_change(self.target, h),
-                           h.apply_matrix(self.fwd), h.apply_matrix(self.bwd))
+        """The iso pushed along a verified hom, which keeps every matrix identity."""
+        return ModIso(base_change(self.source, h), base_change(self.target, h),
+                      h.apply_matrix(self.fwd), h.apply_matrix(self.bwd))
 
 
 def conjugation_iso(p: ProjModule, g: GLMat, target_matrix: PolyMatrix) -> ModIso:
@@ -184,20 +188,16 @@ class UmRow:
     def augmented(self) -> tuple:
         return self.v.augmentation(), self.w.augmentation()
 
-    def apply_hom(self, h: RingHom) -> "UmRow":
-        return UmRow.make(h.target, h.apply_matrix(self.v), h.apply_matrix(self.w))
-
 
 def kernel_module(u: UmRow) -> ProjModule:
-    """The kernel of the row map as an idempotent image: I - w^T v."""
+    """The kernel of the row map as an idempotent image: I - w^T v.
+
+    v * w^T == 1 makes w^T v idempotent and v (I - w^T v) == 0; verifier
+    rule ``idempotency`` re-checks the recorded module.
+    """
     ring = u.ring
     e = ring.mat_mul(u.w.transpose(), u.v)
-    eye = PolyMatrix.identity(ring.context, u.width)
-    k = ring.nf_matrix(eye - e)
-    p = ProjModule.make(ring, k)
-    if not ring.mat_mul(u.v, p.matrix).is_zero():
-        raise InternalCheckError("kernel idempotent does not kill the row")
-    return p
+    return ProjModule(ring, ring.nf_matrix(PolyMatrix.identity(ring.context, u.width) - e))
 
 
 # -- unimodular elements of a projective module -------------------------------
@@ -226,8 +226,9 @@ class UmElement:
         return UmElement(module, u, c)
 
     def apply_hom(self, h: RingHom) -> "UmElement":
-        return UmElement.make(base_change(self.module, h),
-                              h.apply_matrix(self.u), h.apply_matrix(self.c))
+        """The element pushed along a verified hom, which keeps its three identities."""
+        return UmElement(base_change(self.module, h),
+                         h.apply_matrix(self.u), h.apply_matrix(self.c))
 
 
 # -- Milnor patching -----------------------------------------------------------
@@ -237,8 +238,8 @@ def milnor_patch(square: FiberSquare, rank: int, sigma: GLMat) -> ProjModule:
 
     sigma is stabilized to sigma (+) sigma^-1 in GL_2r via the Whitehead
     lift U over the cone-side ring, the idempotent U (I_r (+) 0) U^-1 is
-    glued against the constant I_r (+) 0, and the result restricts exactly
-    to its parts.
+    glued against the constant I_r (+) 0; the square is cartesian, so the
+    result restricts exactly to its parts.
     """
     from .lifting import whitehead_lift
 
@@ -250,13 +251,7 @@ def milnor_patch(square: FiberSquare, rank: int, sigma: GLMat) -> ProjModule:
     ctx = square.a.context
     corner = PolyMatrix.identity(ctx, rank).direct_sum(PolyMatrix.zeros(ctx, rank, rank))
     e2 = square.a2.mat_mul(square.a2.mat_mul(u.mat, corner), u.inv)
-    e1 = square.a1.nf_matrix(corner)
-    if square.j1.apply_matrix(e1) != square.j2.apply_matrix(e2):
-        raise InternalCheckError("patch data incompatible over the overlap")
-    e = glue_matrix(square, e1, e2)
-    p = ProjModule.make(square.a, e)
-    if square.i1.apply_matrix(p.matrix) != e1 or square.i2.apply_matrix(p.matrix) != e2:
-        raise InternalCheckError("glued idempotent does not restrict to its parts")
+    p = ProjModule.make(square.a, glue_matrix(square, square.a1.nf_matrix(corner), e2))
     if module_rank(p) != rank:
         raise InternalCheckError("glued module has the wrong rank")
     return p
@@ -271,22 +266,15 @@ class GlueTrace:
     phi2_fixed: ModIso   # corrected second patch iso
 
 
-def glue_iso(square: FiberSquare, p: ProjModule, q: ProjModule,
-             phi1: ModIso, phi2: ModIso,
-             aut_lifter: Callable[[ModIso], ModIso]) -> ModIso:
-    """Patch isos P_i ~ Q_i into P ~ Q, fixing the overlap mismatch.
+def glue_iso_traced(square: FiberSquare, p: ProjModule, q: ProjModule,
+                    phi1: ModIso, phi2: ModIso,
+                    aut_lifter: Callable[[ModIso], ModIso]):
+    """Patch isos P_i ~ Q_i into (P ~ Q, its GlueTrace), fixing the overlap mismatch.
 
     The mismatch j2(phi2) o j1(phi1)^-1 in Aut(Q_0) is lifted to Aut(Q_2)
     by the caller-supplied lifter, phi2 is corrected by its inverse, and the
     corrected pair is glued entrywise.
     """
-    iso, _ = glue_iso_traced(square, p, q, phi1, phi2, aut_lifter)
-    return iso
-
-
-def glue_iso_traced(square: FiberSquare, p: ProjModule, q: ProjModule,
-                    phi1: ModIso, phi2: ModIso,
-                    aut_lifter: Callable[[ModIso], ModIso]):
     _check_glue_inputs(square, p, q, phi1, phi2)
     j1, j2 = square.j1, square.j2
     phi1_0 = phi1.apply_hom(j1)
@@ -376,9 +364,7 @@ def section_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso]
         lifted_e = square.section.apply_matrix(alpha0.source.matrix)
         if lifted_e != q2.matrix:
             raise LifterError("Q_2 is not the section image of its reduction")
-        fwd = square.section.apply_matrix(alpha0.fwd)
-        bwd = square.section.apply_matrix(alpha0.bwd)
-        return ModIso.make(q2, q2, fwd, bwd)
+        return alpha0.apply_hom(square.section)
 
     return lifter
 
@@ -391,8 +377,6 @@ def section_um_lifter(square: FiberSquare, p2: ProjModule) -> Callable[[UmElemen
         lifted_e = square.section.apply_matrix(u0.module.matrix)
         if lifted_e != p2.matrix:
             raise LifterError("P_2 is not the section image of its reduction")
-        return UmElement.make(p2,
-                              square.section.apply_matrix(u0.u),
-                              square.section.apply_matrix(u0.c))
+        return u0.apply_hom(square.section)
 
     return lifter

@@ -1,0 +1,202 @@
+"""Values derived from checked values are built without re-checking them.
+
+Inverses, composites and hom images of module isomorphisms, hom images of
+unimodular elements and GL pairs, permutation and determinant-adjugate
+pairs, the section lifters, kernel modules and the five homs of a fiber
+square all skip the checks their constructors would run.  These tests
+recompute the identities on each output over Q and F_5, with plain
+products (``nf(a * b)``, not ``QuotientRing.mat_mul``), and compare the
+square homs against the square check they no longer go through.
+"""
+
+import dataclasses
+
+import pytest
+
+from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
+                  RingHom, UmElement, UmRow, build_fiber_square, hom_check,
+                  kernel_module, section_aut_lifter, section_um_lifter)
+from srpb.errors import InputError, InternalCheckError, PreconditionError
+from srpb.lifting import _gl_upstairs
+from srpb.projmod import conjugation_iso
+from helpers import (corpus_complexes, hollow_triangle, make_rng,
+                     random_elementary_product, random_gl_with_units)
+
+FIELDS = [QQ, GF(5)]
+
+
+def prod(ring, *ms):
+    out = ms[0]
+    for m in ms[1:]:
+        out = ring.nf_matrix(out * m)
+    return out
+
+
+def assert_iso_laws(iso):
+    r, es, et = iso.source.ring, iso.source.matrix, iso.target.matrix
+    assert iso.target.ring == r
+    assert prod(r, es, es) == es and prod(r, et, et) == et
+    assert prod(r, et, iso.fwd, es) == iso.fwd
+    assert prod(r, es, iso.bwd, et) == iso.bwd
+    assert prod(r, iso.bwd, iso.fwd) == es
+    assert prod(r, iso.fwd, iso.bwd) == et
+
+
+def assert_um_element(x):
+    r, e = x.module.ring, x.module.matrix
+    assert prod(r, e, e) == e
+    assert prod(r, e, x.u) == x.u
+    assert prod(r, x.c, e) == x.c
+    assert prod(r, x.c, x.u) == PolyMatrix.identity(r.context, 1)
+
+
+def assert_gl_pair(g):
+    eye = PolyMatrix.identity(g.ring.context, g.size)
+    assert prod(g.ring, g.mat, g.inv) == eye and prod(g.ring, g.inv, g.mat) == eye
+
+
+def corner(ctx, rank, size):
+    zeros = PolyMatrix.zeros(ctx, size - rank, size - rank)
+    return PolyMatrix.identity(ctx, rank).direct_sum(zeros)
+
+
+def unit_column(ctx):
+    return PolyMatrix(ctx, 3, 1, (ctx.one(), ctx.zero(), ctx.zero()))
+
+
+def conjugate(ring, g, e):
+    return ring.mat_mul(ring.mat_mul(g.mat, e), g.inv)
+
+
+def iso_chain(ring, rng, size=3, rank=1):
+    """phi: P -> Q and psi: Q -> R, each witnessed by a random conjugator."""
+    g = random_elementary_product(ring, size, rng)
+    e = conjugate(ring, g, corner(ring.context, rank, size))
+    p = ProjModule.make(ring, e)
+    g1, g2 = random_gl_with_units(ring, size, rng), random_gl_with_units(ring, size, rng)
+    phi = conjugation_iso(p, g1, conjugate(ring, g1, e))
+    psi = conjugation_iso(phi.target, g2, conjugate(ring, g2, phi.target.matrix))
+    return phi, psi
+
+
+def square_homs(sq):
+    return (sq.i1, sq.i2, sq.j1, sq.j2, sq.section)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_iso_inverse_compose_and_hom_image_keep_the_corner_laws(field):
+    rng = make_rng(f"by-construction-iso-{field.char}")
+    sq = build_fiber_square(field, hollow_triangle())
+    for _ in range(4):
+        phi, psi = iso_chain(sq.a, rng)
+        both = psi.compose(phi)
+        for iso in (phi.inverse(), both, both.inverse(), phi.compose(both.inverse())):
+            assert_iso_laws(iso)
+        assert both.source == phi.source and both.target == psi.target
+        for h in (sq.i1, sq.i2, sq.j1.compose(sq.i1)):
+            pushed = both.apply_hom(h)
+            assert pushed.source.ring == h.target
+            assert_iso_laws(pushed)
+            assert_iso_laws(pushed.inverse().apply_hom(RingHom.identity(h.target)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_um_element_hom_image_and_kernel_module(field):
+    rng = make_rng(f"by-construction-um-{field.char}")
+    sq = build_fiber_square(field, hollow_triangle())
+    ring, ctx = sq.a, sq.a.context
+    e1 = unit_column(ctx)
+    for _ in range(4):
+        g = random_gl_with_units(ring, 3, rng)
+        p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 2, 3)))
+        elem = UmElement.make(p, prod(ring, p.matrix, g.mat, e1),
+                              prod(ring, e1.transpose(), g.inv, p.matrix))
+        for h in (sq.i1, sq.i2, sq.j2.compose(sq.i2)):
+            assert_um_element(elem.apply_hom(h))
+        # row 0 of g and column 0 of g^-1: v * w^T == (g g^-1)[0, 0] == 1
+        row = UmRow.make(ring, PolyMatrix(ctx, 1, 3, g.mat.row(0)),
+                         PolyMatrix(ctx, 1, 3, g.inv.col(0)))
+        k = kernel_module(row)
+        assert prod(ring, k.matrix, k.matrix) == k.matrix
+        assert prod(ring, row.v, k.matrix).is_zero()
+        assert k.rank() == 2
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_section_lifters_return_lawful_values(field):
+    rng = make_rng(f"by-construction-lift-{field.char}")
+    sq = build_fiber_square(field, hollow_triangle())
+    a0, ctx = sq.a0, sq.a0.context
+    e1 = unit_column(ctx)
+    for _ in range(4):
+        g = random_gl_with_units(a0, 3, rng)
+        p0 = ProjModule.make(a0, conjugate(a0, g, corner(ctx, 2, 3)))
+        q2 = ProjModule.make(sq.a2, sq.section.apply_matrix(p0.matrix))
+        h = random_gl_with_units(a0, 2, rng)
+        twist = GLMat._known_pair(a0, h.mat.direct_sum(PolyMatrix.identity(ctx, 1)),
+                                  h.inv.direct_sum(PolyMatrix.identity(ctx, 1)))
+        alpha0 = ModIso.make(p0, p0, prod(a0, p0.matrix, g.mat, twist.mat, g.inv),
+                             prod(a0, g.mat, twist.inv, g.inv, p0.matrix))
+        alpha2 = section_aut_lifter(sq, q2)(alpha0)
+        assert alpha2.source == q2 and alpha2.target == q2
+        assert_iso_laws(alpha2)
+        assert sq.j2.apply_matrix(alpha2.fwd) == alpha0.fwd
+        u0 = UmElement.make(p0, prod(a0, p0.matrix, g.mat, e1),
+                            prod(a0, e1.transpose(), g.inv, p0.matrix))
+        u2 = section_um_lifter(sq, q2)(u0)
+        assert u2.module == q2
+        assert_um_element(u2)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_gl_pairs_built_by_construction_are_inverse(field):
+    rng = make_rng(f"by-construction-gl-{field.char}")
+    sq = build_fiber_square(field, hollow_triangle())
+    nil = QuotientRing.make(field, 3, ((2, 0, 0), (1, 3, 0)))
+    one, x = nil.context.one(), nil.context.variable(0)
+    # (1 + x)(1 - x) == 1 since x^2 == 0
+    tilt = GLMat.diagonal(nil, [(one + x, one - x), (one, one), (one, one)])
+    for _ in range(4):
+        g = random_gl_with_units(sq.a, 3, rng)
+        for h in square_homs(sq)[:2] + (sq.j2.compose(sq.i2),):
+            assert_gl_pair(g.apply_hom(h))
+        assert_gl_pair(GLMat.permutation(sq.a, rng.sample(range(4), 4)))
+        assert_gl_pair(_gl_upstairs(random_gl_with_units(sq.a, 3, rng).mat, sq.a, "test"))
+        # a determinant with a nilpotent tail
+        u = random_gl_with_units(nil, 3, rng) * tilt
+        assert not nil.normal_form(u.mat.det()).is_constant()
+        assert_gl_pair(_gl_upstairs(u.mat, nil, "test"))
+    with pytest.raises(InputError, match="not a permutation"):
+        GLMat.permutation(sq.a, [0, 0, 2])
+    raw = RingHom.make(sq.a, sq.a1, sq.i1.images, verify=False)
+    with pytest.raises(PreconditionError, match="verified hom"):
+        g.apply_hom(raw)
+
+
+def reference_square_check(sq):
+    """Each hom runs between its corners and kills its source ideal, the
+    square commutes on variables, and j2 o section is the identity."""
+    corners = ((sq.a, sq.a1), (sq.a, sq.a2), (sq.a1, sq.a0), (sq.a2, sq.a0), (sq.a0, sq.a2))
+    for h, (source, target) in zip(square_homs(sq), corners):
+        if (h.source, h.target) != (source, target):
+            raise InternalCheckError("square hom does not run between its corners")
+        hom_check(h)
+    if sq.j1.compose(sq.i1).images != sq.j2.compose(sq.i2).images:
+        raise InternalCheckError("square does not commute")
+    if sq.j2.compose(sq.section).images != RingHom.identity(sq.a0).images:
+        raise InternalCheckError("section law fails")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_square_homs_pass_the_square_check(field):
+    checked = 0
+    for c in corpus_complexes():
+        if c.is_simplex():
+            continue
+        sq = build_fiber_square(field, c)
+        assert all(h.verified for h in square_homs(sq))
+        reference_square_check(sq)
+        with pytest.raises(InternalCheckError):
+            reference_square_check(dataclasses.replace(sq, i1=sq.i2, i2=sq.i1))
+        checked += 1
+    assert checked > 100

@@ -144,6 +144,41 @@ def test_gb_member(workdir, capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["member"] is False
 
 
+@pytest.mark.parametrize("payload", [
+    {"generators": ["x0"]},
+    {"ring": RING2, "generators": 7},
+    {"ring": 5, "generators": ["x0"]},
+], ids=["without-ring", "generators-not-a-list", "ring-not-a-reference"])
+def test_bad_gens_file_is_input_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.gens"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 gens\n" + json.dumps(payload) + "\n")
+    assert run(["gb", "member", "--gens", path, "--target", "x0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "Traceback" not in err
+
+
+def test_gl_lift_whose_unit_inverse_outgrows_the_cap_is_input_error(tmp_path, capsys):
+    # 1 + x0 is a unit mod x0^3000, but its inverse has 3000 terms
+    import time
+
+    def ring(power):
+        return {"field": "Q", "vars": 1, "ideal": [f"x0^{power}"]}
+
+    with open(tmp_path / "sigma.glm", "w") as fh:
+        fh.write("srpb/1 glmatrix\n" + json.dumps({
+            "ring": ring(2), "m": {"rows": 1, "cols": 1, "entries": ["1 + x0"]},
+            "minv": {"rows": 1, "cols": 1, "entries": ["1 - x0"]}}) + "\n")
+    with open(tmp_path / "up.ring", "w") as fh:
+        fh.write("srpb/1 ring\n" + json.dumps(ring(3000)) + "\n")
+    start = time.perf_counter()
+    code = run(["gl", "lift", "--sigma", tmp_path / "sigma.glm",
+                "--to-ring", tmp_path / "up.ring", "--out", tmp_path / "delta.glm"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "more than 256 terms" in capsys.readouterr().err
+
+
 def test_square_check_counts_and_exit(workdir, capsys):
     assert run(["square", "check", "--complex", workdir / "twopoints.cplx",
                 "--degree", 3]) == 0

@@ -45,3 +45,15 @@ def test_huge_characteristic_is_an_input_error_on_the_cli(tmp_path):
     with open(ring, "w") as fh:
         fh.write('srpb/1 ring\n{"field": "Fp:%d", "ideal": [], "vars": 1}\n' % (2**89 - 1))
     assert main(["ring", "nf", "--ring", str(ring), "--expr", "x0"]) == 2
+
+
+def test_primality_runs_once_per_characteristic():
+    _is_prime.cache_clear()
+    made = [Field(2**31 - 1) for _ in range(5)]
+    assert _is_prime.cache_info()[:2] == (4, 1)  # hits, misses
+    assert all(f == Field(2**31 - 1) and hash(f) == hash(made[0]) for f in made)
+    for _ in range(2):
+        with pytest.raises(InputError, match="must be 0 or prime, got 6"):
+            Field(6)
+        with pytest.raises(InputError, match="too large"):
+            Field(2**89 - 1)

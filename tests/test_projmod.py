@@ -4,7 +4,7 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
                   UmRow, base_change, build_fiber_square, kernel_module,
                   milnor_patch, module_rank, pair_aut, pair_um,
                   section_aut_lifter, section_um_lifter, unimodular_cert)
-from srpb.projmod import UmElement, conjugation_iso, glue_iso
+from srpb.projmod import UmElement, conjugation_iso, glue_iso_traced
 from srpb.quotient import augmentation_hom
 from srpb.errors import LifterError, PreconditionError
 from helpers import (conjugated_idempotent, corpus_squares, hollow_triangle,
@@ -125,7 +125,7 @@ def test_glue_iso_free_case():
     phi1 = ModIso.identity(base_change(p, sq.i1))
     phi2 = ModIso.identity(base_change(p, sq.i2))
     q2 = base_change(q, sq.i2)
-    iso = glue_iso(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))
+    iso = glue_iso_traced(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))[0]
     assert iso.fwd == p.matrix
 
 
@@ -150,7 +150,7 @@ def test_glue_iso_whitehead_patch_is_free():
 
     u = whitehead_lift(sigma, sq.j2, sq.section)
     phi2 = conjugation_iso(p2, GLMat(sq.a2, u.inv, u.mat), q2.matrix)
-    iso = glue_iso(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))
+    iso = glue_iso_traced(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))[0]
     assert iso.source.matrix == p.matrix and iso.target.matrix == q.matrix
 
 

@@ -84,6 +84,16 @@ def test_unit_with_nilpotent_tail():
     assert unit_inverse(cube.context.one() + t, cube) == cube.context.one() - t + t * t
 
 
+def test_long_unit_inverse_is_exact_below_the_cap():
+    ring = QuotientRing.make(QQ, 1, ((200,),))
+    ctx = ring.context
+    f = ctx.one() + ctx.variable(0)
+    q = unit_inverse(f, ring)
+    assert len(q.terms) == 200
+    assert ring.normal_form(q * f) == ctx.one()
+    assert q == ctx.from_terms({(k,): QQ.from_int((-1) ** k) for k in range(200)})
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_identity_and_elementary_pairs_multiply_to_identity(field):
     rng = make_rng(f"known-pairs-{field.char}")
