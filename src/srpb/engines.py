@@ -135,7 +135,8 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
         c = ring.mat_mul(ring.mat_mul(h.inv, p.matrix), h.mat)
         if not c.is_constant():
             return None
-        h0 = GLMat(ring, h.mat.augmentation(), h.inv.augmentation())
+        # the image of the checked pair h under x -> 0, a ring hom
+        h0 = GLMat._known_pair(ring, h.mat.augmentation(), h.inv.augmentation())
         target = ProjModule.make(ring, p.augmented_matrix())
         fwd = ring.mat_mul(ring.mat_mul(h0.mat, c), h.inv)
         bwd = ring.mat_mul(ring.mat_mul(h.mat, c), h0.inv)

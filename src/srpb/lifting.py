@@ -13,7 +13,8 @@ The stack of strategies, tried in order:
   section     when the quotient map has a registered splitting and the
               entries lie in its image, push the whole matrix through it;
   descent     for square-free J, recurse through the fiber square of the
-              quotient's complex: lift the deletion image first, then
+              quotient's complex (recovered once per lift and carried
+              down the recursion): lift the deletion image first, then
               absorb the remaining cone-side factor, which is congruent to
               the identity modulo the apex variable.
 
@@ -31,6 +32,7 @@ from .errors import (AllStrategiesFailed, ContextError, InputError,
 from .matrix import PolyMatrix
 from .quotient import (GLMat, QuotientRing, RingHom, build_fiber_square,
                        complex_of_ring, unit_inverse)
+from .simplicial import SimplicialComplex
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
 
@@ -54,34 +56,21 @@ def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
 
 
 def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
-    """Lift sigma + sigma^-1 (block diagonal) through a split surjection.
+    """Lift sigma (+) sigma^-1 (block diagonal) through a split surjection.
 
-    Uses the four-factor identity
-      sigma (+) sigma^-1 =
+    Whitehead's four factors
         [[I, s],[0, I]] [[I, 0],[-s^-1, I]] [[I, s],[0, I]] [[0, -I],[I, 0]]
-    whose unitriangular and rotation factors stay invertible under any
-    entrywise lift; each factor is pushed through the section, so
-    j2(U) == sigma (+) sigma^-1 exactly (verifier rule ``whitehead``).
+    pushed through the section multiply out to U = S (+) T, where (S, T)
+    is the section image of (sigma, sigma^-1).  The section is a verified
+    ring hom, so S T == T S == I, and j2 o section == id gives j2(U) ==
+    sigma (+) sigma^-1 (both re-checked by verifier rule ``whitehead``).
     """
     if sigma.ring != j2.target:
         raise ContextError("sigma must live over the target of the split surjection")
     if section.source != j2.target or section.target != j2.source:
         raise ContextError("section does not split the surjection")
-    up = j2.source
-    r = sigma.size
-    ctx = up.context
-    eye = PolyMatrix.identity(ctx, r)
-    zero = PolyMatrix.zeros(ctx, r, r)
-    s_mat = section.apply_matrix(sigma.mat)
-    s_inv = section.apply_matrix(sigma.inv)
-
-    m1 = GLMat._known_pair(up, PolyMatrix.block2(eye, s_mat, zero, eye),
-                           PolyMatrix.block2(eye, -s_mat, zero, eye))
-    m2 = GLMat._known_pair(up, PolyMatrix.block2(eye, zero, -s_inv, eye),
-                           PolyMatrix.block2(eye, zero, s_inv, eye))
-    m4 = GLMat._known_pair(up, PolyMatrix.block2(zero, -eye, eye, zero),
-                           PolyMatrix.block2(zero, eye, -eye, zero))
-    return m1 * m2 * m1 * m4
+    s = sigma.apply_hom(section)
+    return GLMat._known_pair(j2.source, s.mat.direct_sum(s.inv), s.inv.direct_sum(s.mat))
 
 
 # -- strategy implementations -------------------------------------------------
@@ -123,10 +112,8 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
     ctx = down.context
     n = sigma.size
     work = sigma.mat.to_lists()
-    left: list = []    # GLMats over `down`, applied on the left, in order
-    right: list = []   # applied on the right, in order
-    left_up: list = [] # their lifts over `up`
-    right_up: list = []
+    left_up: list = []   # lifts over `up` of the ops applied on the left, in order
+    right_up: list = []  # and of those applied on the right
 
     def lift_entry(f):
         return up.normal_form(PolyMatrix(up.context, 1, 1, (f,)).entries[0])
@@ -147,42 +134,40 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
         pi_, pj, pinv = pivot
         if pi_ != k:
             perm = list(range(n))
-            perm[k], perm[pi_] = perm[pi_], perm[k]
-            pmat = GLMat.permutation(down, perm)
-            work = down.mat_mul(pmat.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-            left.append(pmat)
+            perm[k], perm[pi_] = pi_, k
+            work[k], work[pi_] = work[pi_], work[k]
             left_up.append(GLMat.permutation(up, perm))
         if pj != k:
             perm = list(range(n))
-            perm[k], perm[pj] = perm[pj], perm[k]
-            pmat = GLMat.permutation(down, perm)
-            work = down.mat_mul(PolyMatrix.from_rows(ctx, work), pmat.mat).to_lists()
-            right.append(pmat)
+            perm[k], perm[pj] = pj, k
+            for row in work:
+                row[k], row[pj] = row[pj], row[k]
             right_up.append(GLMat.permutation(up, perm))
         for i in range(n):
             if i != k and not work[i][k].is_zero():
                 f = down.normal_form(-(work[i][k] * pinv))
                 e = GLMat.elementary(down, n, i, k, f)
                 work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-                left.append(e)
                 left_up.append(GLMat.elementary(up, n, i, k, lift_entry(f)))
         for j in range(n):
             if j != k and not work[k][j].is_zero():
                 f = down.normal_form(-(work[k][j] * pinv))
                 e = GLMat.elementary(down, n, k, j, f)
                 work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
-                right.append(e)
                 right_up.append(GLMat.elementary(up, n, k, j, lift_entry(f)))
 
-    diag_pairs = []
+    units, inverses = [], []
     for k in range(n):
         d = work[k][k]
         dlift = lift_entry(d)
         dinv = unit_inverse(dlift, up)
         if dinv is None:
             raise _StrategyFailure(f"diagonal unit {d} does not lift to a unit upstairs")
-        diag_pairs.append((dlift, dinv))
-    d_up = GLMat.diagonal(up, diag_pairs)
+        units.append(dlift)
+        inverses.append(dinv)
+    # unit_inverse has checked each d * d^-1 == 1
+    d_up = GLMat._known_pair(up, PolyMatrix.diagonal(up.context, units),
+                             PolyMatrix.diagonal(up.context, inverses))
 
     # L * sigma * R == D with L, R the accumulated ops, so sigma lifts to
     # L_up^-1 * D_up * R_up^-1
@@ -207,32 +192,30 @@ def _lift_section(sigma: GLMat, pi: RingHom, section: Optional[RingHom]) -> GLMa
     return cand
 
 
-def _lift_descent(sigma: GLMat, pi: RingHom, section: Optional[RingHom],
-                  strategies: Sequence[str]) -> GLMat:
+def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
+                  cplx: Optional[SimplicialComplex]) -> GLMat:
+    """Lift the deletion image, then read the cone-side residue upstairs.
+
+    pi1(delta1) == i1(sigma) gives gamma = pi(delta1)^-1 sigma with i1(gamma)
+    == I, so j2(i2(gamma)) == j1(i1(gamma)) == I: i2(gamma) - I has only apex
+    terms, which survive in sigma's ring, so i2(gamma) read upstairs lifts gamma.
+    """
     down = sigma.ring
     up = pi.source
     if not down.is_square_free():
         raise _StrategyFailure("quotient ideal is not square-free")
-    cplx = complex_of_ring(down)
+    if cplx is None:
+        cplx = complex_of_ring(down)
     if cplx.is_simplex():
         raise _StrategyFailure("simplex quotient: nothing to descend through")
     square = build_fiber_square(down.field, cplx, down.context.order)
-    apex = square.apex
 
     sigma1 = sigma.apply_hom(square.i1)
     pi1 = RingHom.quotient_map(up, square.a1)
-    delta1 = lift_gl(sigma1, pi1, strategies=strategies, section=None)
+    delta1 = _lift(sigma1, pi1, strategies, None, square.split.deletion_part)
 
-    lam = delta1.apply_hom(pi)
-    gamma = lam.inverse() * sigma
-    eye_down = PolyMatrix.identity(down.context, sigma.size)
-    if square.i1.apply_matrix(gamma.mat) != square.a1.nf_matrix(eye_down):
-        raise InternalCheckError("descent residue is not trivial over the deletion ring")
+    gamma = delta1.apply_hom(pi).inverse() * sigma
     gamma2 = gamma.apply_hom(square.i2)
-    residue = gamma2.mat - PolyMatrix.identity(down.context, sigma.size)
-    for p in residue.entries:
-        if any(exps[apex] == 0 for exps, _ in p.terms):
-            raise InternalCheckError("descent residue has apex-free terms")
     return delta1 * _gl_upstairs(gamma2.mat, up, "cone-side factor")
 
 
@@ -253,11 +236,17 @@ def lift_gl(sigma: GLMat, pi: RingHom,
     lift * lift^-1 == I exactly.
     """
     _require_compatible(sigma, pi)
+    return _lift(sigma, pi, strategies, section, None)
+
+
+def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
+          section: Optional[RingHom], cplx: Optional[SimplicialComplex]) -> GLMat:
+    """The strategy loop of ``lift_gl``; cplx is the complex of sigma's ring, if known."""
     diagnostics = {}
     for name in strategies:
         try:
             if name == "descent":
-                delta = _lift_descent(sigma, pi, section, strategies)
+                delta = _lift_descent(sigma, pi, strategies, cplx)
             else:
                 fn = _STRATEGY_TABLE.get(name)
                 if fn is None:

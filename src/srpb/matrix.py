@@ -43,10 +43,14 @@ class PolyMatrix:
         return PolyMatrix(ring, r, c, flat)
 
     @staticmethod
-    def identity(ring: PolyRing, n: int) -> "PolyMatrix":
-        one, zero = ring.one(), ring.zero()
+    def diagonal(ring: PolyRing, entries: Sequence[Polynomial]) -> "PolyMatrix":
+        n, zero = len(entries), ring.zero()
         return PolyMatrix(ring, n, n,
-                          [one if i == j else zero for i in range(n) for j in range(n)])
+                          [entries[i] if i == j else zero for i in range(n) for j in range(n)])
+
+    @staticmethod
+    def identity(ring: PolyRing, n: int) -> "PolyMatrix":
+        return PolyMatrix.diagonal(ring, [ring.one()] * n)
 
     @staticmethod
     def zeros(ring: PolyRing, rows: int, cols: int) -> "PolyMatrix":
@@ -188,17 +192,6 @@ class PolyMatrix:
             for j in range(other.cols):
                 out[(self.rows + i) * cols + self.cols + j] = other[i, j]
         return PolyMatrix(self.ring, rows, cols, out)
-
-    @staticmethod
-    def block2(a: "PolyMatrix", b: "PolyMatrix", c: "PolyMatrix", d: "PolyMatrix") -> "PolyMatrix":
-        if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
-            raise ShapeError("incompatible blocks")
-        rows = []
-        for i in range(a.rows):
-            rows.append(list(a.row(i)) + list(b.row(i)))
-        for i in range(c.rows):
-            rows.append(list(c.row(i)) + list(d.row(i)))
-        return PolyMatrix.from_rows(a.ring, rows)
 
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other) -> bool:

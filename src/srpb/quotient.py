@@ -530,9 +530,10 @@ class GLMat:
     def _known_pair(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
         """A normal-form pair that is inverse by algebra, built unverified.
 
-        Products, swaps and verified-hom images of verified pairs
-        ((AB)(B^-1 A^-1) = I), permutation matrices with their transposes,
-        I + fE_ij with I - fE_ij for i != j, and m with det(m)^-1 adj(m)
+        Products, swaps, direct sums and verified-hom images of verified
+        pairs ((AB)(B^-1 A^-1) = I), permutation matrices with their
+        transposes, I + fE_ij with I - fE_ij for i != j, diagonals of
+        checked unit pairs, and m with det(m)^-1 adj(m)
         (``lifting.det_unit_inverse``); the verifier still re-checks
         every pair a certificate records (rules ``whitehead``: U*U^-1 == I,
         and ``gl-lift``: delta*delta^-1 == I).
@@ -580,13 +581,8 @@ class GLMat:
     def diagonal(ring: QuotientRing, entries: Sequence[tuple]) -> "GLMat":
         """Diagonal of (unit, inverse) pairs, each pair verified."""
         ctx = ring.context
-        n = len(entries)
-        m = PolyMatrix.zeros(ctx, n, n).to_lists()
-        minv = [row[:] for row in m]
-        for k, (u, uinv) in enumerate(entries):
-            m[k][k] = ring.normal_form(u)
-            minv[k][k] = ring.normal_form(uinv)
-        return GLMat(ring, PolyMatrix.from_rows(ctx, m), PolyMatrix.from_rows(ctx, minv))
+        return GLMat(ring, PolyMatrix.diagonal(ctx, [u for u, _ in entries]),
+                     PolyMatrix.diagonal(ctx, [uinv for _, uinv in entries]))
 
     def __mul__(self, other: "GLMat") -> "GLMat":
         if self.ring != other.ring:

@@ -82,8 +82,28 @@ def verify_file(path: str) -> VerifierReport:
     return verify_payload(certs.read_payload(path, "cert"))
 
 
+# the values parse_ring and parse_matrix read, by exact type; (t,) is a list of t
+_RING_KEY = (("field", str), ("vars", int), ("ideal", (str,)))
+_MATRIX_KEY = (("rows", int), ("cols", int), ("entries", (str,)))
+
+
+def _exact_key(payload, spec) -> Optional[tuple]:
+    """Those values as a table key, or None if one has another type (True == 1, 2.0 == 2)."""
+    if type(payload) is not dict:
+        return None
+    key = []
+    for name, kind in spec:
+        value = payload.get(name)
+        if type(kind) is tuple and type(value) is list and all(type(x) is kind[0] for x in value):
+            value = tuple(value)
+        elif type(value) is not kind:
+            return None
+        key.append(value)
+    return tuple(key)
+
+
 class _Reader:
-    """The parsed payloads of one certificate, keyed by canonical text.
+    """The parsed payloads of one certificate, keyed by the values they are read from.
 
     Equal ring payloads parse to one QuotientRing, equal matrix payloads
     over one context to one PolyMatrix, and equal entry or hom-image texts
@@ -107,14 +127,19 @@ class _Reader:
         return f
 
     def ring(self, payload) -> QuotientRing:
-        key = certs.dump_canonical(payload)
+        key = _exact_key(payload, _RING_KEY)
+        if key is None:
+            return certs.parse_ring(payload)  # no key; the parser reports it
         r = self._rings.get(key)
         if r is None:
             r = self._rings[key] = certs.parse_ring(payload)
         return r
 
     def matrix(self, payload, ctx: PolyRing) -> PolyMatrix:
-        key = (certs.dump_canonical(payload), ctx)
+        key = _exact_key(payload, _MATRIX_KEY)
+        if key is None:
+            return certs.parse_matrix(payload, ctx, lambda text: self.expression(text, ctx))
+        key += (ctx,)
         m = self._matrices.get(key)
         if m is None:
             m = self._matrices[key] = certs.parse_matrix(

@@ -1,12 +1,13 @@
 """Values derived from checked values are built without re-checking them.
 
 Inverses, composites and hom images of module isomorphisms, hom images of
-unimodular elements and GL pairs, permutation and determinant-adjugate
-pairs, the section lifters, kernel modules and the five homs of a fiber
-square all skip the checks their constructors would run.  These tests
-recompute the identities on each output over Q and F_5, with plain
-products (``nf(a * b)``, not ``QuotientRing.mat_mul``), and compare the
-square homs against the square check they no longer go through.
+unimodular elements and GL pairs, permutation, determinant-adjugate and
+unit-diagonal pairs, the Whitehead lift, the Milnor patch, the section
+lifters, kernel modules and the five homs of a fiber square all skip the
+checks their constructors would run.  These tests recompute the identities
+on each output over Q and F_5, with plain products (``nf(a * b)``, not
+``QuotientRing.mat_mul``), and compare the square homs and the patch
+against the constructions they no longer go through.
 """
 
 import dataclasses
@@ -14,13 +15,16 @@ import dataclasses
 import pytest
 
 from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
-                  RingHom, UmElement, UmRow, build_fiber_square, hom_check,
-                  kernel_module, section_aut_lifter, section_um_lifter)
+                  RingHom, UmElement, UmRow, build_fiber_square, glue_matrix,
+                  hom_check, kernel_module, milnor_patch, section_aut_lifter,
+                  section_um_lifter, whitehead_lift)
+from srpb.engines import conjugation_witness_oracle
 from srpb.errors import InputError, InternalCheckError, PreconditionError
-from srpb.lifting import _gl_upstairs
+from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary
 from srpb.projmod import conjugation_iso
-from helpers import (corpus_complexes, hollow_triangle, make_rng,
-                     random_elementary_product, random_gl_with_units)
+from helpers import (conjugated_idempotent, corpus_complexes, corpus_squares,
+                     hollow_triangle, make_rng, random_elementary_product,
+                     random_gl_with_units)
 
 FIELDS = [QQ, GF(5)]
 
@@ -200,3 +204,93 @@ def test_square_homs_pass_the_square_check(field):
             reference_square_check(dataclasses.replace(sq, i1=sq.i2, i2=sq.i1))
         checked += 1
     assert checked > 100
+
+
+def reference_whitehead(sq, sigma):
+    """Whitehead's four factors pushed through the section and multiplied out."""
+    a2, ctx, r = sq.a2, sq.a2.context, sigma.size
+    s, t = sq.section.apply_matrix(sigma.mat), sq.section.apply_matrix(sigma.inv)
+    eye, zero = PolyMatrix.identity(ctx, r), PolyMatrix.zeros(ctx, r, r)
+
+    def block(a, b, c, d):
+        return PolyMatrix.from_rows(ctx, [list(a.row(i)) + list(b.row(i)) for i in range(r)]
+                                    + [list(c.row(i)) + list(d.row(i)) for i in range(r)])
+
+    m1, m1inv = block(eye, s, zero, eye), block(eye, -s, zero, eye)
+    m2, m2inv = block(eye, zero, -t, eye), block(eye, zero, t, eye)
+    m4, m4inv = block(zero, -eye, eye, zero), block(zero, eye, -eye, zero)
+    return prod(a2, m1, m2, m1, m4), prod(a2, m4inv, m1inv, m2inv, m1inv)
+
+
+def reference_patch(sq, sigma):
+    """Glue I_r (+) 0 with U (I_r (+) 0) U^-1, checked as a module."""
+    u, uinv = reference_whitehead(sq, sigma)
+    c = corner(sq.a.context, sigma.size, 2 * sigma.size)
+    glued = glue_matrix(sq, sq.a1.nf_matrix(c), prod(sq.a2, u, c, uinv))
+    return ProjModule.make(sq.a, glued)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_whitehead_lift_is_the_section_image_and_patch_is_free(field):
+    rng = make_rng(f"by-construction-patch-{field.char}")
+    for name, sq in corpus_squares(field):
+        for rank in (1, 2, 3):
+            sigma = random_gl_with_units(sq.a0, rank, rng)
+            u = whitehead_lift(sigma, sq.j2, sq.section)
+            s, t = sq.section.apply_matrix(sigma.mat), sq.section.apply_matrix(sigma.inv)
+            assert (u.ring, u.mat, u.inv) == (sq.a2, s.direct_sum(t), t.direct_sum(s)), name
+            assert (u.mat, u.inv) == reference_whitehead(sq, sigma), name
+            assert_gl_pair(u)
+            assert sq.j2.apply_matrix(u.mat) == sigma.mat.direct_sum(sigma.inv)
+            p = milnor_patch(sq, rank, sigma)
+            assert p == reference_patch(sq, sigma), name
+            assert p.rank() == rank
+    raw = RingHom.make(sq.a0, sq.a2, sq.section.images, verify=False)
+    with pytest.raises(PreconditionError, match="verified hom"):
+        whitehead_lift(sigma, sq.j2, raw)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_elementary_lift_diagonal_is_inverse(field):
+    rng = make_rng(f"by-construction-elementary-{field.char}")
+    down = QuotientRing.make(field, 2, ((1, 1),))
+    up = QuotientRing.make(field, 2, ())
+    pi = RingHom.quotient_map(up, down)
+    ctx = down.context
+    one, x, y = ctx.one(), ctx.variable(0), ctx.variable(1)
+    # pivoting moves the first unit, at (1, 1), by a row and a column swap
+    swaps = GLMat(down, PolyMatrix.from_rows(ctx, [[one + x, one + y], [x, one]]),
+                  PolyMatrix.from_rows(ctx, [[one, -(one + y)], [-x, one + x]]))
+    lifted = 0
+    for sigma in [swaps] + [random_gl_with_units(up, 3, rng).apply_hom(pi) for _ in range(8)]:
+        try:
+            delta = _lift_elementary(sigma, pi, None)
+        except _StrategyFailure:
+            continue
+        assert_gl_pair(delta)
+        assert pi.apply_matrix(delta.mat) == sigma.mat
+        lifted += 1
+    assert lifted >= 5
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_oracle_augmentation_pair_is_inverse(field, monkeypatch):
+    rng = make_rng(f"by-construction-oracle-{field.char}")
+    ring = build_fiber_square(field, hollow_triangle()).a
+    known = GLMat._known_pair
+    built = []
+
+    def record(r, mat, inv):
+        built.append(known(r, mat, inv))
+        return built[-1]
+
+    monkeypatch.setattr(GLMat, "_known_pair", staticmethod(record))
+    for _ in range(4):
+        e, g = conjugated_idempotent(ring, rng, size=3, rank=2)
+        built.clear()
+        iso = conjugation_witness_oracle(g)(ProjModule.make(ring, e))
+        assert iso is not None
+        assert_iso_laws(iso)
+        h0 = built[-1]  # the oracle's last known pair is the augmentation of g
+        assert h0.mat == g.mat.augmentation() and h0.inv == g.inv.augmentation()
+        assert_gl_pair(h0)

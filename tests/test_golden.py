@@ -12,15 +12,16 @@ import random
 
 import pytest
 
-from srpb import (QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
-                  SimplicialComplex, UmRow, cancel_witness, extend_witness,
-                  sr_quotient, umrow_lift)
-from srpb.certs import dump_canonical
-from srpb.engines import (always_fail_oracle, conjugation_witness_oracle,
-                          stable_adapter)
-from srpb.errors import LifterError
-from helpers import (conjugated_idempotent, hollow_triangle,
-                     random_elementary_product)
+from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
+                  RingHom, SimplicialComplex, UmRow, build_fiber_square,
+                  cancel_witness, extend_witness, lift_gl, milnor_patch,
+                  sr_quotient, umrow_lift, whitehead_lift)
+from srpb.certs import dump_canonical, gl_lift_node, patch_node
+from srpb.engines import (HypothesisProfile, always_fail_oracle,
+                          conjugation_witness_oracle, stable_adapter)
+from srpb.errors import AllStrategiesFailed, LifterError
+from helpers import (conjugated_idempotent, four_cycle, hollow_triangle,
+                     random_elementary_product, random_gl_with_units)
 
 
 def _rng(tag):
@@ -149,3 +150,109 @@ def test_certificate_digest(build):
     res = build()
     digest = hashlib.sha256(dump_canonical(res.certificate).encode()).hexdigest()
     assert digest == GOLDEN[build]
+
+
+# -- patch and GL-lift certificates, as ``srpb patch`` and ``srpb gl lift`` emit them
+
+def patch_certificate(field, cplx, rank):
+    sq = build_fiber_square(field, cplx)
+    sigma = random_gl_with_units(sq.a0, rank, _rng(f"patch:{field.char}:{rank}"))
+    module = milnor_patch(sq, rank, sigma)
+    u = whitehead_lift(sigma, sq.j2, sq.section)
+    return patch_node(sq, rank, sigma, u, module.matrix,
+                      HypothesisProfile(field.char, rank).payload())
+
+
+def gl_lift_certificate(sigma, failing=()):
+    """The certificate of lifting sigma to the free ring; each of ``failing``
+    must fail alone, so the default stack reaches the intended strategy."""
+    up = QuotientRing.make(sigma.ring.field, sigma.ring.nvars, ())
+    pi = RingHom.quotient_map(up, sigma.ring)
+    for name in failing:
+        with pytest.raises(AllStrategiesFailed):
+            lift_gl(sigma, pi, strategies=(name,))
+    delta = lift_gl(sigma, pi)
+    return gl_lift_node(sigma.ring, up, sigma, delta,
+                        HypothesisProfile(up.field.char, sigma.size).payload())
+
+
+def gl_entrywise():
+    r = _xy()
+    ctx = r.context
+    x, two, half = ctx.variable(0), ctx.constant(2), ctx.constant(r.field.inv(2))
+    sigma = GLMat(r, PolyMatrix.from_rows(ctx, [[two, x], [ctx.zero(), ctx.one()]]),
+                  PolyMatrix.from_rows(ctx, [[half, -(x * half)], [ctx.zero(), ctx.one()]]))
+    return gl_lift_certificate(sigma)
+
+
+def gl_elementary_with_swaps():
+    # no unit in row 0, and the first unit of row 1 is off the diagonal, so the
+    # first pivot moves by a row swap and a column swap; det == 1 - xy upstairs
+    r = _xy()
+    ctx = r.context
+    one, x, y = ctx.one(), ctx.variable(0), ctx.variable(1)
+    sigma = GLMat(r, PolyMatrix.from_rows(ctx, [[one + x, one + y], [x, one]]),
+                  PolyMatrix.from_rows(ctx, [[one, -(one + y)], [-x, one + x]]))
+    return gl_lift_certificate(sigma, failing=("entrywise",))
+
+
+def gl_descent():
+    # the instance of test_lifting.test_descent_succeeds_where_entrywise_fails
+    r = _xy()
+    ctx = r.context
+    x, y = ctx.variable(0), ctx.variable(1)
+    m1 = PolyMatrix.from_rows(ctx, [[ctx.one() + x, x], [-x, ctx.one() - x]])
+    m2 = PolyMatrix.from_rows(ctx, [[ctx.one() - y, y], [-y, ctx.one() + y]])
+    eye = PolyMatrix.identity(ctx, 2)
+    sigma = GLMat(r, r.nf_matrix(m1 + m2 - eye),
+                  r.nf_matrix((eye - (m1 - eye)) + (eye - (m2 - eye)) - eye))
+    return gl_lift_certificate(sigma, failing=("entrywise", "elementary"))
+
+
+PATCH_COMPLEXES = {"hollow": hollow_triangle, "four-cycle": four_cycle}
+
+# (complex, characteristic, rank) -> digest
+PATCH_GOLDEN = {
+    ("hollow", 0, 2):
+        "e4716af9a4d2f0c7dbbc45e23eb51fb36ade797860d087ea5a628846bca54a2d",
+    ("hollow", 0, 3):
+        "bf2de8ba174cc97ca455c3eb5fecf4566ed806a5903cc723683b671e9e216844",
+    ("hollow", 5, 2):
+        "687588d64cbf053fe80736d77f70e2b1361e162274d71cfa02e26bc67f3c74b7",
+    ("hollow", 5, 3):
+        "0c41fad7c4931070bf2aa1fe362d8f85fc3ddea4f814b729c9b3e21647d13c61",
+    ("four-cycle", 0, 2):
+        "e43efc0ff769f36d9bf622db89baaa271bf42d28b4318cc989480a37aa7ea17d",
+    ("four-cycle", 0, 3):
+        "cc130915205bffbc7e7d75ab9bc217bf0d7a699a01878479d417711a176dcf18",
+    ("four-cycle", 5, 2):
+        "5265cac1f5dada6718b80dca6a64d079103c0ab45bced8df604e90e9075e2f32",
+    ("four-cycle", 5, 3):
+        "fc21d28a4799d51e244cf088470134ae177da3c6ba5e23d9dcefe63f5037be69",
+}
+
+GL_LIFT_GOLDEN = {
+    gl_entrywise:
+        "e96d97a114da784ddd1e3090658fe8afcd85ce0ac7ab12080f179922b16fb493",
+    gl_elementary_with_swaps:
+        "b6b442fb9e306be8d1eac7f4dd2ec48ae3e6812dcecba8514788370086c5553a",
+    gl_descent:
+        "ceef0dd379d5b5aace22588773828726423558eb51f6aeaa834e28acfac88206",
+}
+
+
+def _digest(cert):
+    return hashlib.sha256(dump_canonical(cert).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PATCH_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_patch_certificate_digest(case):
+    name, char, rank = case
+    field = GF(char) if char else QQ
+    cert = patch_certificate(field, PATCH_COMPLEXES[name](), rank)
+    assert _digest(cert) == PATCH_GOLDEN[case]
+
+
+@pytest.mark.parametrize("build", list(GL_LIFT_GOLDEN), ids=lambda f: f.__name__)
+def test_gl_lift_certificate_digest(build):
+    assert _digest(build()) == GL_LIFT_GOLDEN[build]

@@ -256,3 +256,28 @@ def _value_paths(node, path=()):
     elif isinstance(node, list):
         for idx, value in enumerate(node):
             yield from _value_paths(value, path + (idx,))
+
+
+def test_wrongly_typed_copy_of_a_read_payload_is_a_structure_failure():
+    """True == 1 and 2.0 == 2, so a copy of a ring or matrix payload whose
+    count is an equal value of another JSON type must fail even when a
+    well-typed copy of it was read first."""
+    base = dict(corpus_certificates())["extend-two-points"]  # over Q[x0, x1]/(x0 x1)
+    for count in ("vars", "rows"):
+        groups: dict = {}
+        for path in _value_paths(base):
+            value = _get(base, path)
+            if isinstance(value, dict) and count in value:
+                groups.setdefault(repr(sorted(value.items())), []).append(path)
+        copies = [paths for paths in groups.values() if len(paths) > 1]
+        assert copies, count
+        for paths in copies[:3]:
+            n = _get(base, paths[0])[count]
+            assert n == 2 or n == 1, (count, n)
+            for path in paths:
+                for value in (float(n), True) if n == 1 else (float(n),):
+                    cert = copy.deepcopy(base)
+                    _get(cert, path)[count] = value
+                    rep = verify_payload(cert)
+                    assert not rep.ok, (path, value)
+                    assert rep.first_failure().check == "structure", (path, value)
