@@ -51,6 +51,8 @@ def read_payload(path: str, expect_kind: Optional[str] = None) -> dict:
         return json.loads(body)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: bad structured text: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: structured text nests too deeply") from None
 
 
 # -- element payloads ----------------------------------------------------------

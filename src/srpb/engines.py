@@ -277,10 +277,15 @@ def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = N
     """Witness p isomorphic to q, or obligations, with its certificate.
 
     The ring's complex is recovered here, once; the recursion carries it
-    down, and its face count bounds the recursion depth.
+    down, and its ambient vertex count bounds the recursion depth.
     """
+    # Each apex split strictly lowers the number of used vertices that are
+    # not cone points: the deletion loses the apex and keeps the old cone
+    # points, and the cone part makes the apex a cone point and keeps the old
+    # ones.  A non-simplex has at least two such vertices, so no split lies
+    # deeper than ambient - 2 and no leaf deeper than ambient - 1.
     cplx = complex_of_ring(p.ring)
-    iso, node, obligations = _patch(task, p, q, cplx, len(cplx.face_masks) + 1)
+    iso, node, obligations = _patch(task, p, q, cplx, cplx.ambient)
     profile = HypothesisProfile(p.ring.field.char, module_rank(p))
     cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations],
                            stab=stab)
@@ -290,7 +295,7 @@ def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = N
 def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx, budget: int):
     """(iso p -> q or None, node, obligations); cplx is the complex of p's ring."""
     if budget <= 0:
-        raise InternalCheckError("decomposition recursion exceeded its face budget")
+        raise InternalCheckError("decomposition recursion exceeded its depth budget")
     ring = p.ring
     # an extension's q is the augmentation of p, so only cancellation records it
     other = q.matrix if task.name == "cancel" else None

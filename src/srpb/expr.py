@@ -9,6 +9,12 @@
 NUMBER is an integer or rational literal ``a/b`` (no spaces around '/'),
 VAR is ``x0`` .. ``x63``.  Whitespace is insignificant; errors carry the
 byte offset of the offending token.
+
+Work caps, each an ExprError raised before the product: one parse spends at
+most ``_MAX_TERM_PRODUCTS`` term products on products of more than one term
+(the text bounds the others), and no product multiplies rational coefficients
+whose sizes (numerator plus denominator bits) add up to over ``_MAX_COEFF_BITS``.
+Nesting past the interpreter's recursion limit is an ExprError too.
 """
 
 from __future__ import annotations
@@ -20,12 +26,16 @@ from .poly import Polynomial, PolyRing
 
 _MAX_EXPONENT = 2 ** 31
 _MAX_VAR = 63
+_MAX_TERM_PRODUCTS = 10_000
+_MAX_COEFF_BITS = 1024
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, rational: bool):
         self.text = text
         self.pos = 0
+        self.budget = _MAX_TERM_PRODUCTS  # term products left
+        self.rational = rational  # coefficients mod p stay below p
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -75,8 +85,11 @@ class _Tokens:
 
 def parse_expression(text: str, ring: PolyRing) -> Polynomial:
     """Parse an expression into a canonical polynomial over the context."""
-    toks = _Tokens(text)
-    result = _parse_expr(toks, ring)
+    toks = _Tokens(text, ring.field.char == 0)
+    try:
+        result = _parse_expr(toks, ring)
+    except RecursionError:
+        raise ExprError("expression nests too deeply", toks.pos) from None
     kind, _, start = toks.peek()
     if kind != "end":
         raise ExprError(f"unexpected trailing {kind!r}", start)
@@ -97,13 +110,29 @@ def _parse_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
             return acc
 
 
+def _coeff_bits(f: Polynomial) -> int:
+    return max([c.numerator.bit_length() + c.denominator.bit_length() for _, c in f.terms],
+               default=0)
+
+
+def _mul(toks: _Tokens, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
+    """a * b, refused when it would pass the parse's work caps."""
+    work = len(a.terms) * len(b.terms)
+    toks.budget -= work if work > 1 else 0
+    if toks.budget < 0:
+        raise ExprError(f"expression needs more than {_MAX_TERM_PRODUCTS} term products", at)
+    if toks.rational and _coeff_bits(a) + _coeff_bits(b) > _MAX_COEFF_BITS:
+        raise ExprError(f"product of coefficients over {_MAX_COEFF_BITS} bits", at)
+    return a * b
+
+
 def _parse_term(toks: _Tokens, ring: PolyRing) -> Polynomial:
     acc = _parse_factor(toks, ring)
     while True:
-        kind, _, _ = toks.peek()
+        kind, _, start = toks.peek()
         if kind == "*":
             toks.take()
-            acc = acc * _parse_factor(toks, ring)
+            acc = _mul(toks, acc, _parse_factor(toks, ring), start)
         else:
             return acc
 
@@ -132,7 +161,14 @@ def _parse_power(toks: _Tokens, ring: PolyRing) -> Polynomial:
         n = q.numerator
         if n > _MAX_EXPONENT:
             raise ExprError("exponent too large", nstart)
-        acc = acc ** n
+        # binary powering, as Polynomial.__pow__, with each product capped
+        base, acc = acc, ring.one()
+        while n:
+            if n & 1:
+                acc = _mul(toks, acc, base, nstart)
+            n >>= 1
+            if n:
+                base = _mul(toks, base, base, nstart)
 
 
 def _parse_atom(toks: _Tokens, ring: PolyRing) -> Polynomial:

@@ -31,9 +31,8 @@ from .fields import Field
 from .matrix import PolyMatrix
 from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, _from_dict,
                    exp_divides, support_mask)
-from .simplicial import (ApexDecomposition, SimplicialComplex,
-                         apex_decomposition, bit_indices, check_bitset_width,
-                         maximal_members, sr_ideal, up_closure)
+from .simplicial import (ApexDecomposition, SimplicialComplex, apex_decomposition,
+                         bit_indices, minimal_transversals, sr_ideal)
 
 
 def _minimalize(gens: Sequence[tuple]) -> tuple:
@@ -215,14 +214,10 @@ def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
     """Recover the complex whose Stanley-Reisner ideal presents r."""
     if not r.is_square_free():
         raise PreconditionError("ideal is not square-free; no underlying complex")
-    n = r.nvars
-    check_bitset_width(n)
-    nonfaces = 0
-    for g in r.generator_masks:
-        nonfaces |= 1 << g
-    faces = ((1 << (1 << n)) - 1) & ~up_closure(nonfaces, n)
-    facets = [list(bit_indices(m)) for m in bit_indices(maximal_members(faces, n))]
-    c = SimplicialComplex.from_facets(n, facets)
+    # a vertex set is a face iff its complement meets every generator support
+    full = (1 << r.nvars) - 1
+    facets = [bit_indices(full & ~t) for t in minimal_transversals(r.generator_masks)]
+    c = SimplicialComplex.from_facets(r.nvars, facets)
     if sr_quotient(r.field, c, r.context.order) != r:
         raise InternalCheckError("complex reconstruction does not round-trip")
     return c

@@ -4,15 +4,10 @@ Faces are stored implicitly through the set of facets (maximal faces).
 The empty face belongs to every complex; vertices of the ambient set that
 appear in no face ("ghost" vertices) are permitted and contribute degree-one
 generators to the Stanley-Reisner ideal.  Internally faces are vertex
-bitmasks, and a whole family of vertex sets is one int bitset over those
-masks: bit m is set iff the vertex set with mask m belongs to the family.
-``face_bits`` is the face family of a complex; closing a family downward or
-upward, or picking its maximal or minimal members, takes one shift per
-vertex on that int instead of a loop over the 2^n masks.  Such a bitset has
-2^n bits, so it backs only what visits every vertex set anyway (minimal
-non-faces, recovering a complex from its ring), and those refuse more than
-``MAX_BITSET_VERTICES`` vertices; everything else works on the facets and
-stays proportional to the number of faces.
+bitmasks.  Everything works on the facets: a vertex set is a non-face iff it
+meets the complement of every facet, so the minimal non-faces are the
+minimal transversals of the facet complements (``minimal_transversals``),
+and no routine visits all 2^n vertex sets.
 """
 
 from __future__ import annotations
@@ -23,17 +18,9 @@ from typing import Iterable
 
 from .errors import InputError, PreconditionError
 
-# At 24 vertices a family bitset is 2 MiB, and minimal_nonfaces or
-# complex_of_ring takes under half a second; each further vertex doubles both.
-MAX_BITSET_VERTICES = 24
-
-
-def check_bitset_width(n: int) -> None:
-    """Refuse a family bitset over the 2^n vertex sets of more than
-    MAX_BITSET_VERTICES vertices."""
-    if n > MAX_BITSET_VERTICES:
-        raise InputError(f"{n} vertices: visiting all 2^{n} vertex sets is limited to "
-                         f"{MAX_BITSET_VERTICES} vertices")
+# No antichain of vertex sets on 14 vertices has more than C(14, 7) = 3,432
+# members, so a complex on at most 14 vertices never reaches this bound.
+MAX_TRANSVERSALS = 4096
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -65,47 +52,27 @@ def _subsets(m: int):
         sub = (sub - 1) & m
 
 
-def _vertex_columns(n: int):
-    """For each vertex v < n in turn, the bitset of the masks below 2^n that
-    contain v.  Each has 2^n bits, so they are built one at a time, not kept."""
-    for v in range(n):
-        half = 1 << v
-        col = ((1 << half) - 1) << half
-        width = half << 1
-        while width < 1 << n:
-            col |= col << width
-            width <<= 1
-        yield col
+def minimal_transversals(edges: Iterable[int]) -> list:
+    """The minimal vertex masks that meet every mask in edges (Berge's algorithm).
 
-
-def down_closure(bits: int, n: int) -> int:
-    """Every subset of a vertex set in the family bits (n vertices)."""
-    for v, col in enumerate(_vertex_columns(n)):
-        bits |= (bits & col) >> (1 << v)
-    return bits
-
-
-def up_closure(bits: int, n: int) -> int:
-    """Every superset, within the n vertices, of a vertex set in the family bits."""
-    for v, col in enumerate(_vertex_columns(n)):
-        bits |= (bits & ~col) << (1 << v)
-    return bits
-
-
-def maximal_members(bits: int, n: int) -> int:
-    """Members of the family none of whose one-vertex extensions is in it."""
-    extendable = 0
-    for v, col in enumerate(_vertex_columns(n)):
-        extendable |= (bits & col) >> (1 << v)
-    return bits & ~extendable
-
-
-def minimal_members(bits: int, n: int) -> int:
-    """Members of the family none of whose one-vertex deletions is in it."""
-    shrinkable = 0
-    for v, col in enumerate(_vertex_columns(n)):
-        shrinkable |= (bits & ~col) << (1 << v)
-    return bits & ~shrinkable
+    Edges are added smallest first.  A member that already meets the new edge
+    stays minimal; one that misses it grows by each vertex v of the edge, and
+    the grown set is minimal unless a member meeting the edge lies inside it,
+    which such a member can only do by containing v.  An empty edge leaves no
+    transversal.  Raises InputError once the family passes MAX_TRANSVERSALS.
+    """
+    family = [0]
+    for e in sorted(edges, key=int.bit_count):
+        hit = [t for t in family if t & e]
+        missing = [t for t in family if not t & e]
+        family = list(hit)
+        for v in bit_indices(e):
+            bit = 1 << v
+            through = [h for h in hit if h & bit]
+            family += [t | bit for t in missing if not any(h & t == h ^ bit for h in through)]
+            if len(family) > MAX_TRANSVERSALS:
+                raise InputError(f"more than {MAX_TRANSVERSALS} minimal transversals")
+    return family
 
 
 @dataclass(frozen=True)
@@ -147,20 +114,12 @@ class SimplicialComplex:
         return tuple(_mask(f) for f in self.facets)
 
     @property
-    def face_bits(self) -> int:
-        """Bit m is set iff the vertex set with mask m is a face."""
-        bits = 0
-        for fm in self.facet_masks:
-            bits |= 1 << fm
-        return down_closure(bits, self.ambient)
-
-    @property
     def face_masks(self) -> frozenset:
-        """The faces as a frozenset of vertex masks (submasks of the facets)."""
-        out = set()
-        for fm in self.facet_masks:
-            out.update(_subsets(fm))
-        return frozenset(out)
+        """The faces as vertex masks (submasks of the facets); InputError when
+        the facets have more than MAX_TRANSVERSALS subsets in all."""
+        if sum(1 << fm.bit_count() for fm in self.facet_masks) > MAX_TRANSVERSALS:
+            raise InputError(f"listing the faces is limited to {MAX_TRANSVERSALS} facet subsets")
+        return frozenset(sub for fm in self.facet_masks for sub in _subsets(fm))
 
     def faces(self) -> tuple:
         return tuple(sorted((_unmask(m) for m in self.face_masks), key=lambda t: (len(t), t)))
@@ -195,24 +154,17 @@ class SimplicialComplex:
 
 
 def minimal_nonfaces(c: SimplicialComplex) -> tuple:
-    """Vertex sets that are not faces while every proper subset is a face."""
-    check_bitset_width(c.ambient)
-    everything = (1 << (1 << c.ambient)) - 1
-    nonfaces = everything & ~c.face_bits
-    out = [_unmask(m) for m in bit_indices(minimal_members(nonfaces, c.ambient))]
+    """Vertex sets that are not faces while every proper subset is a face:
+    the minimal transversals of the facet complements."""
+    full = (1 << c.ambient) - 1
+    out = [_unmask(m) for m in minimal_transversals(full & ~f for f in c.facet_masks)]
     out.sort(key=lambda t: (len(t), t))
     return tuple(out)
 
 
 def sr_ideal(c: SimplicialComplex) -> tuple:
     """Square-free exponent vectors generating the Stanley-Reisner ideal."""
-    gens = []
-    for nf in minimal_nonfaces(c):
-        exps = [0] * c.ambient
-        for v in nf:
-            exps[v] = 1
-        gens.append(tuple(exps))
-    return tuple(gens)
+    return tuple(tuple(int(v in nf) for v in range(c.ambient)) for nf in minimal_nonfaces(c))
 
 
 def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:

@@ -32,6 +32,10 @@ from .matrix import PolyMatrix, scalar_rank
 from .poly import Polynomial, PolyRing, format_polynomial
 from .quotient import QuotientRing, RingHom
 
+# Apex splits happen only at x0..x63 (a vertex no generator names is a cone
+# point), so certificates nest under 70 levels, far from the recursion limit.
+MAX_NODE_DEPTH = 200
+
 CHECK_KINDS = (
     "idempotency", "hom-defined", "square-commutes", "restriction",
     "mod-iso-laws", "compose", "whitehead", "gl-lift", "um-congruence",
@@ -175,9 +179,11 @@ def verify_payload(payload: dict) -> VerifierReport:
             _verify_stab(rd, payload, root, report)
     except SrpbError as exc:
         report.add("root", "structure", False, f"malformed certificate: {exc}")
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+            RecursionError) as exc:
         # a JSON value of the wrong type (a node that is not an object, a
-        # number where a field name belongs) surfaces as one of these
+        # number where a field name belongs) or nested too deeply to print
+        # surfaces as one of these
         report.add("root", "structure", False, f"malformed certificate: {exc!r}")
     obligations = payload.get("obligations", [])
     if not isinstance(obligations, list):
@@ -295,6 +301,9 @@ def _check_square(report, where, sq: dict) -> None:
 # -- node dispatch -----------------------------------------------------------------
 
 def _verify_node(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
+    if where.count(".") > MAX_NODE_DEPTH:  # each level appends ".childN" or ".extend"
+        report.add(where, "structure", False, f"nodes nest deeper than {MAX_NODE_DEPTH} levels")
+        return
     kind = node.get("kind")
     if kind == "base":
         _verify_base(rd, node, where, report)

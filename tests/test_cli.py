@@ -59,9 +59,8 @@ def test_complex_decompose_exit_codes(workdir, capsys):
 
 
 def test_complex_verbs_on_a_large_ambient(tmp_path, capsys):
-    # 40 ambient vertices: faces, decompose and link work on the three
-    # facets and must not touch all 2^40 vertex sets; nonfaces, which must,
-    # is refused
+    # 40 ambient vertices: every verb works on the three facets and must not
+    # touch all 2^40 vertex sets
     path = tmp_path / "wide.cplx"
     files.save_complex(str(path), SimplicialComplex.from_facets(40, [[0, 1], [1, 2], [0, 2]]))
     assert run(["complex", "faces", "--complex", path]) == 0
@@ -71,7 +70,16 @@ def test_complex_verbs_on_a_large_ambient(tmp_path, capsys):
                 "--out-link", tmp_path / "link.cplx"]) == 0
     assert json.loads(capsys.readouterr().out)["apex"] == 0
     assert files.load_complex(str(tmp_path / "link.cplx")).facets == ((1,), (2,))
-    assert run(["complex", "nonfaces", "--complex", path]) == 2
+    assert run(["complex", "nonfaces", "--complex", path]) == 0
+    out = json.loads(capsys.readouterr().out)["minimal_nonfaces"]
+    assert out == [[v] for v in range(3, 40)] + [[0, 1, 2]]
+
+
+def test_faces_of_a_large_simplex_are_refused(tmp_path, capsys):
+    path = tmp_path / "simplex40.cplx"
+    files.save_complex(str(path), SimplicialComplex.simplex(40))
+    assert run(["complex", "faces", "--complex", path]) == 2
+    assert "facet subsets" in capsys.readouterr().err
 
 
 def test_ring_nf(workdir, capsys):
@@ -83,6 +91,13 @@ def test_ring_nf(workdir, capsys):
 def test_ring_nf_parse_error_is_input_error(workdir, capsys):
     assert run(["ring", "nf", "--ring", workdir / "twopoints.ring",
                 "--expr", "x0 + "]) == 2
+
+
+@pytest.mark.parametrize("expr", ["(x0+x1)^3000", "2^2147483647", "(" * 100_000 + "x0"],
+                         ids=["power", "constant", "nesting"])
+def test_ring_nf_past_the_expression_caps_is_input_error(workdir, capsys, expr):
+    assert run(["ring", "nf", "--ring", workdir / "twopoints.ring", "--expr", expr]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("ring", [{"field": [], "vars": 2, "ideal": []},
@@ -314,6 +329,14 @@ def test_verify_non_object_certificate_fails_cleanly(tmp_path, capsys, body):
     assert run(["verify", "--cert", cert]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "root structure" in out
+
+
+def test_verify_deeply_nested_certificate_is_input_error(tmp_path, capsys):
+    cert = tmp_path / "nested.cert"
+    with open(cert, "w") as fh:
+        fh.write('srpb/1 cert\n{"root": ' + "[" * 200_000 + "]" * 200_000 + "}\n")
+    assert run(["verify", "--cert", cert]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 ONE = {"rows": 1, "cols": 1, "entries": ["1"]}

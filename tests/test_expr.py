@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,3 +84,28 @@ def test_format_parse_roundtrip(field):
         f = random_poly(ctx, rng, max_deg=4, terms=5)
         assert parse_expression(format_polynomial(f), ctx) == f
     assert parse_expression("0", ctx) == ctx.zero()
+
+
+@pytest.mark.parametrize("text", ["(x0+x1+x2+x3)^40", "(x0+x1+x2+x3)^80", "(1+x0)^3000",
+                                  "2^2147483647", "(x0+x1)^90*(x0+x1)^90",
+                                  "(" * 100_000 + "x0" + ")" * 100_000, "-" * 100_000 + "x0"],
+                         ids=["sum4-40", "sum4-80", "binomial-3000", "constant", "product",
+                              "parentheses", "minus"])
+def test_work_and_nesting_caps(text):
+    ctx = PolyRing(QQ, 4)
+    start = time.perf_counter()
+    with pytest.raises(ExprError):
+        parse_expression(text, ctx)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_inputs_under_the_caps_still_parse():
+    ctx = PolyRing(QQ, 4)
+    x0 = ctx.variable(0)
+    assert parse_expression("x0^2147483648", ctx) == x0 ** 2147483648
+    assert parse_expression("(x0+x1+x2+x3)^6*(x0+x1+x2+x3)^6", ctx) == \
+        (sum((ctx.variable(i) for i in range(4)), ctx.zero())) ** 12
+    assert parse_expression("2^1000", ctx) == ctx.constant(Fraction(2) ** 1000)
+    # a long sum of single-term products costs no term-product budget
+    text = " + ".join(f"{i + 1}*x0^{i}*x1" for i in range(1000))
+    assert len(parse_expression(text, ctx).terms) == 1000

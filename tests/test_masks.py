@@ -1,8 +1,10 @@
 """Differential tests for the bitmask monomial layer.
 
-Each fast path (mask survival, face bitsets, renaming ring homs) is checked
-against a direct reference computation on seeded random inputs.
+Each fast path (mask survival, minimal transversals, renaming ring homs) is
+checked against a direct reference computation on seeded random inputs.
 """
+
+import time
 
 import pytest
 
@@ -11,10 +13,9 @@ from srpb import (GF, QQ, Polynomial, PolyRing, QuotientRing, RingHom, Simplicia
 from srpb.errors import ContextError, InputError, PreconditionError
 from srpb.poly import exp_divides, support_mask
 from srpb.quotient import sr_quotient
-from srpb.simplicial import (MAX_BITSET_VERTICES, ApexDecomposition, _check_split,
-                             apex_decomposition, bit_indices, complexes_on,
-                             down_closure, maximal_members, minimal_members,
-                             minimal_nonfaces, up_closure)
+from srpb.simplicial import (ApexDecomposition, _check_split, apex_decomposition,
+                             bit_indices, complexes_on, minimal_nonfaces,
+                             minimal_transversals, random_complex)
 from helpers import corpus_squares, make_rng, random_poly
 
 FIELDS = (QQ, GF(5))
@@ -81,11 +82,10 @@ def faces_by_enumeration(c):
             if any(m & f == m for f in c.facet_masks)}
 
 
-def test_face_bits_match_enumerated_faces():
+def test_face_masks_match_enumerated_faces():
     for n in range(1, 5):
         for c in complexes_on(n):
             faces = faces_by_enumeration(c)
-            assert c.face_bits == sum(1 << m for m in faces)
             assert c.face_masks == frozenset(faces)
             assert c.is_simplex() == (c.used_mask in faces)
             nonfaces = [m for m in range(1 << n) if m not in faces
@@ -137,28 +137,52 @@ def test_minimal_nonfaces_on_a_wider_ambient():
     assert complex_of_ring(sr_quotient(QQ, c)) == c
 
 
-def test_bitset_width_is_bounded():
-    n = MAX_BITSET_VERTICES + 1
+def test_transversal_family_is_capped():
+    # 13 disjoint pairs have 2^13 minimal transversals, past MAX_TRANSVERSALS
+    n = 26
+    pairs = [3 << 2 * i for i in range(13)]
+    full = (1 << n) - 1
+    start = time.perf_counter()
     with pytest.raises(InputError):
-        minimal_nonfaces(SimplicialComplex.from_facets(n, [[0, 1], [1, 2], [0, 2]]))
+        minimal_transversals(pairs)
     with pytest.raises(InputError):
-        complex_of_ring(QuotientRing.make(QQ, n, [(1, 1) + (0,) * (n - 2)]))
+        minimal_nonfaces(SimplicialComplex.from_facets(n, [bit_indices(full & ~p) for p in pairs]))
+    with pytest.raises(InputError):
+        complex_of_ring(QuotientRing.make(QQ, n, [tuple(p >> v & 1 for v in range(n))
+                                                  for p in pairs]))
+    assert time.perf_counter() - start < 1.0
+    assert len(minimal_transversals(pairs[:12])) == 4096
 
 
-def test_family_closures_match_brute_force():
-    rng = make_rng("closures")
-    for n in range(1, 6):
-        for _ in range(10):
-            family = {rng.randrange(1 << n) for _ in range(rng.randint(1, 4))}
-            bits = sum(1 << m for m in family)
-            down = {m for m in range(1 << n) if any(m & f == m for f in family)}
-            up = {m for m in range(1 << n) if any(m & f == f for f in family)}
-            assert down_closure(bits, n) == sum(1 << m for m in down)
-            assert up_closure(bits, n) == sum(1 << m for m in up)
-            assert set(bit_indices(maximal_members(down_closure(bits, n), n))) == \
-                {m for m in down if not any(m != o and m & o == m for o in down)}
-            assert set(bit_indices(minimal_members(up_closure(bits, n), n))) == \
-                {m for m in up if not any(m != o and m & o == o for o in up)}
+def reference_transversals(edges, n):
+    hitting = [m for m in range(1 << n) if all(m & e for e in edges)]
+    return {m for m in hitting if not any(h != m and h & m == h for h in hitting)}
+
+
+def test_minimal_transversals_match_brute_force():
+    rng = make_rng("transversals")
+    for n in range(1, 9):
+        for _ in range(15):
+            edges = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+            got = minimal_transversals(edges)
+            assert len(got) == len(set(got))
+            assert set(got) == reference_transversals(edges, n)
+
+
+def test_duality_matches_brute_force_both_ways():
+    # complex -> minimal non-faces, and ring -> complex, each against an
+    # enumeration of all vertex sets
+    rng = make_rng("duality")
+    cases = [c for n in range(1, 5) for c in complexes_on(n)]
+    cases += [random_complex(n, rng) for n in range(5, 13) for _ in range(6)]
+    for c in cases:
+        n = c.ambient
+        faces = faces_by_enumeration(c)
+        nonfaces = {m for m in range(1 << n) if m not in faces
+                    and all(m ^ (1 << v) in faces for v in bit_indices(m))}
+        assert {sum(1 << v for v in t) for t in minimal_nonfaces(c)} == nonfaces
+        ring = QuotientRing.make(QQ, n, [tuple(m >> v & 1 for v in range(n)) for m in nonfaces])
+        assert complex_of_ring(ring) == c
 
 
 def test_complex_of_ring_roundtrips_exhaustive():

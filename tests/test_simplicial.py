@@ -132,6 +132,22 @@ def test_every_nonsimplex_has_an_apex_exhaustive_5():
     assert count > 7000  # most of the 7580 complexes on 5 vertices
 
 
+def test_apex_split_depth_is_below_the_ambient():
+    # the engines bound their recursion by the ambient vertex count
+    depths = {}
+
+    def depth(c):
+        if c.is_simplex():
+            return 0
+        if c not in depths:
+            s = apex_decomposition(c)
+            depths[c] = 1 + max(depth(s.deletion_part), depth(s.cone_part()))
+        return depths[c]
+
+    for n in range(1, 6):
+        assert max(depth(c) for c in complexes_on(n)) == n - 1
+
+
 def test_complex_enumeration_counts():
     # downward-closed families containing the empty face: Dedekind counts minus the void
     assert sum(1 for _ in complexes_on(1)) == 2

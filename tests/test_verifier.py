@@ -8,6 +8,7 @@ from srpb.engines import HypothesisProfile, conjugation_witness_oracle
 from srpb.expr import parse_expression
 from srpb.lifting import whitehead_lift
 from srpb.poly import format_polynomial
+from srpb.verifier import MAX_NODE_DEPTH
 from helpers import (conjugated_idempotent, hollow_triangle, make_rng,
                      random_elementary_product, random_gl_with_units)
 
@@ -203,6 +204,26 @@ def test_non_object_payload_is_a_structure_failure():
         rep = verify_payload(payload)
         assert not rep.ok
         assert rep.first_failure().check == "structure"
+
+
+def test_deeply_nested_payloads_are_structure_failures():
+    root = dict(corpus_certificates())["umrow"]["root"]
+    assert root["kind"] == "umrow-lift"
+    # 10,000 row-lift nodes, each the extend subtree of the one above
+    chain = root["extend"]
+    for _ in range(10_000):
+        chain = dict(root, module=root["extend"]["module"], extend=chain)
+    rep = verify_payload({"root": chain, "obligations": []})
+    bad = [e for e in rep.entries if not e.ok]
+    assert {e.check for e in bad} == {"structure"}
+    assert f"deeper than {MAX_NODE_DEPTH} levels" in bad[0].detail
+    assert bad[0].node.count(".") == MAX_NODE_DEPTH + 1
+    # a value nested too deeply to print
+    kind = []
+    for _ in range(100_000):
+        kind = [kind]
+    rep = verify_payload({"root": {"kind": kind}, "obligations": []})
+    assert rep.first_failure().check == "structure"
 
 
 def test_wrongly_typed_field_name_is_a_structure_failure():
