@@ -121,7 +121,7 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
 
     When the module at a base case is a conjugate of a constant idempotent
     by the image of ``g``, the reinterpreted conjugator is a witness; the
-    oracle verifies everything and declines otherwise.
+    oracle checks g and declines otherwise; ``_extend_base`` checks the witness.
     """
     def oracle(p: ProjModule) -> Optional[ModIso]:
         ring = p.ring
@@ -137,10 +137,10 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
             return None
         # the image of the checked pair h under x -> 0, a ring hom
         h0 = GLMat._known_pair(ring, h.mat.augmentation(), h.inv.augmentation())
-        target = ProjModule.make(ring, p.augmented_matrix())
+        target = ProjModule(ring, p.augmented_matrix())
         fwd = ring.mat_mul(ring.mat_mul(h0.mat, c), h.inv)
         bwd = ring.mat_mul(ring.mat_mul(h.mat, c), h0.inv)
-        return ModIso.make(p, target, fwd, bwd)
+        return ModIso(p, target, fwd, bwd)
 
     return oracle
 
@@ -162,7 +162,8 @@ def chain_oracles(*oracles: Optional[ExtendOracle]) -> ExtendOracle:
 # -- base cases -----------------------------------------------------------------
 
 def _point_normalize(iso: ModIso) -> ModIso:
-    """Compose with a constant corner automorphism so fwd(0) is the target."""
+    """Compose with the inverse of the iso's augmentation (a ring-hom image of
+    a checked iso, so lawful) so that fwd(0) is the target."""
     ring = iso.ring
     theta = iso.fwd.augmentation()
     theta_back = iso.bwd.augmentation()
@@ -170,15 +171,15 @@ def _point_normalize(iso: ModIso) -> ModIso:
         return iso
     fwd = ring.mat_mul(theta_back, iso.fwd)
     bwd = ring.mat_mul(iso.bwd, theta)
-    return ModIso.make(iso.source, iso.target, fwd, bwd)
+    return ModIso(iso.source, iso.target, fwd, bwd)
 
 
 def _extend_base(oracle: Optional[ExtendOracle]):
     """Base hook of the extension: constant presentations, univariate freeness
-    via Smith normal form, then the caller's oracle, whose witness is checked."""
+    via Smith normal form, then the oracle, whose witness is checked here once."""
     def base(p: ProjModule, q: ProjModule):
         if p.matrix.is_constant():
-            return "constant", ModIso.make(p, q, p.matrix, p.matrix)
+            return "constant", ModIso(p, q, p.matrix, p.matrix)
         if len(p.ring.free_variables()) <= 1:
             return "smith", _point_normalize(_smith_freeness_iso(p))
         iso = oracle(p) if oracle is not None else None
@@ -187,13 +188,14 @@ def _extend_base(oracle: Optional[ExtendOracle]):
         if iso.source.matrix != p.matrix or iso.target.matrix != q.matrix:
             raise InternalCheckError("oracle witness does not run from the module "
                                      "to its augmentation")
-        return "oracle", _point_normalize(iso)
+        return "oracle", _point_normalize(ModIso.make(p, q, iso.fwd, iso.bwd))
 
     return base
 
 
 def _smith_freeness_iso(p: ProjModule) -> ModIso:
-    """Change of basis to a constant idempotent over a univariate base."""
+    """Change of basis to a constant idempotent over a univariate base.  Once
+    g^-1 E g == C is checked, (g0 C g^-1, g C g0^-1) is lawful by algebra."""
     ring = p.ring
     ctx = ring.context
     e = p.matrix
@@ -220,10 +222,10 @@ def _smith_freeness_iso(p: ProjModule) -> ModIso:
         raise InternalCheckError("basis change does not diagonalize the idempotent")
     g0 = g.augmentation()
     g0inv = scalar_inverse(g0)
-    target = ProjModule.make(ring, p.augmented_matrix())
+    target = ProjModule(ring, p.augmented_matrix())
     fwd = ring.mat_mul(ring.mat_mul(g0, corner), ginv)
     bwd = ring.mat_mul(ring.mat_mul(g, corner), g0inv)
-    return ModIso.make(p, target, fwd, bwd)
+    return ModIso(p, target, fwd, bwd)
 
 
 def _cancel_base(p: ProjModule, q: ProjModule):
@@ -345,7 +347,7 @@ def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> Patc
     """
     if not p.ring.is_square_free():
         raise PreconditionError("extension engine needs a square-free presentation")
-    q = ProjModule.make(p.ring, p.augmented_matrix())
+    q = ProjModule(p.ring, p.augmented_matrix())
     kind = getattr(oracle, "obligation_kind", "extend")
     return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
 
@@ -354,8 +356,8 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
                    aut_lifter_factory=None) -> PatchResult:
     """Witness p isomorphic to q given a stabilized isomorphism, or obligations.
 
-    ``stab`` must connect p + free(1) to q + free(1); it is validated and
-    recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
+    ``stab`` must connect p + free(1) to q + free(1); it is checked once, here,
+    and recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
     automorphism lifter (defaults to the constant lift through the section,
     whose failures surface as obligations of kind "cancel").
     """
@@ -366,9 +368,10 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
     if module_rank(p) != module_rank(q):
         raise PreconditionError("modules of different ranks cannot be matched")
     one = PolyMatrix.identity(p.ring.context, 1)
-    if (stab.source.matrix != p.matrix.direct_sum(one)
+    if (stab.ring != p.ring or stab.source.matrix != p.matrix.direct_sum(one)
             or stab.target.matrix != q.matrix.direct_sum(one)):
         raise PreconditionError("stabilized iso does not connect P+free and Q+free")
+    stab = ModIso.make(stab.source, stab.target, stab.fwd, stab.bwd)
     task = _Task("cancel", "cancel", _cancel_base, aut_lifter_factory or section_aut_lifter)
     return _solve(task, p, q, stab)
 
@@ -380,9 +383,9 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     """Lift a unimodular row along R/I -> R/J for square-free monomial J.
 
     Builds the kernel module, extends it from the base via the extension
-    engine, realizes the comparison matrix from the witness pair, lifts it
-    through the GL strategy stack, and re-verifies both the congruence and
-    the unimodularity certificate of the lifted row.
+    engine, realizes the comparison matrix from the witness pair and lifts it
+    through the GL strategy stack.  The comparison pair and the lifted row are
+    lawful by algebra (``GLMat._known_pair``); the verifier re-checks both.
     """
     ring = row.ring
     if not ring.is_square_free():
@@ -404,11 +407,9 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     iso = ext.iso
     v0 = row.v.augmentation()
     w0 = row.w.augmentation()
-    sigma_m = ring.nf_matrix(iso.bwd) + ring.mat_mul(row.w.transpose(), v0)
-    sigma_inv = ring.nf_matrix(iso.fwd) + ring.mat_mul(w0.transpose(), row.v)
-    sigma = GLMat(ring, sigma_m, sigma_inv)
-    if ring.mat_mul(row.v, sigma.mat) != ring.nf_matrix(v0):
-        raise InternalCheckError("comparison matrix does not move v to v(0)")
+    sigma = GLMat._known_pair(
+        ring, ring.nf_matrix(iso.bwd) + ring.mat_mul(row.w.transpose(), v0),
+        ring.nf_matrix(iso.fwd) + ring.mat_mul(w0.transpose(), row.v))
 
     pi = RingHom.quotient_map(target, ring)
     try:
@@ -418,11 +419,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
                                 profile.payload(), sigma=sigma, partial=True)
         return UmLiftResult(None, cert, diagnostics=dict(exc.diagnostics))
 
-    u = target.mat_mul(v0, delta.inv)
-    w_prime = target.mat_mul(w0, delta.mat.transpose())
-    lifted = UmRow.make(target, u, w_prime)
-    if pi.apply_matrix(lifted.v) != row.v:
-        raise InternalCheckError("lifted row is not congruent to the input")
+    lifted = UmRow(target, target.mat_mul(v0, delta.inv),
+                   target.mat_mul(w0, delta.mat.transpose()))
     cert = certs.umrow_node(ring, target, row, ext.certificate, profile.payload(),
                             sigma=sigma, delta=delta, lifted=lifted)
     return UmLiftResult(lifted, cert)

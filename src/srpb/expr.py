@@ -7,8 +7,9 @@
     atom   := NUMBER | VAR | '(' expr ')'
 
 NUMBER is an integer or rational literal ``a/b`` (no spaces around '/'),
-VAR is ``x0`` .. ``x63``.  Whitespace is insignificant; errors carry the
-byte offset of the offending token.
+VAR is ``x0`` .. ``x63``; digits are ASCII, at most ``_MAX_DIGITS`` in a
+row.  Whitespace is insignificant; errors carry the offset of the offending
+token.
 
 Work caps, each an ExprError raised before the product: one parse spends at
 most ``_MAX_TERM_PRODUCTS`` term products on products of more than one term
@@ -19,6 +20,7 @@ Nesting past the interpreter's recursion limit is an ExprError too.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ExprError
@@ -28,6 +30,8 @@ _MAX_EXPONENT = 2 ** 31
 _MAX_VAR = 63
 _MAX_TERM_PRODUCTS = 10_000
 _MAX_COEFF_BITS = 1024
+_MAX_DIGITS = 4300  # the interpreter's default limit on int() of a digit string
+_DIGITS = re.compile("[0-9]*")
 
 
 class _Tokens:
@@ -41,6 +45,13 @@ class _Tokens:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
+    def _digits(self, j: int) -> int:
+        """End of the run of ASCII digits starting at j."""
+        k = _DIGITS.match(self.text, j).end()
+        if k - j > _MAX_DIGITS:
+            raise ExprError(f"literal longer than {_MAX_DIGITS} digits", j)
+        return k
+
     def peek(self):
         self._skip_ws()
         if self.pos >= len(self.text):
@@ -49,26 +60,20 @@ class _Tokens:
         start = self.pos
         if ch in "+-*^()":
             return (ch, ch, start)
-        if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
+        if ch in "0123456789":
+            j = self._digits(start)
             num = int(self.text[start:j])
             if j < len(self.text) and self.text[j] == "/":
-                k = j + 1
-                if k >= len(self.text) or not self.text[k].isdigit():
+                k = self._digits(j + 1)
+                if k == j + 1:
                     raise ExprError("expected digits after '/'", j + 1)
-                while k < len(self.text) and self.text[k].isdigit():
-                    k += 1
                 den = int(self.text[j + 1:k])
                 if den == 0:
                     raise ExprError("zero denominator", j + 1)
                 return ("number", (Fraction(num, den), k - start), start)
             return ("number", (Fraction(num), j - start), start)
         if ch == "x":
-            j = start + 1
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
+            j = self._digits(start + 1)
             if j == start + 1:
                 raise ExprError("expected variable index after 'x'", start + 1)
             return ("var", (int(self.text[start + 1:j]), j - start), start)
@@ -97,17 +102,14 @@ def parse_expression(text: str, ring: PolyRing) -> Polynomial:
 
 
 def _parse_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
-    acc = _parse_term(toks, ring)
-    while True:
-        kind, _, _ = toks.peek()
-        if kind == "+":
-            toks.take()
-            acc = acc + _parse_term(toks, ring)
-        elif kind == "-":
-            toks.take()
-            acc = acc - _parse_term(toks, ring)
-        else:
-            return acc
+    """The terms' coefficients summed in one dict, sorted once."""
+    fld = ring.field
+    coeffs = dict(_parse_term(toks, ring).terms)
+    while toks.peek()[0] in ("+", "-"):
+        op = fld.add if toks.take()[0] == "+" else fld.sub
+        for e, c in _parse_term(toks, ring).terms:
+            coeffs[e] = op(coeffs.get(e, fld.zero), c)
+    return ring.from_terms(coeffs)
 
 
 def _coeff_bits(f: Polynomial) -> int:
@@ -124,6 +126,18 @@ def _mul(toks: _Tokens, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
     if toks.rational and _coeff_bits(a) + _coeff_bits(b) > _MAX_COEFF_BITS:
         raise ExprError(f"product of coefficients over {_MAX_COEFF_BITS} bits", at)
     return a * b
+
+
+def _power(toks: _Tokens, x: Polynomial, n: int, at: int) -> Polynomial:
+    """x^n by binary powering, as Polynomial.__pow__, with each product capped."""
+    acc = x.ring.one()
+    while n:
+        if n & 1:
+            acc = _mul(toks, acc, x, at)
+        n >>= 1
+        if n:
+            x = _mul(toks, x, x, at)
+    return acc
 
 
 def _parse_term(toks: _Tokens, ring: PolyRing) -> Polynomial:
@@ -161,14 +175,15 @@ def _parse_power(toks: _Tokens, ring: PolyRing) -> Polynomial:
         n = q.numerator
         if n > _MAX_EXPONENT:
             raise ExprError("exponent too large", nstart)
-        # binary powering, as Polynomial.__pow__, with each product capped
-        base, acc = acc, ring.one()
-        while n:
-            if n & 1:
-                acc = _mul(toks, acc, base, nstart)
-            n >>= 1
-            if n:
-                base = _mul(toks, base, base, nstart)
+        if len(acc.terms) == 1:
+            # one term: its coefficient alone takes the capped steps (none for
+            # a coefficient 1), and its exponent vector is scaled once
+            (exps, c), = acc.terms
+            if c != ring.field.one:
+                c = _power(toks, ring.constant(c), n, nstart).terms[0][1]
+            acc = ring.monomial([k * n for k in exps], c)
+        else:
+            acc = _power(toks, acc, n, nstart)
 
 
 def _parse_atom(toks: _Tokens, ring: PolyRing) -> Polynomial:

@@ -110,9 +110,13 @@ class Field:
     def from_name(name: str) -> "Field":
         if name == "Q":
             return QQ
-        if name.startswith("Fp:"):
-            return Field(int(name[3:]))
-        raise InputError(f"unknown field name {name!r}")
+        if name.startswith("Fp:") and name[3:].isascii() and name[3:].isdigit():
+            digits = name[3:].lstrip("0") or "0"
+            if len(digits) > len(str(_MR_LIMIT)):  # int() refuses over 4,300 digits
+                raise InputError(f"field characteristic of {len(digits)} digits is too "
+                                 f"large to certify as prime (limit {_MR_LIMIT})")
+            return Field(int(digits))
+        raise InputError(f"unknown field name {name[:40]!r}")
 
 
 QQ = Field(0)

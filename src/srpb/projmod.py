@@ -125,7 +125,7 @@ class ModIso:
 
     @staticmethod
     def identity(p: ProjModule) -> "ModIso":
-        return ModIso.make(p, p, p.matrix, p.matrix)
+        return ModIso(p, p, p.matrix, p.matrix)
 
     @property
     def ring(self) -> QuotientRing:

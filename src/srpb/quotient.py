@@ -528,10 +528,12 @@ class GLMat:
         Products, swaps, direct sums and verified-hom images of verified
         pairs ((AB)(B^-1 A^-1) = I), permutation matrices with their
         transposes, I + fE_ij with I - fE_ij for i != j, diagonals of
-        checked unit pairs, and m with det(m)^-1 adj(m)
-        (``lifting.det_unit_inverse``); the verifier still re-checks
-        every pair a certificate records (rules ``whitehead``: U*U^-1 == I,
-        and ``gl-lift``: delta*delta^-1 == I).
+        checked unit pairs, m with det(m)^-1 adj(m)
+        (``lifting.det_unit_inverse``), and (bwd + w^T v(0), fwd + w(0)^T v)
+        for an iso from K = I - w^T v to K(0) (``engines.umrow_lift``: the
+        corner laws and v w^T == 1 leave K + w^T v == I); the verifier still
+        re-checks every pair a certificate records (rules ``whitehead``:
+        U*U^-1 == I, and ``gl-lift``: delta*delta^-1 == I).
         """
         g = object.__new__(GLMat)
         g._set(ring, mat, inv)

@@ -218,14 +218,12 @@ class ApexDecomposition:
 
 
 def apex_decomposition(c: SimplicialComplex) -> ApexDecomposition:
-    """Split at the smallest used vertex whose star is proper."""
+    """Split at the smallest used vertex whose star is proper, that is, the
+    smallest used vertex that some facet misses."""
     if c.is_simplex():
         raise PreconditionError("cannot decompose a simplex")
-    apex = None
-    for v in c.used_vertices():
-        if star(c, v) != c:
-            apex = v
-            break
+    apex = next((v for v in c.used_vertices()
+                 if any(not fm >> v & 1 for fm in c.facet_masks)), None)
     if apex is None:
         raise PreconditionError("no admissible apex found (complex is a cone over every vertex)")
     d = deletion(c, apex)

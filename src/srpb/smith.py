@@ -3,15 +3,17 @@
 Works on any PolyMatrix whose entries involve at most one variable of the
 ambient context.  Returns U, D, V with U*M*V = D, the diagonal monic (or
 zero) with each entry dividing the next, and explicit inverses of U and V.
-The transforms are accumulated from elementary row/column operations, so
-det U and det V are nonzero field constants.
+The transforms are accumulated from elementary row/column operations,
+each applied to M, U and U^-1 (or M, V and V^-1) together, so these laws
+hold by construction and are not re-checked; det U and det V are nonzero
+field constants.  ``engines._smith_freeness_iso`` checks what it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, UnsupportedRingError
+from .errors import UnsupportedRingError
 from .matrix import PolyMatrix
 from .poly import Polynomial, PolyRing
 
@@ -202,28 +204,5 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     v = PolyMatrix.from_rows(w.ring, w.v)
     v_inv = PolyMatrix.from_rows(w.ring, w.v_inv)
     d = PolyMatrix.from_rows(w.ring, w.m)
-    dec = SmithDecomposition(u, u_inv, d, v, v_inv, var)
-    _check(dec, m, var)
-    return dec
+    return SmithDecomposition(u, u_inv, d, v, v_inv, var)
 
-
-def _check(dec: SmithDecomposition, m: PolyMatrix, var: int) -> None:
-    if dec.u * m * dec.v != dec.d:
-        raise InternalCheckError("smith: U*M*V != D")
-    eye_r = PolyMatrix.identity(m.ring, m.rows)
-    eye_c = PolyMatrix.identity(m.ring, m.cols)
-    if dec.u * dec.u_inv != eye_r or dec.v * dec.v_inv != eye_c:
-        raise InternalCheckError("smith: transform inverses are wrong")
-    diag = dec.diagonal()
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j and not dec.d[i, j].is_zero():
-                raise InternalCheckError("smith: D is not diagonal")
-    for a, b in zip(diag, diag[1:]):
-        if not uni_divides(a, b, var):
-            raise InternalCheckError("smith: divisibility chain broken")
-    for a in diag:
-        if not a.is_zero():
-            d = uni_degree(a, var)
-            if uni_coeff(a, var, d) != m.ring.field.one:
-                raise InternalCheckError("smith: diagonal entry not monic")

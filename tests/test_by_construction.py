@@ -3,22 +3,31 @@
 Inverses, composites and hom images of module isomorphisms, hom images of
 unimodular elements and GL pairs, permutation, determinant-adjugate and
 unit-diagonal pairs, the Whitehead lift, the Milnor patch, the section
-lifters, kernel modules and the five homs of a fiber square all skip the
+lifters, kernel modules, the five homs of a fiber square, the Smith
+transforms, the constant, Smith, oracle and point-normalized base-case
+witnesses, and the row lift's comparison pair and lifted row all skip the
 checks their constructors would run.  These tests recompute the identities
 on each output over Q and F_5, with plain products (``nf(a * b)``, not
 ``QuotientRing.mat_mul``), and compare the square homs and the patch
-against the constructions they no longer go through.
+against the constructions they no longer go through.  Caller data (oracle
+witnesses, the stabilized iso of a cancellation) is checked once where it
+enters, and the last tests feed it lawless values.
 """
 
 import dataclasses
 
 import pytest
 
-from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
-                  RingHom, UmElement, UmRow, build_fiber_square, glue_matrix,
-                  hom_check, kernel_module, milnor_patch, section_aut_lifter,
-                  section_um_lifter, whitehead_lift)
-from srpb.engines import conjugation_witness_oracle
+from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
+                  QuotientRing, RingHom, UmElement, UmRow, build_fiber_square,
+                  cancel_witness, extend_witness, glue_matrix, hom_check,
+                  kernel_module, milnor_patch, section_aut_lifter,
+                  section_um_lifter, smith_normal_form, sr_quotient,
+                  umrow_lift, verify_payload, whitehead_lift)
+from srpb import engines
+from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
+                          conjugation_witness_oracle)
+from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import InputError, InternalCheckError, PreconditionError
 from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary
 from srpb.projmod import conjugation_iso
@@ -294,3 +303,176 @@ def test_oracle_augmentation_pair_is_inverse(field, monkeypatch):
         h0 = built[-1]  # the oracle's last known pair is the augmentation of g
         assert h0.mat == g.mat.augmentation() and h0.inv == g.inv.augmentation()
         assert_gl_pair(h0)
+
+
+# -- Smith transforms, base-case witnesses and the row lift -----------------------
+
+def univariate_matrix(ctx, var, rng, rows, cols):
+    """Entries of degree at most 3 in x_var alone."""
+    def entry():
+        out = ctx.zero()
+        for k in range(rng.randint(0, 3)):
+            exps = tuple(k if i == var else 0 for i in range(ctx.nvars))
+            out = out + ctx.monomial(exps, ctx.field.from_int(rng.randint(-3, 3)))
+        return out
+    return PolyMatrix.from_rows(ctx, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_smith_transforms_satisfy_their_laws(field):
+    rng = make_rng(f"by-construction-smith-{field.char}")
+    for ctx, var in ((PolyRing(field, 1), 0), (PolyRing(field, 3), 1)):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            m = univariate_matrix(ctx, var, rng, rows, cols)
+            dec = smith_normal_form(m)
+            eye_r, eye_c = PolyMatrix.identity(ctx, rows), PolyMatrix.identity(ctx, cols)
+            assert dec.u * m * dec.v == dec.d
+            assert dec.u * dec.u_inv == eye_r and dec.u_inv * dec.u == eye_r
+            assert dec.v * dec.v_inv == eye_c and dec.v_inv * dec.v == eye_c
+            assert all(dec.d[i, j].is_zero() for i in range(rows) for j in range(cols)
+                       if i != j)
+            diag = dec.diagonal()
+            assert all(uni_divides(a, b, var) for a, b in zip(diag, diag[1:]))
+            for a in diag:
+                if not a.is_zero():
+                    assert uni_coeff(a, var, uni_degree(a, var)) == field.one
+            for t in (dec.u, dec.v):
+                det = t.det()
+                assert det.is_constant() and not det.is_zero()
+
+
+def univariate_rings(field):
+    """k[t], and k[x0, x1, x2] with x0 and x2 killed: one free variable each."""
+    return (QuotientRing.make(field, 1, ()),
+            QuotientRing.make(field, 3, ((1, 0, 0), (0, 0, 1))))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_base_case_witnesses_keep_the_corner_laws(field):
+    rng = make_rng(f"by-construction-base-{field.char}")
+    base = _extend_base(None)
+    for ring in univariate_rings(field):
+        for _ in range(6):
+            e, _ = conjugated_idempotent(ring, rng, elementaries=3)
+            p = ProjModule.make(ring, e)
+            q = ProjModule(ring, p.augmented_matrix())
+            assert prod(ring, q.matrix, q.matrix) == q.matrix
+            raw = _smith_freeness_iso(p)
+            assert raw.source == p and raw.target == q
+            assert_iso_laws(raw)
+            norm = _point_normalize(raw)
+            assert_iso_laws(norm)
+            assert norm.fwd.augmentation() == q.matrix
+            method, iso = base(p, q)
+            assert method == ("constant" if e.is_constant() else "smith")
+            assert_iso_laws(iso)
+            assert_iso_laws(ModIso.identity(p))
+            method, iso = base(q, q)  # the augmentation is a constant module
+            assert method == "constant"
+            assert_iso_laws(iso)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_oracle_witness_point_normalized_keeps_the_corner_laws(field):
+    rng = make_rng(f"by-construction-normalize-{field.char}")
+    ring = QuotientRing.make(field, 2, ())  # a base case with two free variables
+    checked = 0
+    while checked < 4:
+        e, g = conjugated_idempotent(ring, rng, size=3, rank=2)
+        if e.is_constant():
+            continue
+        checked += 1
+        p = ProjModule.make(ring, e)
+        q = ProjModule(ring, p.augmented_matrix())
+        # twist the target by the automorphism 2 so that fwd(0) != E(0)
+        two = ring.context.constant(field.from_int(2))
+        half = ring.context.constant(field.inv(field.from_int(2)))
+        twisted = ModIso(q, q, q.matrix.scale(two), q.matrix.scale(half))
+        iso = conjugation_witness_oracle(g)(p)
+        assert iso.target == q
+        assert_iso_laws(iso)
+        for w in (iso, twisted.compose(iso)):
+            assert_iso_laws(w)
+            norm = _point_normalize(w)
+            assert_iso_laws(norm)
+            assert norm.fwd.augmentation() == q.matrix
+            assert _extend_base(lambda _: w)(p, q) == ("oracle", norm)
+
+
+def liftable_rows(field, rng, count=4):
+    """(row over Q[x,y]/(xy), oracle None) and (row over the hollow triangle, its oracle)."""
+    xy = QuotientRing.make(field, 2, ((1, 1),))
+    hollow = sr_quotient(field, hollow_triangle())
+    for ring in (xy, hollow):
+        ctx = ring.context
+        up = QuotientRing.make(field, ring.nvars, ())
+        e1 = PolyMatrix.from_scalars(ctx, [[1, 0, 0]])
+        for _ in range(count):
+            m = random_elementary_product(up, 3, rng, count=rng.randint(1, 4))
+            v = ring.nf_matrix(e1 * m.mat)
+            w = ring.nf_matrix((m.inv * e1.transpose()).transpose())
+            oracle = conjugation_witness_oracle(m.inverse()) if ring is hollow else None
+            yield UmRow.make(ring, v, w), oracle
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_row_lift_comparison_pair_and_lifted_row(field, monkeypatch):
+    rng = make_rng(f"by-construction-umrow-{field.char}")
+    seen = []
+
+    def recording_lift_gl(sigma, pi):
+        seen.append(sigma)
+        return lift_gl(sigma, pi)
+
+    lift_gl = engines.lift_gl
+    monkeypatch.setattr(engines, "lift_gl", recording_lift_gl)
+    lifted_rows = 0
+    for row, oracle in liftable_rows(field, rng):
+        seen.clear()
+        res = umrow_lift(row, oracle=oracle)
+        if not seen:
+            continue
+        ring, sigma = row.ring, seen[0]
+        v0, w0 = row.augmented()
+        assert sigma.ring == ring
+        assert_gl_pair(sigma)
+        assert prod(ring, row.v, sigma.mat) == v0
+        if not res.ok:
+            continue
+        u, target = res.row, res.row.ring
+        assert prod(target, u.v, u.w.transpose()) == PolyMatrix.identity(target.context, 1)
+        assert ring.nf_matrix(u.v) == row.v
+        assert verify_payload(res.certificate).ok
+        lifted_rows += 1
+    assert lifted_rows >= 6
+
+
+# -- caller data is checked once, where it enters ---------------------------------
+
+def test_lying_oracle_is_refused():
+    # a simplex ring: the oracle's witness is the result, with no glue to check it
+    ring = QuotientRing.make(QQ, 3, ())
+    ctx = ring.context
+    g = GLMat.elementary(ring, 2, 0, 1, ctx.variable(1) + ctx.variable(2))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+
+    def lying(m):
+        # already point-normalized (fwd(0) is the target), but not an iso
+        q = ProjModule(m.ring, m.augmented_matrix())
+        return ModIso(m, q, q.matrix, q.matrix)
+
+    with pytest.raises(PreconditionError, match="not a corner map"):
+        extend_witness(p, oracle=lying)
+
+
+def test_lawless_stabilized_iso_is_refused():
+    ring = QuotientRing.make(QQ, 2, ((1, 1),))
+    ctx = ring.context
+    g = GLMat.elementary(ring, 2, 0, 1, ctx.variable(0))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+    one = PolyMatrix.identity(ctx, 1)
+    src = ProjModule.make(ring, p.matrix.direct_sum(one))
+    zero = PolyMatrix.zeros(ctx, 3, 3)
+    with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
+        cancel_witness(p, p, ModIso(src, src, zero, zero))

@@ -100,6 +100,32 @@ def test_ring_nf_past_the_expression_caps_is_input_error(workdir, capsys, expr):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("verb, text", [
+    ("nf", "x0^\u00b2"), ("member", "x0^\u00b2"), ("nf", "x\u0660"),
+    ("nf", "1" * 5000), ("member", "x0 + 2/" + "3" * 5000),
+], ids=["nf-superscript-digit", "member-superscript-digit", "nf-arabic-indic-index",
+        "nf-5000-digit-literal", "member-5000-digit-denominator"])
+def test_expression_text_is_ascii_digits_of_bounded_length(workdir, capsys, tmp_path,
+                                                          verb, text):
+    if verb == "nf":
+        args = ["ring", "nf", "--ring", workdir / "twopoints.ring", "--expr", text]
+    else:
+        gens = tmp_path / "g.gens"
+        with open(gens, "w") as fh:
+            fh.write("srpb/1 gens\n" + json.dumps({"ring": RING2, "generators": ["x0"]}))
+        args = ["gb", "member", "--gens", gens, "--target", text]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["Fp:x", "Fp:", "Fp:\u00b2", "Fp:\u0663", "Fp:" + "7" * 5000],
+                         ids=["letter", "empty", "superscript", "arabic-indic", "5000-digits"])
+def test_square_check_with_a_non_numeric_field_is_input_error(workdir, capsys, name):
+    assert run(["square", "check", "--complex", workdir / "twopoints.cplx",
+                "--field", name]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("ring", [{"field": [], "vars": 2, "ideal": []},
                                   {"field": "Q", "vars": 2, "ideal": [7]},
                                   {"field": "Q", "vars": "x", "ideal": []}])

@@ -109,3 +109,32 @@ def test_inputs_under_the_caps_still_parse():
     # a long sum of single-term products costs no term-product budget
     text = " + ".join(f"{i + 1}*x0^{i}*x1" for i in range(1000))
     assert len(parse_expression(text, ctx).terms) == 1000
+
+
+@pytest.mark.parametrize("terms, bound", [(8000, 2.0), (3000, 1.0)],
+                         ids=["8000-powers", "3000-scaled-products"])
+def test_long_sums_parse_in_linear_time(terms, bound):
+    # a sum is collected in one dict and a single-term power scales its
+    # exponents once, so neither re-sorts the sum per term
+    ctx = ctx2()
+    if terms == 8000:
+        text = " + ".join(f"x0^{i}" for i in range(terms))
+        want = {((i, 0), Fraction(1)) for i in range(terms)}
+    else:
+        text = " + ".join(f"{k}*x0^{k}*x1" for k in range(terms))
+        want = {((k, 1), Fraction(k)) for k in range(1, terms)}
+    start = time.perf_counter()
+    f = parse_expression(text, ctx)
+    assert time.perf_counter() - start < bound
+    assert set(f.terms) == want
+    assert f == ctx.from_terms(dict(want))
+
+
+def test_digits_are_ascii_and_literals_bounded():
+    ctx = ctx2()
+    for text, offset in (("x0^²", 3), ("x٠", 1), ("٣", 0),
+                         ("1" * 4301, 0), ("x0 + 2/" + "3" * 4301, 7)):
+        with pytest.raises(ExprError) as exc:
+            parse_expression(text, ctx)
+        assert exc.value.offset == offset
+    assert parse_expression("1" * 4300, ctx) == ctx.constant(Fraction(int("1" * 4300)))

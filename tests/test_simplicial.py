@@ -1,7 +1,7 @@
 import pytest
 
 from srpb import SimplicialComplex, apex_decomposition, cone, deletion, link, star
-from srpb.simplicial import complexes_on, minimal_nonfaces, sr_ideal
+from srpb.simplicial import complexes_on, minimal_nonfaces, random_complex, sr_ideal
 from srpb.errors import InputError, PreconditionError
 from helpers import (cone_two_points, hollow_triangle, make_rng, two_points)
 
@@ -130,6 +130,22 @@ def test_every_nonsimplex_has_an_apex_exhaustive_5():
         count += 1
         assert any(star(c, v) != c for v in c.used_vertices())
     assert count > 7000  # most of the 7580 complexes on 5 vertices
+
+
+def test_apex_is_the_first_vertex_whose_star_is_proper():
+    # apex_decomposition tests facet masks; star(c, v) == c exactly when
+    # every facet contains v
+    rng = make_rng("apex-rule")
+    corpus = [c for n in range(1, 6) for c in complexes_on(n)]
+    corpus += [random_complex(rng.randint(2, 14), rng) for _ in range(3000)]
+    split = 0
+    for c in corpus:
+        if c.is_simplex():
+            continue
+        by_star = next(v for v in c.used_vertices() if star(c, v) != c)
+        assert apex_decomposition(c).apex == by_star
+        split += 1
+    assert split > 8000
 
 
 def test_apex_split_depth_is_below_the_ambient():

@@ -5,7 +5,8 @@ missing or extra key or element, a subtree copied to the wrong place, a value
 wrapped in deep nesting, or one changed character of a text value (a single
 coefficient, variable or operator of a polynomial entry).  ``verify_payload``
 must return a report without raising, and ``srpb verify`` must exit with 0-3
-without printing a traceback.
+without printing a traceback.  The same holds for the text arguments
+``--expr``, ``--target`` and ``--field`` of the other verbs.
 """
 
 import contextlib
@@ -97,3 +98,44 @@ def test_verify_cli_exits_cleanly_on_garbled_certificates(data):
             code = main(["verify", "--cert", path])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- CLI text arguments ----------------------------------------------------------
+
+GRAMMAR = list("0123456789x+-*^/() ") + ["²", "٠", "٣", " ", "é"]
+TEXT = (st.text(alphabet=st.sampled_from(GRAMMAR), max_size=30) | st.text(max_size=12)
+        | st.integers(4290, 4310).map(lambda n: "7" * n))
+FIELD = (st.sampled_from(["Q", "Fp:5", "Fp:2147483647", "Fp:0", "Fp:1"]) | st.text(max_size=8)
+         | TEXT.map(lambda s: "Fp:" + s))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    from srpb import QQ, files, sr_quotient
+    from helpers import two_points
+
+    tmp = tmp_path_factory.mktemp("cli-text")
+    files.save_complex(str(tmp / "twopoints.cplx"), two_points())
+    files.save_ring(str(tmp / "twopoints.ring"), sr_quotient(QQ, two_points()))
+    with open(tmp / "g.gens", "w", encoding="utf-8") as fh:
+        fh.write(f"{HEADER} gens\n" + json.dumps({
+            "ring": {"field": "Q", "vars": 2, "ideal": ["x0*x1"]}, "generators": ["x0"]}))
+    return tmp
+
+
+def run_cli(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@settings(FUZZ, max_examples=80)
+@given(expr=TEXT, target=TEXT, field=FIELD)
+def test_cli_text_arguments_exit_cleanly(cli_inputs, expr, target, field):
+    # "--opt=value", so that a value starting with '-' is not read as an option
+    run_cli(["ring", "nf", "--ring", cli_inputs / "twopoints.ring", f"--expr={expr}"])
+    run_cli(["gb", "member", "--gens", cli_inputs / "g.gens", f"--target={target}"])
+    run_cli(["square", "check", "--complex", cli_inputs / "twopoints.cplx",
+             f"--field={field}", "--degree", 2])
