@@ -126,8 +126,7 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
     def oracle(p: ProjModule) -> Optional[ModIso]:
         ring = p.ring
         try:
-            h = GLMat(ring, PolyMatrix(ring.context, g.mat.rows, g.mat.cols, g.mat.entries),
-                      PolyMatrix(ring.context, g.inv.rows, g.inv.cols, g.inv.entries))
+            h = GLMat(ring, g.mat, g.inv)
         except PreconditionError:
             return None
         if h.size != p.size:
@@ -186,8 +185,8 @@ def _extend_base(oracle: Optional[ExtendOracle]):
         if iso is None:
             return None
         if iso.source.matrix != p.matrix or iso.target.matrix != q.matrix:
-            raise InternalCheckError("oracle witness does not run from the module "
-                                     "to its augmentation")
+            raise PreconditionError("oracle witness does not run from the module "
+                                    "to its augmentation")
         return "oracle", _point_normalize(ModIso.make(p, q, iso.fwd, iso.bwd))
 
     return base

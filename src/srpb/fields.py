@@ -111,7 +111,9 @@ class Field:
         if name == "Q":
             return QQ
         if name.startswith("Fp:") and name[3:].isascii() and name[3:].isdigit():
-            digits = name[3:].lstrip("0") or "0"
+            digits = name[3:].lstrip("0")
+            if not digits:
+                raise InputError(f"prime field {name!r} has characteristic 0")
             if len(digits) > len(str(_MR_LIMIT)):  # int() refuses over 4,300 digits
                 raise InputError(f"field characteristic of {len(digits)} digits is too "
                                  f"large to certify as prime (limit {_MR_LIMIT})")

@@ -95,14 +95,14 @@ def _require_compatible(sigma: GLMat, pi: RingHom) -> None:
 
 def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
     """m's entries read over up as a GL element, or a failure naming the determinant."""
-    lifted = up.nf_matrix(PolyMatrix(up.context, m.rows, m.cols, m.entries))
+    lifted = up.nf_matrix(m)
     try:
         return GLMat._known_pair(up, lifted, det_unit_inverse(lifted, up))
     except NonUnitError as exc:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 
 
-def _lift_entrywise(sigma: GLMat, pi: RingHom, _section) -> GLMat:
+def _lift_entries(sigma: GLMat, pi: RingHom, _section) -> GLMat:
     return _gl_upstairs(sigma.mat, pi.source, "entrywise lift")
 
 
@@ -114,9 +114,6 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
     work = sigma.mat.to_lists()
     left_up: list = []   # lifts over `up` of the ops applied on the left, in order
     right_up: list = []  # and of those applied on the right
-
-    def lift_entry(f):
-        return up.normal_form(PolyMatrix(up.context, 1, 1, (f,)).entries[0])
 
     for k in range(n):
         pivot = None
@@ -148,22 +145,21 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
                 f = down.normal_form(-(work[i][k] * pinv))
                 e = GLMat.elementary(down, n, i, k, f)
                 work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-                left_up.append(GLMat.elementary(up, n, i, k, lift_entry(f)))
+                left_up.append(GLMat.elementary(up, n, i, k, f))
         for j in range(n):
             if j != k and not work[k][j].is_zero():
                 f = down.normal_form(-(work[k][j] * pinv))
                 e = GLMat.elementary(down, n, k, j, f)
                 work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
-                right_up.append(GLMat.elementary(up, n, k, j, lift_entry(f)))
+                right_up.append(GLMat.elementary(up, n, k, j, f))
 
     units, inverses = [], []
     for k in range(n):
         d = work[k][k]
-        dlift = lift_entry(d)
-        dinv = unit_inverse(dlift, up)
+        dinv = unit_inverse(d, up)
         if dinv is None:
             raise _StrategyFailure(f"diagonal unit {d} does not lift to a unit upstairs")
-        units.append(dlift)
+        units.append(d)
         inverses.append(dinv)
     # unit_inverse has checked each d * d^-1 == 1
     d_up = GLMat._known_pair(up, PolyMatrix.diagonal(up.context, units),
@@ -220,7 +216,7 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
 
 
 _STRATEGY_TABLE = {
-    "entrywise": _lift_entrywise,
+    "entrywise": _lift_entries,
     "elementary": _lift_elementary,
     "section": _lift_section,
 }

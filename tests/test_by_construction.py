@@ -466,6 +466,21 @@ def test_lying_oracle_is_refused():
         extend_witness(p, oracle=lying)
 
 
+def test_oracle_witness_with_wrong_endpoints_is_refused():
+    ring = QuotientRing.make(QQ, 3, ())
+    ctx = ring.context
+    g = GLMat.elementary(ring, 2, 0, 1, ctx.variable(1) + ctx.variable(2))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+
+    def wrong_ends(m):
+        # a lawful iso, but of E(0) with itself instead of E with E(0)
+        return ModIso.identity(ProjModule(m.ring, m.augmented_matrix()))
+
+    with pytest.raises(PreconditionError,
+                       match="oracle witness does not run from the module to its augmentation"):
+        extend_witness(p, oracle=wrong_ends)
+
+
 def test_lawless_stabilized_iso_is_refused():
     ring = QuotientRing.make(QQ, 2, ((1, 1),))
     ctx = ring.context

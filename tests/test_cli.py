@@ -140,6 +140,21 @@ def test_ring_file_with_wrongly_typed_value_is_input_error(tmp_path, capsys, rin
 RING2 = {"field": "Q", "vars": 2, "ideal": ["x0*x1"]}
 
 
+@pytest.mark.parametrize("name", ["Fp:0", "Fp:000"])
+def test_prime_field_of_characteristic_zero_is_input_error(workdir, tmp_path, capsys, name):
+    # Fp:0 is not another name for Q: 1/2 must not parse over it
+    path = tmp_path / "fp0.ring"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 ring\n" + json.dumps(dict(RING2, field=name)) + "\n")
+    assert run(["ring", "nf", "--ring", path, "--expr", "1/2*x0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "characteristic 0" in err
+    assert run(["square", "check", "--complex", workdir / "twopoints.cplx",
+                "--field", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "characteristic 0" in err
+
+
 @pytest.mark.parametrize("matrix", [{"rows": "x", "cols": 1, "entries": ["1"]},
                                     {"rows": 1, "cols": 1, "entries": [7]},
                                     {"rows": 1, "entries": ["1"]},

@@ -1,7 +1,7 @@
 """Differential tests for the bitmask monomial layer.
 
-Each fast path (mask survival, minimal transversals, renaming ring homs) is
-checked against a direct reference computation on seeded random inputs.
+Each fast path (mask survival, minimal transversals, term-filter ring homs)
+is checked against a direct reference computation on seeded random inputs.
 """
 
 import time
@@ -9,10 +9,10 @@ import time
 import pytest
 
 from srpb import (GF, QQ, Polynomial, PolyRing, QuotientRing, RingHom, SimplicialComplex,
-                  complex_of_ring)
+                  TermOrder, complex_of_ring)
 from srpb.errors import ContextError, InputError, PreconditionError
 from srpb.poly import exp_divides, support_mask
-from srpb.quotient import sr_quotient
+from srpb.quotient import augmentation_hom, constants_inclusion, sr_quotient
 from srpb.simplicial import (ApexDecomposition, _check_split, apex_decomposition,
                              bit_indices, complexes_on, minimal_nonfaces,
                              minimal_transversals, random_complex)
@@ -198,13 +198,19 @@ def reference_apply(h, f):
 
 
 def test_renaming_matches_substitute_on_square_maps():
+    # square maps and quotient maps are term filters, also on input that is
+    # not in normal form
     rng = make_rng("renaming-squares")
     for field in FIELDS:
         for _, sq in corpus_squares(field):
-            for h in (sq.i1, sq.i2, sq.j1, sq.j2, sq.section):
-                assert h.renaming is not None
+            free = QuotientRing.make(field, sq.a.nvars, ())
+            quotient_maps = [RingHom.quotient_map(s, t) for s, t in
+                             ((free, sq.a), (free, sq.a0), (sq.a, sq.a0), (sq.a1, sq.a0))]
+            for h in (sq.i1, sq.i2, sq.j1, sq.j2, sq.section, *quotient_maps,
+                      augmentation_hom(sq.a), constants_inclusion(sq.a)):
+                assert h.kill is not None
                 for _ in range(10):
-                    f = random_poly(h.source, rng, max_deg=3, terms=5)
+                    f = random_poly(h.source.context, rng, max_deg=3, terms=5)
                     assert h(f) == reference_apply(h, f)
 
 
@@ -214,7 +220,7 @@ def test_renaming_collisions_cancel():
         tgt = QuotientRing.make(field, 2, ((1, 1),))
         y0, y1 = tgt.context.variable(0), tgt.context.variable(1)
         h = RingHom.make(src, tgt, [y0, y0, y1])  # not injective
-        assert h.renaming == (0, 0, 1)
+        assert h.kill is None
         x0, x1, x2 = (src.context.variable(i) for i in range(3))
         assert h(x0 - x1).is_zero()
         assert h(x0 * x0 - x0 * x1 + x2) == y1
@@ -226,19 +232,22 @@ def test_renaming_collisions_cancel():
 
 
 def test_renaming_random_homs():
+    # identity-or-zero images over one context, into square-free and other targets
     rng = make_rng("renaming-random")
     for field in FIELDS:
-        for _ in range(20):
-            n_src, n_tgt = rng.randint(1, 5), rng.randint(1, 5)
-            src = QuotientRing.make(field, n_src, ())
-            tgt = QuotientRing.make(field, n_tgt, ())
+        for k in range(20):
+            n = rng.randint(1, 5)
+            src = QuotientRing.make(field, n, ())
+            tgt = (random_square_free if k % 2 else random_general)(field, n, rng)
             ctx = tgt.context
-            imgs = [rng.choice([ctx.zero(), ctx.variable(rng.randrange(n_tgt))])
-                    for _ in range(n_src)]
+            zeros = [rng.random() < 0.3 for _ in range(n)]
+            imgs = [ctx.zero() if z else ctx.variable(i) for i, z in enumerate(zeros)]
             h = RingHom.make(src, tgt, imgs)
-            assert h.renaming is not None
+            # a variable the target ideal kills normalizes to 0 as well
+            mask = sum(1 << i for i, z in enumerate(zeros) if z)
+            assert h.kill is not None and h.kill & mask == mask
             for _ in range(10):
-                f = random_poly(src, rng, max_deg=4, terms=6)
+                f = random_poly(src.context, rng, max_deg=4, terms=6)
                 assert h(f) == reference_apply(h, f)
 
 
@@ -249,7 +258,7 @@ def test_non_variable_images_take_substitute_path():
         x, y = ctx.variable(0), ctx.variable(1)
         for imgs in ([x + y, y], [x.scale(field.from_int(2)), y], [x * x, y], [ctx.one(), y]):
             h = RingHom.make(r, r, imgs)
-            assert h.renaming is None
+            assert h.kill is None
             f = x * y + x
             assert h(f) == reference_apply(h, f)
 
@@ -258,7 +267,7 @@ def test_foreign_polynomial_keeps_context_error():
     src = QuotientRing.make(QQ, 2, ())
     tgt = QuotientRing.make(QQ, 2, ((1, 1),))
     h = RingHom.quotient_map(src, tgt)
-    assert h.renaming == (0, 1)
+    assert h.kill == 0
     assignment = dict(enumerate(h.images))
     for foreign in (PolyRing(GF(5), 2).variable(0), PolyRing(QQ, 3).variable(2)):
         with pytest.raises(ContextError) as expected:
@@ -266,3 +275,19 @@ def test_foreign_polynomial_keeps_context_error():
         with pytest.raises(ContextError) as got:
             h(foreign)
         assert str(got.value) == str(expected.value)
+
+
+def test_permutations_and_foreign_contexts_take_substitute_path():
+    rng = make_rng("kill-none")
+    for field in FIELDS:
+        src = QuotientRing.make(field, 3, ((1, 1, 0),))
+        x = [src.context.variable(i) for i in range(3)]
+        perm = RingHom.make(src, QuotientRing.make(field, 3, ((0, 1, 1),)), [x[1], x[2], x[0]])
+        lex = QuotientRing.make(field, 3, ((1, 1, 0),), TermOrder("lex"))
+        wide = QuotientRing.make(field, 4, ((1, 1, 0, 0),))
+        homs = [perm, RingHom.quotient_map(src, lex), RingHom.quotient_map(src, wide)]
+        for h in homs:
+            assert h.kill is None
+            for _ in range(10):
+                f = random_poly(src.context, rng, max_deg=3, terms=5)
+                assert h(f) == reference_apply(h, f)

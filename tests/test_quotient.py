@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
@@ -5,6 +7,7 @@ from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   fiber_check, glue_element, sr_quotient)
 from srpb.quotient import augmentation_hom, constants_inclusion
 from srpb.errors import GlueError, HomError, PreconditionError
+from srpb.simplicial import complexes_on
 from helpers import (corpus_complexes, corpus_squares, hollow_triangle,
                      make_rng, random_elementary_product, random_gl_with_units,
                      random_poly, two_points)
@@ -128,6 +131,24 @@ def test_fiber_check_corpus_degree_4():
         sq = build_fiber_square(QQ, c)
         rep = fiber_check(sq, 4)
         assert rep.ok, (c, rep.failure)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_fiber_check_exhaustive_and_broken_squares(field):
+    # a cartesian square passes and its counts obey inclusion-exclusion; a square
+    # with a0 replaced by a1, or with a1 and a2 swapped, fails at one monomial
+    squares = [build_fiber_square(field, c) for n in range(1, 5) for c in complexes_on(n)
+               if not c.is_simplex()]
+    assert len(squares) == 163
+    for sq in squares:
+        rep = fiber_check(sq)
+        assert rep.ok, (sq.complex, rep.failure)
+        assert rep.count_a == rep.count_a1 + rep.count_a2 - rep.count_a0
+        rep = fiber_check(dataclasses.replace(sq, a0=sq.a1))
+        assert not rep.ok and rep.failure.startswith("overlap mismatch at (")
+        rep = fiber_check(dataclasses.replace(sq, a1=sq.a2, a2=sq.a1))
+        assert not rep.ok and rep.failure.startswith("apex-free monomial (")
+        assert rep.failure.endswith(" missing from a0")
 
 
 def test_glue_element_roundtrip():

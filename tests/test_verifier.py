@@ -235,6 +235,16 @@ def test_wrongly_typed_field_name_is_a_structure_failure():
     assert "AttributeError" in bad.detail
 
 
+def test_prime_field_of_characteristic_zero_is_a_structure_failure():
+    cert = copy.deepcopy(dict(corpus_certificates())["extend-hollow"])
+    assert cert["root"]["ring"]["field"] == "Q"
+    cert["root"]["ring"]["field"] = "Fp:0"
+    rep = verify_payload(cert)
+    bad = rep.first_failure()
+    assert (bad.node, bad.check) == ("root", "structure")
+    assert "characteristic 0" in bad.detail
+
+
 def test_wrongly_typed_matrix_count_is_a_structure_failure():
     base = dict(corpus_certificates())["extend-hollow"]
     for value in ("x", 2.0, True):
