@@ -58,12 +58,7 @@ def read_payload(path: str, expect_kind: Optional[str] = None) -> dict:
 # -- element payloads ----------------------------------------------------------
 
 def ring_payload(r: QuotientRing) -> dict:
-    ctx = r.context
-    return {
-        "field": ctx.field.name(),
-        "vars": ctx.nvars,
-        "ideal": [format_polynomial(ctx.monomial(g)) for g in r.generators],
-    }
+    return {"field": r.field.name(), "vars": r.nvars, "ideal": list(r.ideal_text)}
 
 
 def _count(payload: dict, key: str) -> int:

@@ -32,8 +32,7 @@ from .lifting import lift_gl
 from .matrix import PolyMatrix, scalar_inverse
 from .projmod import (ModIso, ProjModule, UmRow, base_change, glue_iso_traced,
                       kernel_module, module_rank, section_aut_lifter)
-from .quotient import (GLMat, QuotientRing, RingHom, build_fiber_square,
-                       complex_of_ring)
+from .quotient import GLMat, QuotientRing, RingHom, _square, complex_of_ring
 from .smith import smith_normal_form
 
 ExtendOracle = Callable[[ProjModule], Optional[ModIso]]
@@ -277,8 +276,8 @@ class _Task:
 def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None):
     """Witness p isomorphic to q, or obligations, with its certificate.
 
-    The ring's complex is recovered here, once; the recursion carries it
-    down, and its ambient vertex count bounds the recursion depth.
+    The ring's complex is recovered (and round-trip checked) here, once; each
+    split hands a square corner down with the part of the complex it presents.
     """
     # Each apex split strictly lowers the number of used vertices that are
     # not cone points: the deletion loses the apex and keeps the old cone
@@ -311,9 +310,7 @@ def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx, budget: int):
                                target=q.matrix, iso=iso)
         return iso, node, []
 
-    square = build_fiber_square(ring.field, cplx, ring.context.order)
-    if square.a != ring:
-        raise InternalCheckError("fiber square total ring mismatch")
+    square = _square(ring, cplx)
     q2 = base_change(q, square.i2)
     iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1),
                               square.split.deletion_part, budget - 1)

@@ -1,4 +1,4 @@
-"""File formats for complexes, rings, homs, matrices, generator lists and rows.
+"""File formats for complexes, rings, matrices, GL pairs, generator lists and rows.
 
 Every file is a ``srpb/1 <kind>`` header line followed by canonical JSON.
 Ring references inside the other files may be inline objects or paths
@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from . import certs
 from .errors import FileFormatError
 from .matrix import PolyMatrix
-from .quotient import GLMat, QuotientRing, RingHom
+from .quotient import GLMat, QuotientRing
 from .simplicial import SimplicialComplex
 
 
@@ -76,16 +76,6 @@ def load_glmat(path: str) -> GLMat:
         m = certs.parse_matrix(payload["m"], ring.context)
         minv = certs.parse_matrix(payload["minv"], ring.context)
     return GLMat(ring, m, minv)
-
-
-def load_hom(path: str) -> RingHom:
-    payload = certs.read_payload(path, "hom")
-    base = os.path.dirname(path)
-    with _reading("hom"):
-        source = _resolve_ring(payload["source"], base)
-        target = _resolve_ring(payload["target"], base)
-        images = [certs.parse_expression(t, target.context) for t in payload["images"]]
-    return RingHom.make(source, target, images)
 
 
 def load_gens(path: str) -> tuple:

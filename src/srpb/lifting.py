@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 from .errors import (AllStrategiesFailed, ContextError, InputError,
                      InternalCheckError, NonUnitError, PreconditionError)
 from .matrix import PolyMatrix
-from .quotient import (GLMat, QuotientRing, RingHom, build_fiber_square,
-                       complex_of_ring, unit_inverse)
+from .quotient import (GLMat, QuotientRing, RingHom, _square, complex_of_ring,
+                       unit_inverse)
 from .simplicial import SimplicialComplex
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
@@ -204,7 +204,7 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
         cplx = complex_of_ring(down)
     if cplx.is_simplex():
         raise _StrategyFailure("simplex quotient: nothing to descend through")
-    square = build_fiber_square(down.field, cplx, down.context.order)
+    square = _square(down, cplx)
 
     sigma1 = sigma.apply_hom(square.i1)
     pi1 = RingHom.quotient_map(up, square.a1)

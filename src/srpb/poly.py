@@ -132,9 +132,6 @@ class Polynomial:
                 return c
         return self.ring.field.zero
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def variables(self) -> frozenset:
         out = set()
         for exps, _ in self.terms:

@@ -148,17 +148,6 @@ class ModIso:
                       h.apply_matrix(self.fwd), h.apply_matrix(self.bwd))
 
 
-def conjugation_iso(p: ProjModule, g: GLMat, target_matrix: PolyMatrix) -> ModIso:
-    """Iso from im(E) to im(g E g^-1) witnessed by corner-projected g."""
-    ring = p.ring
-    if g.ring != ring:
-        raise ContextError("conjugator over a different ring")
-    tgt = ProjModule.make(ring, target_matrix)
-    fwd = ring.mat_mul(ring.mat_mul(tgt.matrix, g.mat), p.matrix)
-    bwd = ring.mat_mul(ring.mat_mul(p.matrix, g.inv), tgt.matrix)
-    return ModIso.make(p, tgt, fwd, bwd)
-
-
 # -- unimodular rows ---------------------------------------------------------
 
 @dataclass(frozen=True)

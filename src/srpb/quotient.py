@@ -11,7 +11,8 @@ itself or to 0 (quotient maps, square maps, sections, augmentations) is a
 term filter: it keeps, in order, the terms that meet no variable sent to 0
 and survive in the target, so it neither substitutes nor re-sorts.  The
 fiber square built from an apex decomposition is the workhorse for all
-patching constructions.
+patching constructions.  Stanley-Reisner quotients are sorted antichains by
+construction (``sr_quotient``); ``QuotientRing.make`` minimalizes caller generators.
 
 Each identity is checked once, where its data enters (``hom_check`` in
 ``RingHom.make``, ``GLMat(...)``, ``unit_inverse``); values derived from
@@ -31,14 +32,18 @@ from .errors import (ContextError, GlueError, HomError, InputError,
                      InternalCheckError, PreconditionError, ShapeError)
 from .fields import Field
 from .matrix import PolyMatrix
-from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, _from_dict,
-                   exp_divides, support_mask)
+from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, _format_monomial,
+                   _from_dict, exp_divides, support_mask)
 from .simplicial import (ApexDecomposition, SimplicialComplex, apex_decomposition,
                          bit_indices, minimal_transversals, sr_ideal)
 
 
+def _generator_key(e: tuple) -> tuple:
+    return sum(e), e
+
+
 def _minimalize(gens: Sequence[tuple]) -> tuple:
-    gens = sorted(set(g for g in gens), key=lambda e: (sum(e), e))
+    gens = sorted(set(gens), key=_generator_key)
     out = []
     for g in gens:
         if not any(exp_divides(h, g) for h in out):
@@ -48,7 +53,8 @@ def _minimalize(gens: Sequence[tuple]) -> tuple:
 
 @dataclass(frozen=True)
 class QuotientRing:
-    """k[x0..xn]/(monomial ideal); generators stored minimalized."""
+    """k[x0..xn]/(monomial ideal); generators a minimal set sorted by ``_generator_key``
+    (``make`` minimalizes caller generators, ``sr_quotient``'s are by construction)."""
 
     context: PolyRing
     generators: tuple
@@ -72,6 +78,11 @@ class QuotientRing:
 
     def is_square_free(self) -> bool:
         return all(all(e <= 1 for e in g) for g in self.generators)
+
+    @cached_property
+    def ideal_text(self) -> tuple:
+        """The generators as ring payloads print them, formatted once per ring."""
+        return tuple(_format_monomial(g) for g in self.generators)
 
     @cached_property
     def generator_masks(self) -> Optional[tuple]:
@@ -208,8 +219,9 @@ def unit_inverse(f: Polynomial, ring: QuotientRing) -> Optional[Polynomial]:
 
 def sr_quotient(field_: Field, c: SimplicialComplex,
                 order: TermOrder = GREVLEX) -> QuotientRing:
-    """The Stanley-Reisner ring of a complex over the given field."""
-    return QuotientRing.make(field_, c.ambient, sr_ideal(c), order)
+    """The Stanley-Reisner ring of c: its minimal non-faces, an antichain, only sorted."""
+    return QuotientRing(PolyRing(field_, c.ambient, order),
+                        tuple(sorted(sr_ideal(c), key=_generator_key)))
 
 
 def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
@@ -248,8 +260,7 @@ class RingHom:
 
     @staticmethod
     def identity(ring: QuotientRing) -> "RingHom":
-        imgs = [ring.context.variable(i) for i in range(ring.nvars)]
-        return RingHom.make(ring, ring, imgs)
+        return RingHom.quotient_map(ring, ring)
 
     @staticmethod
     def quotient_map(source: QuotientRing, target: QuotientRing) -> "RingHom":
@@ -290,11 +301,8 @@ class RingHom:
         """self after inner (inner first)."""
         if inner.target != self.source:
             raise ContextError("homs do not compose")
-        imgs = [self(img) for img in inner.images]
-        return RingHom.make(inner.source, self.target, imgs, verify=False)._as_verified()
-
-    def _as_verified(self) -> "RingHom":
-        return replace(self, verified=True) if not self.verified else self
+        # each self(img) is already normal in the target
+        return RingHom(inner.source, self.target, tuple(self(img) for img in inner.images), True)
 
     def is_identity_pattern(self) -> bool:
         ctx = self.target.context
@@ -310,7 +318,7 @@ def hom_check(h: RingHom) -> RingHom:
             raise HomError(
                 f"generator {h.source.context.monomial(g)} maps to nonzero {image}",
                 generator=g, image=image)
-    return h._as_verified()
+    return h if h.verified else replace(h, verified=True)
 
 
 def augmentation_hom(r: QuotientRing) -> RingHom:
@@ -359,30 +367,41 @@ class FiberSquare:
 
 def build_fiber_square(field_: Field, c: SimplicialComplex,
                        order: TermOrder = GREVLEX) -> FiberSquare:
-    """The patching square of a non-simplex complex, its homs built by construction.
-
-    Each hom sends a variable to itself, or the apex to 0 (j2, section).
-    ``apex_decomposition`` checked that the deletion and cone parts are
-    subcomplexes meeting in the link, which avoids the apex; so each hom
-    kills its source ideal, the square commutes and j2 o section == id.
-    The verifier re-checks recorded squares (``hom-defined``, ``square-commutes``).
-    """
+    """The patching square of a non-simplex complex over its Stanley-Reisner
+    ring.  The engines take the node-ring path, ``_square(ring, c)``, whose
+    total ring is the recursion node's own ring."""
     if c.is_simplex():
         raise PreconditionError("fiber square needs a non-simplex complex")
+    return _square(sr_quotient(field_, c, order), c)
+
+
+def _mask_hom(source: QuotientRing, target: QuotientRing, kill: int) -> RingHom:
+    """The verified hom x_v -> 0 (v in kill), x_v -> x_v (else), with ``kill`` set.  The
+    caller's construction kills the source ideal, and kill holds x_v when x_v is 0 in target."""
+    ctx = target.context
+    imgs = tuple(ctx.zero() if kill >> v & 1 else ctx.variable(v) for v in range(ctx.nvars))
+    h = RingHom(source, target, imgs, True)
+    h.__dict__["kill"] = kill  # what the cached property derives from imgs
+    return h
+
+
+def _square(a: QuotientRing, c: SimplicialComplex) -> FiberSquare:
+    """The patching square of c over a, which presents c; homs built by construction.
+
+    Each hom kills the ghost vertices of its target (its degree-one
+    generators; the link's include the apex) and, for the section, the apex.
+    ``apex_decomposition`` checked that the deletion and cone parts are
+    subcomplexes meeting in the link, which avoids the apex; so each hom
+    kills its source ideal, the square commutes and j2 o section == id.  The
+    verifier re-checks recorded squares (``hom-defined``, ``square-commutes``).
+    """
     split = apex_decomposition(c)
-    apex = split.apex
-    a = sr_quotient(field_, c, order)
-    a1 = sr_quotient(field_, split.deletion_part, order)
-    a2 = sr_quotient(field_, split.cone_part(), order)
-    a0 = sr_quotient(field_, split.link_part, order)
-
-    def hom(source: QuotientRing, target: QuotientRing, kill: Optional[int] = None) -> RingHom:
-        ctx = target.context
-        imgs = [ctx.zero() if v == kill else ctx.variable(v) for v in range(source.nvars)]
-        return RingHom.make(source, target, imgs, verify=False)._as_verified()
-
-    return FiberSquare(a, a1, a2, a0, hom(a, a1), hom(a, a2), hom(a1, a0),
-                       hom(a2, a0, apex), hom(a0, a2, apex), apex, c, split)
+    parts = (split.deletion_part, split.cone_part(), split.link_part)
+    a1, a2, a0 = (sr_quotient(a.field, part, a.context.order) for part in parts)
+    g1, g2, g0 = (((1 << c.ambient) - 1) & ~part.used_mask for part in parts)
+    return FiberSquare(a, a1, a2, a0, _mask_hom(a, a1, g1), _mask_hom(a, a2, g2),
+                       _mask_hom(a1, a0, g0), _mask_hom(a2, a0, g0),
+                       _mask_hom(a0, a2, g2 | 1 << split.apex), split.apex, c, split)
 
 
 @dataclass(frozen=True)

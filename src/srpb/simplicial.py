@@ -13,7 +13,8 @@ and no routine visits all 2^n vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable
 
 from .errors import InputError, PreconditionError
@@ -52,26 +53,38 @@ def _subsets(m: int):
         sub = (sub - 1) & m
 
 
+def _private_edge_block(t: int, edges: list) -> int:
+    """The vertices v such that some u in t has v in every edge that meets t
+    in u alone; t | v is minimal iff v is not among them."""
+    shared: dict = {}
+    for f in edges:
+        u = f & t
+        if u and not u & (u - 1):
+            shared[u] = shared.get(u, f) & f
+    return reduce(or_, shared.values(), 0)
+
+
 def minimal_transversals(edges: Iterable[int]) -> list:
     """The minimal vertex masks that meet every mask in edges (Berge's algorithm).
 
     Edges are added smallest first.  A member that already meets the new edge
-    stays minimal; one that misses it grows by each vertex v of the edge, and
-    the grown set is minimal unless a member meeting the edge lies inside it,
-    which such a member can only do by containing v.  An empty edge leaves no
-    transversal.  Raises InputError once the family passes MAX_TRANSVERSALS.
+    stays minimal; one that misses it, t, grows by each vertex v of the edge,
+    and t | v is minimal iff each u in t keeps a private edge, an earlier edge
+    that meets t in u alone and misses v (v's is the new edge).  An empty edge
+    leaves no transversal.  Raises InputError once the family passes MAX_TRANSVERSALS.
     """
-    family = [0]
+    family, seen = [0], []
     for e in sorted(edges, key=int.bit_count):
         hit = [t for t in family if t & e]
         missing = [t for t in family if not t & e]
-        family = list(hit)
+        blocks = [_private_edge_block(t, seen) for t in missing]
+        family = hit
         for v in bit_indices(e):
             bit = 1 << v
-            through = [h for h in hit if h & bit]
-            family += [t | bit for t in missing if not any(h & t == h ^ bit for h in through)]
+            family += [t | bit for t, block in zip(missing, blocks) if not block & bit]
             if len(family) > MAX_TRANSVERSALS:
                 raise InputError(f"more than {MAX_TRANSVERSALS} minimal transversals")
+        seen.append(e)
     return family
 
 

@@ -8,8 +8,10 @@ transforms, the constant, Smith, oracle and point-normalized base-case
 witnesses, and the row lift's comparison pair and lifted row all skip the
 checks their constructors would run.  These tests recompute the identities
 on each output over Q and F_5, with plain products (``nf(a * b)``, not
-``QuotientRing.mat_mul``), and compare the square homs and the patch
-against the constructions they no longer go through.  Caller data (oracle
+``QuotientRing.mat_mul``), and compare the square homs, the patch and
+``sr_quotient`` against the constructions they no longer go through
+(``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
+over each node's own ring.  Caller data (oracle
 witnesses, the stabilized iso of a cancellation) is checked once where it
 enters, and the last tests feed it lawless values.
 """
@@ -24,13 +26,13 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
                   kernel_module, milnor_patch, section_aut_lifter,
                   section_um_lifter, smith_normal_form, sr_quotient,
                   umrow_lift, verify_payload, whitehead_lift)
-from srpb import engines
+from srpb import certs, engines
 from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
                           conjugation_witness_oracle)
+from srpb.simplicial import complexes_on, sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import InputError, InternalCheckError, PreconditionError
 from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary
-from srpb.projmod import conjugation_iso
 from helpers import (conjugated_idempotent, corpus_complexes, corpus_squares,
                      hollow_triangle, make_rng, random_elementary_product,
                      random_gl_with_units)
@@ -87,8 +89,13 @@ def iso_chain(ring, rng, size=3, rank=1):
     e = conjugate(ring, g, corner(ring.context, rank, size))
     p = ProjModule.make(ring, e)
     g1, g2 = random_gl_with_units(ring, size, rng), random_gl_with_units(ring, size, rng)
-    phi = conjugation_iso(p, g1, conjugate(ring, g1, e))
-    psi = conjugation_iso(phi.target, g2, conjugate(ring, g2, phi.target.matrix))
+    # conjugation by g carries E to g E g^-1, witnessed by corner-projected g
+    q = ProjModule.make(ring, conjugate(ring, g1, e))
+    phi = ModIso.make(p, q, ring.mat_mul(ring.mat_mul(q.matrix, g1.mat), p.matrix),
+                      ring.mat_mul(ring.mat_mul(p.matrix, g1.inv), q.matrix))
+    r = ProjModule.make(ring, conjugate(ring, g2, q.matrix))
+    psi = ModIso.make(q, r, ring.mat_mul(ring.mat_mul(r.matrix, g2.mat), q.matrix),
+                      ring.mat_mul(ring.mat_mul(q.matrix, g2.inv), r.matrix))
     return phi, psi
 
 
@@ -213,6 +220,94 @@ def test_square_homs_pass_the_square_check(field):
             reference_square_check(dataclasses.replace(sq, i1=sq.i2, i2=sq.i1))
         checked += 1
     assert checked > 100
+
+
+def exhaustive_complexes(max_ambient=5):
+    return [c for n in range(1, max_ambient + 1) for c in complexes_on(n)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_sr_quotient_is_the_minimalized_ring(field):
+    for c in exhaustive_complexes():
+        ring = sr_quotient(field, c)
+        made = QuotientRing.make(field, c.ambient, sr_ideal(c))
+        assert ring == made
+        assert certs.ring_payload(ring) == certs.ring_payload(made)
+
+
+def reference_square_homs(sq):
+    """The five homs as ``RingHom.make`` builds them from variable images, with
+    the apex sent to 0 by j2 and the section."""
+    def hom(source, target, kill=None):
+        ctx = target.context
+        imgs = [ctx.zero() if v == kill else ctx.variable(v) for v in range(source.nvars)]
+        return RingHom.make(source, target, imgs)
+
+    return (hom(sq.a, sq.a1), hom(sq.a, sq.a2), hom(sq.a1, sq.a0),
+            hom(sq.a2, sq.a0, sq.apex), hom(sq.a0, sq.a2, sq.apex))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_mask_built_square_homs_match_hom_make(field):
+    checked = 0
+    for c in exhaustive_complexes():
+        if c.is_simplex():
+            continue
+        sq = build_fiber_square(field, c)
+        for h, ref in zip(square_homs(sq), reference_square_homs(sq)):
+            assert (h.source, h.target) == (ref.source, ref.target)
+            assert (h.images, h.kill, h.verified) == (ref.images, ref.kill, ref.verified)
+            assert certs.hom_images_payload(h) == certs.hom_images_payload(ref)
+        checked += 1
+    assert checked > 7000
+
+
+def test_engine_squares_are_built_over_the_node_ring(monkeypatch):
+    """Each decompose node's square has the node's ring object as its total
+    ring, every other node's ring is a corner object of its parent's square,
+    and no Stanley-Reisner ring is re-minimalized on the way."""
+    from srpb import certs as certs_module, quotient
+
+    squares, rings = [], []
+    decompose, base = certs_module.decompose_node, certs_module.base_node
+
+    def record_decompose(task, ring, module, square, *args, **kwargs):
+        squares.append((ring, square))
+        rings.append(ring)
+        return decompose(task, ring, module, square, *args, **kwargs)
+
+    def record_base(task, ring, *args, **kwargs):
+        rings.append(ring)
+        return base(task, ring, *args, **kwargs)
+
+    minimalized = []
+    minimalize = quotient._minimalize
+
+    def counting_minimalize(gens):
+        minimalized.append(gens)
+        return minimalize(gens)
+
+    rng = make_rng("by-construction-node-ring")
+    ring = QuotientRing.make(QQ, 4, ((1, 0, 1, 0), (0, 1, 0, 1)))  # the four-cycle
+    e, g = conjugated_idempotent(ring, rng, size=2, rank=1, elementaries=3)
+    p = ProjModule.make(ring, e)
+    one = PolyMatrix.identity(ring.context, 1)
+    src = ProjModule.make(ring, e.direct_sum(one))
+    stab = ModIso.make(src, src, src.matrix, src.matrix)
+    monkeypatch.setattr(certs_module, "decompose_node", record_decompose)
+    monkeypatch.setattr(certs_module, "base_node", record_base)
+    monkeypatch.setattr(quotient, "_minimalize", counting_minimalize)
+    for run in (lambda: extend_witness(p, oracle=conjugation_witness_oracle(g)),
+                lambda: cancel_witness(p, p, stab)):
+        for log in (squares, rings, minimalized):
+            log.clear()
+        res = run()
+        assert len(squares) >= 3 and not minimalized
+        assert all(sq.a is node_ring for node_ring, sq in squares)
+        corners = [c for _, sq in squares for c in (sq.a1, sq.a2)]
+        assert rings[-1] is ring  # the root node is finished last
+        assert all(any(r is c for c in corners) for r in rings[:-1])
+        assert verify_payload(res.certificate).ok  # which parses rings with make
 
 
 def reference_whitehead(sq, sigma):

@@ -402,18 +402,6 @@ def test_file_with_missing_or_wrongly_typed_key_is_input_error(workdir, capsys, 
     assert err.startswith("error: bad ") and "Traceback" not in err
 
 
-def test_hom_file_with_wrongly_typed_images_is_a_file_format_error(tmp_path):
-    # no verb reads a hom file, so this boundary is tested on the loader
-    from srpb.errors import FileFormatError
-
-    path = tmp_path / "bad.hom"
-    with open(path, "w") as fh:
-        fh.write("srpb/1 hom\n" + json.dumps({"source": RING2, "target": RING2,
-                                              "images": 7}) + "\n")
-    with pytest.raises(FileFormatError, match="bad hom file"):
-        files.load_hom(str(path))
-
-
 def test_main_twice_in_one_process_matches_fresh_processes(workdir, capsys, monkeypatch):
     """The argument parser is built once per process; no call sees another's state."""
     import os

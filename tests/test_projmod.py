@@ -4,7 +4,7 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
                   UmRow, base_change, build_fiber_square, kernel_module,
                   milnor_patch, module_rank, pair_aut, pair_um,
                   section_aut_lifter, section_um_lifter, unimodular_cert)
-from srpb.projmod import UmElement, conjugation_iso, glue_iso_traced
+from srpb.projmod import UmElement, glue_iso_traced
 from srpb.quotient import augmentation_hom
 from srpb.errors import LifterError, PreconditionError
 from helpers import (conjugated_idempotent, corpus_squares, hollow_triangle,
@@ -149,7 +149,10 @@ def test_glue_iso_whitehead_patch_is_free():
     from srpb.lifting import whitehead_lift
 
     u = whitehead_lift(sigma, sq.j2, sq.section)
-    phi2 = conjugation_iso(p2, GLMat(sq.a2, u.inv, u.mat), q2.matrix)
+    # conjugation by U^-1 carries p2 to q2: (q2 U^-1 p2, p2 U q2)
+    a2 = sq.a2
+    phi2 = ModIso.make(p2, q2, a2.mat_mul(a2.mat_mul(q2.matrix, u.inv), p2.matrix),
+                       a2.mat_mul(a2.mat_mul(p2.matrix, u.mat), q2.matrix))
     iso = glue_iso_traced(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))[0]
     assert iso.source.matrix == p.matrix and iso.target.matrix == q.matrix
 

@@ -1,7 +1,8 @@
 import pytest
 
 from srpb import SimplicialComplex, apex_decomposition, cone, deletion, link, star
-from srpb.simplicial import complexes_on, minimal_nonfaces, random_complex, sr_ideal
+from srpb.simplicial import (MAX_TRANSVERSALS, bit_indices, complexes_on, minimal_nonfaces,
+                             minimal_transversals, random_complex, sr_ideal)
 from srpb.errors import InputError, PreconditionError
 from helpers import (cone_two_points, hollow_triangle, make_rng, two_points)
 
@@ -170,3 +171,58 @@ def test_complex_enumeration_counts():
     assert sum(1 for _ in complexes_on(2)) == 5
     assert sum(1 for _ in complexes_on(3)) == 19
     assert sum(1 for _ in complexes_on(4)) == 167
+
+
+def berge_reference(edges):
+    """Berge's algorithm with the pairwise minimality scan: a grown set
+    t | v is minimal unless a member that meets the new edge lies inside it."""
+    family = [0]
+    for e in sorted(edges, key=int.bit_count):
+        hit = [t for t in family if t & e]
+        missing = [t for t in family if not t & e]
+        family = list(hit)
+        for v in bit_indices(e):
+            bit = 1 << v
+            through = [h for h in hit if h & bit]
+            family += [t | bit for t in missing if not any(h & t == h ^ bit for h in through)]
+            if len(family) > MAX_TRANSVERSALS:
+                raise InputError(f"more than {MAX_TRANSVERSALS} minimal transversals")
+    return family
+
+
+def test_private_edge_transversals_match_the_pairwise_scan():
+    cases = []
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        cases += [[full & ~f for f in c.facet_masks] for c in complexes_on(n)]
+    rng = make_rng("private-edge")
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        cases.append([rng.randrange(1 << n) for _ in range(rng.randint(0, 12))])
+    capped = 0
+    for edges in cases:
+        try:
+            want = berge_reference(edges)
+        except InputError:
+            capped += 1
+            with pytest.raises(InputError):
+                minimal_transversals(edges)
+            continue
+        assert minimal_transversals(edges) == want
+    assert len(cases) - capped > 7000
+    # large families: random 5-sets on 20 vertices and pairs on 40
+    for n, k, count in ((20, 5, 40), (40, 2, 30)):
+        edges = [sum(1 << v for v in rng.sample(range(n), k)) for _ in range(count)]
+        try:
+            want = berge_reference(edges)
+        except InputError:
+            with pytest.raises(InputError):
+                minimal_transversals(edges)
+            continue
+        assert minimal_transversals(edges) == want
+    # 12 disjoint pairs fill the family to the cap, and the 13th passes it in both
+    pairs = [3 << 2 * i for i in range(13)]
+    assert minimal_transversals(pairs[:12]) == berge_reference(pairs[:12])
+    for routine in (berge_reference, minimal_transversals):
+        with pytest.raises(InputError):
+            routine(pairs)

@@ -1,0 +1,124 @@
+"""Differential tests of the arithmetic core against sympy.
+
+The engines and the verifier share ``Polynomial`` arithmetic, monomial
+normal forms and ``QuotientRing.mat_mul``.  These tests compare them on
+seeded inputs over Q and F_5 with sympy's ``Poly`` and ``Matrix``, an
+independent implementation: the coefficients and, under grevlex, the order
+of the terms.  The normal form is sympy's reduction by the ideal's
+Groebner basis, which for a monomial ideal is its generators.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from srpb import GF, QQ, PolyMatrix, PolyRing, QuotientRing
+from helpers import make_rng
+
+sympy = pytest.importorskip("sympy")
+
+FIELDS = [QQ, GF(5)]
+NVARS = 3
+SYMBOLS = sympy.symbols(f"x0:{NVARS}")
+
+
+def random_element(ctx, rng, max_deg=3, terms=4):
+    """A sum of random terms; over Q some coefficients are not integers."""
+    d = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = [0] * ctx.nvars
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(ctx.nvars)] += 1
+        c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        d[tuple(exps)] = ctx.field.from_fraction(c)
+    return ctx.from_terms(d)
+
+
+def to_sympy(f):
+    """f as a sympy Poly over f's field, in the variables x0..x2."""
+    field = f.ring.field
+    domain = sympy.QQ if field.char == 0 else sympy.GF(field.char)
+    terms = {exps: (sympy.Rational(c.numerator, c.denominator) if field.char == 0 else c)
+             for exps, c in f.terms}
+    return sympy.Poly.from_dict(terms, *SYMBOLS, domain=domain)
+
+
+def terms_of(p, field):
+    """The terms of a sympy Poly, leading first under grevlex, in srpb's coefficients."""
+    out = []
+    for exps, c in p.terms(order="grevlex"):
+        if not c:  # the zero Poly lists one zero term
+            continue
+        if field.char == 0:
+            out.append((exps, Fraction(int(c.p), int(c.q))))
+        else:
+            out.append((exps, int(c) % field.char))
+    return tuple(out)
+
+
+def sympy_normal_form(p, ring):
+    if not ring.generators:
+        return p
+    ideal = [to_sympy(ring.context.monomial(g)) for g in ring.generators]
+    basis = sympy.groebner([g.as_expr() for g in ideal], *SYMBOLS, order="grevlex",
+                           domain=p.domain)
+    _, remainder = basis.reduce(p.as_expr())
+    return sympy.Poly(remainder, *SYMBOLS, domain=p.domain)
+
+
+def random_ring(field, rng):
+    """A monomial quotient: square-free generators, or any exponents."""
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        top = rng.choice((1, 3))
+        exps = tuple(rng.randint(0, top) for _ in range(NVARS))
+        if any(exps):
+            gens.append(exps)
+    return QuotientRing.make(field, NVARS, gens)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_add_mul_pow_match_sympy(field):
+    rng = make_rng(f"sympy-arith-{field.char}")
+    ctx = PolyRing(field, NVARS)
+    for _ in range(60):
+        f, g = random_element(ctx, rng), random_element(ctx, rng)
+        sf, sg = to_sympy(f), to_sympy(g)
+        assert f.terms == terms_of(sf, field)
+        assert (f + g).terms == terms_of(sf + sg, field)
+        assert (f - g).terms == terms_of(sf - sg, field)
+        assert (f * g).terms == terms_of(sf * sg, field)
+        k = rng.randint(0, 4)
+        assert (f ** k).terms == terms_of(sf ** k, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_normal_form_matches_sympy_reduction(field):
+    rng = make_rng(f"sympy-nf-{field.char}")
+    for _ in range(40):
+        ring = random_ring(field, rng)
+        for _ in range(3):
+            f = random_element(ring.context, rng, max_deg=5, terms=6)
+            want = sympy_normal_form(to_sympy(f), ring)
+            assert ring.normal_form(f).terms == terms_of(want, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_mat_mul_matches_sympy_matrix_product(field):
+    rng = make_rng(f"sympy-matmul-{field.char}")
+    for _ in range(25):
+        ring = random_ring(field, rng)
+        ctx = ring.context
+        n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a = PolyMatrix.from_rows(ctx, [[random_element(ctx, rng) for _ in range(m)]
+                                       for _ in range(n)])
+        b = PolyMatrix.from_rows(ctx, [[random_element(ctx, rng) for _ in range(k)]
+                                       for _ in range(m)])
+        sa = sympy.Matrix(n, m, [to_sympy(f).as_expr() for f in a.entries])
+        sb = sympy.Matrix(m, k, [to_sympy(f).as_expr() for f in b.entries])
+        got = ring.mat_mul(a, b)
+        domain = to_sympy(ctx.zero()).domain
+        for entry, want in zip(got.entries, sa * sb):
+            reduced = sympy_normal_form(sympy.Poly(sympy.expand(want), *SYMBOLS, domain=domain),
+                                        ring)
+            assert entry.terms == terms_of(reduced, field)
