@@ -34,19 +34,13 @@ def write_payload(path: str, kind: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_payload(path: str, expect_kind: Optional[str] = None) -> dict:
+def read_payload(path: str, expect_kind: str) -> dict:
+    """The JSON body of a ``srpb/1 <expect_kind>`` file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        body = stripped
-    else:
-        head, _, body = text.partition("\n")
-        fields = head.split()
-        if not fields or fields[0] != HEADER:
-            raise FileFormatError(f"{path}: expected '{HEADER}' header, got {head!r}")
-        if expect_kind and len(fields) > 1 and fields[1] != expect_kind:
-            raise FileFormatError(f"{path}: expected a {expect_kind} file, got {fields[1]}")
+    head, _, body = text.partition("\n")
+    if head.split() != [HEADER, expect_kind]:
+        raise FileFormatError(f"{path}: expected '{HEADER} {expect_kind}' header, got {head!r}")
     try:
         return json.loads(body)
     except json.JSONDecodeError as exc:

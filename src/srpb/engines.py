@@ -32,7 +32,7 @@ from .lifting import lift_gl
 from .matrix import PolyMatrix, scalar_inverse
 from .projmod import (ModIso, ProjModule, UmRow, base_change, glue_iso_traced,
                       kernel_module, module_rank, section_aut_lifter)
-from .quotient import GLMat, QuotientRing, RingHom, _square, complex_of_ring
+from .quotient import FiberSquare, GLMat, QuotientRing, RingHom, _square, complex_of_ring
 from .smith import smith_normal_form
 
 ExtendOracle = Callable[[ProjModule], Optional[ModIso]]
@@ -348,14 +348,41 @@ def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> Patc
     return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
 
 
+def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso], ModIso]:
+    """Lift of overlap automorphisms through the section, conjugated by Q_2's
+    extension witness where Q_2 is not the section image of its reduction.
+
+    With psi: Q_2 -> Q_2(0) from ``extend_witness(q2)``, phi = section(j2(psi))^-1
+    o psi runs Q_2 -> section(Q_0) with j2(phi) == id, so phi^-1 o
+    section(alpha0) o phi is an automorphism of Q_2 over alpha0.  When Q_2 has
+    no extension witness the ``LifterError`` stands, and the node stays an
+    obligation.
+    """
+    through_section = section_aut_lifter(square, q2)
+
+    def lifter(alpha0: ModIso) -> ModIso:
+        try:
+            return through_section(alpha0)
+        except LifterError:
+            ext = extend_witness(q2)
+            if not ext.ok:
+                raise
+        psi = ext.iso
+        phi = psi.apply_hom(square.j2).apply_hom(square.section).inverse().compose(psi)
+        return phi.inverse().compose(alpha0.apply_hom(square.section)).compose(phi)
+
+    return lifter
+
+
 def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
                    aut_lifter_factory=None) -> PatchResult:
     """Witness p isomorphic to q given a stabilized isomorphism, or obligations.
 
     ``stab`` must connect p + free(1) to q + free(1); it is checked once, here,
     and recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
-    automorphism lifter (defaults to the constant lift through the section,
-    whose failures surface as obligations of kind "cancel").
+    automorphism lifter; the default, ``extension_aut_lifter``, lifts through
+    the section and falls back to Q_2's extension witness.  A node whose
+    lifter fails surfaces as an obligation of kind "cancel".
     """
     if p.ring != q.ring:
         raise PreconditionError("modules over different rings")
@@ -368,7 +395,7 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
             or stab.target.matrix != q.matrix.direct_sum(one)):
         raise PreconditionError("stabilized iso does not connect P+free and Q+free")
     stab = ModIso.make(stab.source, stab.target, stab.fwd, stab.bwd)
-    task = _Task("cancel", "cancel", _cancel_base, aut_lifter_factory or section_aut_lifter)
+    task = _Task("cancel", "cancel", _cancel_base, aut_lifter_factory or extension_aut_lifter)
     return _solve(task, p, q, stab)
 
 

@@ -108,7 +108,3 @@ def load_umrow(path: str):
 
 def save_cert(path: str, payload: dict) -> None:
     certs.write_payload(path, "cert", payload)
-
-
-def load_cert(path: str) -> dict:
-    return certs.read_payload(path, "cert")

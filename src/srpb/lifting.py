@@ -10,8 +10,6 @@ The stack of strategies, tried in order:
               units, then lift each factor (elementary lifts are always
               invertible, diagonal units lift entrywise when they stay
               units upstairs);
-  section     when the quotient map has a registered splitting and the
-              entries lie in its image, push the whole matrix through it;
   descent     for square-free J, recurse through the fiber square of the
               quotient's complex (recovered once per lift and carried
               down the recursion): lift the deletion image first, then
@@ -19,6 +17,7 @@ The stack of strategies, tried in order:
               the identity modulo the apex variable.
 
 Unit inverses use the closed form ``quotient.unit_inverse``, not Buchberger.
+A lift through the section of a split surjection is ``whitehead_lift``.
 The stack is not known to be complete; exhaustion raises
 AllStrategiesFailed with one diagnostic per attempted strategy.
 """
@@ -34,7 +33,7 @@ from .quotient import (GLMat, QuotientRing, RingHom, _square, complex_of_ring,
                        unit_inverse)
 from .simplicial import SimplicialComplex
 
-DEFAULT_STRATEGIES = ("entrywise", "elementary", "section", "descent")
+DEFAULT_STRATEGIES = ("entrywise", "elementary", "descent")
 
 
 def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
@@ -102,11 +101,11 @@ def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 
 
-def _lift_entries(sigma: GLMat, pi: RingHom, _section) -> GLMat:
+def _lift_entries(sigma: GLMat, pi: RingHom) -> GLMat:
     return _gl_upstairs(sigma.mat, pi.source, "entrywise lift")
 
 
-def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
+def _lift_elementary(sigma: GLMat, pi: RingHom) -> GLMat:
     up = pi.source
     down = sigma.ring
     ctx = down.context
@@ -176,18 +175,6 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _section) -> GLMat:
     return lhs.inverse() * d_up * rhs.inverse()
 
 
-def _lift_section(sigma: GLMat, pi: RingHom, section: Optional[RingHom]) -> GLMat:
-    if section is None:
-        raise _StrategyFailure("no section registered for the quotient map")
-    if section.source != sigma.ring or section.target != pi.source:
-        raise _StrategyFailure("registered section does not split pi")
-    cand = sigma.apply_hom(section)
-    for e, img in zip(sigma.mat.entries, pi.apply_matrix(cand.mat).entries):
-        if e != img:
-            raise _StrategyFailure(f"entry {e} is outside the section image")
-    return cand
-
-
 def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
                   cplx: Optional[SimplicialComplex]) -> GLMat:
     """Lift the deletion image, then read the cone-side residue upstairs.
@@ -208,7 +195,7 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
 
     sigma1 = sigma.apply_hom(square.i1)
     pi1 = RingHom.quotient_map(up, square.a1)
-    delta1 = _lift(sigma1, pi1, strategies, None, square.split.deletion_part)
+    delta1 = _lift(sigma1, pi1, strategies, square.split.deletion_part)
 
     gamma = delta1.apply_hom(pi).inverse() * sigma
     gamma2 = gamma.apply_hom(square.i2)
@@ -218,13 +205,11 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
 _STRATEGY_TABLE = {
     "entrywise": _lift_entries,
     "elementary": _lift_elementary,
-    "section": _lift_section,
 }
 
 
 def lift_gl(sigma: GLMat, pi: RingHom,
-            strategies: Sequence[str] = DEFAULT_STRATEGIES,
-            section: Optional[RingHom] = None) -> GLMat:
+            strategies: Sequence[str] = DEFAULT_STRATEGIES) -> GLMat:
     """Preimage of sigma in GL_r(pi.source) with a verified inverse.
 
     Raises AllStrategiesFailed with per-strategy diagnostics when the stack
@@ -232,11 +217,11 @@ def lift_gl(sigma: GLMat, pi: RingHom,
     lift * lift^-1 == I exactly.
     """
     _require_compatible(sigma, pi)
-    return _lift(sigma, pi, strategies, section, None)
+    return _lift(sigma, pi, strategies, None)
 
 
 def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
-          section: Optional[RingHom], cplx: Optional[SimplicialComplex]) -> GLMat:
+          cplx: Optional[SimplicialComplex]) -> GLMat:
     """The strategy loop of ``lift_gl``; cplx is the complex of sigma's ring, if known."""
     diagnostics = {}
     for name in strategies:
@@ -247,7 +232,7 @@ def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
                 fn = _STRATEGY_TABLE.get(name)
                 if fn is None:
                     raise InputError(f"unknown lift strategy {name!r}")
-                delta = fn(sigma, pi, section)
+                delta = fn(sigma, pi)
         except _StrategyFailure as sf:
             diagnostics[name] = sf.detail
             continue

@@ -18,31 +18,19 @@ from .fields import Field, check_same_field
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Monomial order: grevlex or lex, with an optional precedence permutation.
-
-    ``precedence`` lists variable indices from most to least significant;
-    None means the natural order 0 > 1 > ... > n.
-    """
+    """Monomial order: grevlex or lex, with x0 > x1 > ... > xn."""
 
     kind: str = "grevlex"
-    precedence: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
             raise InputError(f"unknown term order kind {self.kind!r}")
-        if self.precedence is not None:
-            object.__setattr__(self, "precedence", tuple(self.precedence))
 
     def key(self, exps: tuple):
         """Sort key; larger key means larger monomial."""
-        prec = self.precedence
-        if prec is None:
-            ordered = exps
-        else:
-            ordered = tuple(exps[i] for i in prec)
         if self.kind == "lex":
-            return ordered
-        return (sum(exps), tuple(-e for e in reversed(ordered)))
+            return exps
+        return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 GREVLEX = TermOrder("grevlex")
@@ -59,8 +47,6 @@ class PolyRing:
     def __post_init__(self):
         if self.nvars < 0:
             raise InputError("variable count must be non-negative")
-        if self.order.precedence is not None and len(self.order.precedence) != self.nvars:
-            raise InputError("term order precedence must list every variable once")
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -76,9 +62,6 @@ class PolyRing:
         if not c:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, c),))
-
-    def from_int(self, n: int) -> "Polynomial":
-        return self.constant(self.field.from_int(n))
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:

@@ -339,8 +339,9 @@ def section_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso]
     Sound whenever Q_2's idempotent is the section image of its reduction,
     that is, when it has no term in the apex variable; otherwise raises
     LifterError.  That holds when Q is constant, as the extension engine's
-    augmentation is, but not for every module over the total ring: a
-    cancellation target with apex terms leaves a "cancel" obligation.
+    augmentation is.  The cancellation engine's default,
+    ``engines.extension_aut_lifter``, tries this first and conjugates by Q_2's
+    extension witness where it raises.
     """
     def lifter(alpha0: ModIso) -> ModIso:
         if alpha0.ring != square.a0:
@@ -354,7 +355,11 @@ def section_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso]
 
 
 def section_um_lifter(square: FiberSquare, p2: ProjModule) -> Callable[[UmElement], UmElement]:
-    """Constant lift of overlap unimodular elements through the section."""
+    """Constant lift of overlap unimodular elements through the section.
+
+    Sound whenever P_2's idempotent is the section image of its reduction;
+    raises LifterError when P_2 has a term in the apex variable.
+    """
     def lifter(u0: UmElement) -> UmElement:
         if u0.module.ring != square.a0:
             raise LifterError("expected an element over the overlap ring")

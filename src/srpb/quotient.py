@@ -365,14 +365,13 @@ class FiberSquare:
     split: ApexDecomposition
 
 
-def build_fiber_square(field_: Field, c: SimplicialComplex,
-                       order: TermOrder = GREVLEX) -> FiberSquare:
+def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
     """The patching square of a non-simplex complex over its Stanley-Reisner
     ring.  The engines take the node-ring path, ``_square(ring, c)``, whose
     total ring is the recursion node's own ring."""
     if c.is_simplex():
         raise PreconditionError("fiber square needs a non-simplex complex")
-    return _square(sr_quotient(field_, c, order), c)
+    return _square(sr_quotient(field_, c), c)
 
 
 def _mask_hom(source: QuotientRing, target: QuotientRing, kill: int) -> RingHom:

@@ -264,35 +264,3 @@ def _check_split(c: SimplicialComplex, s: ApexDecomposition) -> None:
     if not (_within(link_facets, del_facets) and _within(link_facets, cone_facets)
             and _within([d & k for d in del_facets for k in cone_facets], link_facets)):
         raise PreconditionError("decomposition overlap is not the link")
-
-
-def complexes_on(ambient: int):
-    """Every simplicial complex on the ambient vertex set (exhaustive).
-
-    Enumerates antichains of nonempty vertex subsets; the complex with no
-    used vertices is included.  Intended for small ambient counts.
-    """
-    yield SimplicialComplex.empty(ambient)
-    masks = list(range(1, 1 << ambient))
-
-    def rec(start: int, chosen: list):
-        for idx in range(start, len(masks)):
-            m = masks[idx]
-            if any(m & c == m or m & c == c for c in chosen):
-                continue
-            chosen.append(m)
-            yield SimplicialComplex.from_facets(ambient, [_unmask(x) for x in chosen])
-            yield from rec(idx + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
-
-
-def random_complex(ambient: int, rng) -> SimplicialComplex:
-    """Random complex: a handful of random facets, minimalized."""
-    k = rng.randint(1, max(2, ambient))
-    facets = []
-    for _ in range(k):
-        size = rng.randint(0, ambient)
-        facets.append(rng.sample(range(ambient), size))
-    return SimplicialComplex.from_facets(ambient, facets)

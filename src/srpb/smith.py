@@ -69,13 +69,6 @@ def uni_divides(g: Polynomial, f: Polynomial, var: int) -> bool:
     return uni_divmod(f, g, var)[1].is_zero()
 
 
-def uni_monic(f: Polynomial, var: int) -> tuple:
-    """(monic version of f, leading coefficient)."""
-    d = uni_degree(f, var)
-    lc = uni_coeff(f, var, d)
-    return f.scale(f.ring.field.inv(lc)), lc
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     u: PolyMatrix
@@ -195,9 +188,9 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
             if offender is None:
                 break
             w.add_row(t, offender, w.ring.one())
-        if not w.m[t][t].is_zero():
-            _, lc = uni_monic(w.m[t][t], var)
-            w.scale_row(t, w.ring.field.inv(lc))
+        d = w.m[t][t]
+        if not d.is_zero():
+            w.scale_row(t, w.ring.field.inv(uni_coeff(d, var, uni_degree(d, var))))
 
     u = PolyMatrix.from_rows(w.ring, w.u)
     u_inv = PolyMatrix.from_rows(w.ring, w.u_inv)

@@ -243,6 +243,10 @@ def _identity_hom(source: QuotientRing, target: QuotientRing) -> RingHom:
 
 
 def _check_hom_defined(report, where, h: RingHom, label: str) -> None:
+    """A square map sends each variable to itself or to 0 and kills its source ideal."""
+    if h.kill is None:
+        report.add(where, "hom-defined", False, f"{label}: a variable maps to neither itself nor 0")
+        return
     bad = None
     for g in h.source.generators:
         image = h(h.source.context.monomial(g))

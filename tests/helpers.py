@@ -6,7 +6,7 @@ import os
 import random
 
 from srpb import QQ, GLMat, PolyMatrix, SimplicialComplex
-from srpb.simplicial import complexes_on, random_complex
+from srpb.simplicial import bit_indices
 
 SEED = int(os.environ.get("SRPB_SEED", "20260808"))
 
@@ -78,7 +78,40 @@ def conjugated_idempotent(ring, rng, size=None, rank=None, elementaries=4, max_d
     return e, g
 
 
-# -- named complexes -----------------------------------------------------------
+# -- complexes -----------------------------------------------------------------
+
+def complexes_on(ambient: int):
+    """Every simplicial complex on the ambient vertex set (exhaustive).
+
+    Enumerates antichains of nonempty vertex subsets; the complex with no
+    used vertices is included.  Visits all 2^ambient vertex sets, so it is
+    for small ambient counts.
+    """
+    yield SimplicialComplex.empty(ambient)
+    masks = list(range(1, 1 << ambient))
+
+    def rec(start: int, chosen: list):
+        for idx in range(start, len(masks)):
+            m = masks[idx]
+            if any(m & c == m or m & c == c for c in chosen):
+                continue
+            chosen.append(m)
+            yield SimplicialComplex.from_facets(ambient, [list(bit_indices(x)) for x in chosen])
+            yield from rec(idx + 1, chosen)
+            chosen.pop()
+
+    yield from rec(0, [])
+
+
+def random_complex(ambient: int, rng) -> SimplicialComplex:
+    """Random complex: a handful of random facets, minimalized."""
+    k = rng.randint(1, max(2, ambient))
+    facets = []
+    for _ in range(k):
+        size = rng.randint(0, ambient)
+        facets.append(rng.sample(range(ambient), size))
+    return SimplicialComplex.from_facets(ambient, facets)
+
 
 def two_points():
     return SimplicialComplex.from_facets(2, [[0], [1]])

@@ -21,10 +21,9 @@ from srpb.certs import dump_canonical, gl_lift_node, patch_node
 from srpb.lifting import whitehead_lift
 from srpb.poly import PolyRing
 from srpb.quotient import apex_decomposition
-from srpb.simplicial import complexes_on, random_complex
 from srpb import files as srpb_files
-from helpers import (SEED, conjugated_idempotent, corpus_complexes,
-                     corpus_squares, hollow_triangle, make_rng,
+from helpers import (SEED, complexes_on, conjugated_idempotent, corpus_complexes,
+                     corpus_squares, hollow_triangle, make_rng, random_complex,
                      random_elementary_product, random_gl_with_units,
                      random_poly, two_points)
 

@@ -29,11 +29,11 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
 from srpb import certs, engines
 from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
                           conjugation_witness_oracle)
-from srpb.simplicial import complexes_on, sr_ideal
+from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import InputError, InternalCheckError, PreconditionError
 from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary
-from helpers import (conjugated_idempotent, corpus_complexes, corpus_squares,
+from helpers import (complexes_on, conjugated_idempotent, corpus_complexes, corpus_squares,
                      hollow_triangle, make_rng, random_elementary_product,
                      random_gl_with_units)
 
@@ -287,12 +287,16 @@ def test_engine_squares_are_built_over_the_node_ring(monkeypatch):
         minimalized.append(gens)
         return minimalize(gens)
 
-    rng = make_rng("by-construction-node-ring")
     ring = QuotientRing.make(QQ, 4, ((1, 0, 1, 0), (0, 1, 0, 1)))  # the four-cycle
-    e, g = conjugated_idempotent(ring, rng, size=2, rank=1, elementaries=3)
-    p = ProjModule.make(ring, e)
-    one = PolyMatrix.identity(ring.context, 1)
-    src = ProjModule.make(ring, e.direct_sum(one))
+    ctx = ring.context
+    x0, x1, x2, x3 = (ctx.variable(v) for v in range(4))
+    # entries on every vertex keep the module non-constant on each corner, so
+    # the root and both of its children split whatever SRPB_SEED is
+    g = GLMat.elementary(ring, 2, 0, 1, x0 + x2) * GLMat.elementary(ring, 2, 1, 0, x1 + x3)
+    corner = PolyMatrix.from_scalars(ctx, [[1, 0], [0, 0]])
+    p = ProjModule.make(ring, ring.mat_mul(ring.mat_mul(g.mat, corner), g.inv))
+    one = PolyMatrix.identity(ctx, 1)
+    src = ProjModule.make(ring, p.matrix.direct_sum(one))
     stab = ModIso.make(src, src, src.matrix, src.matrix)
     monkeypatch.setattr(certs_module, "decompose_node", record_decompose)
     monkeypatch.setattr(certs_module, "base_node", record_base)
@@ -368,7 +372,7 @@ def test_elementary_lift_diagonal_is_inverse(field):
     lifted = 0
     for sigma in [swaps] + [random_gl_with_units(up, 3, rng).apply_hom(pi) for _ in range(8)]:
         try:
-            delta = _lift_elementary(sigma, pi, None)
+            delta = _lift_elementary(sigma, pi)
         except _StrategyFailure:
             continue
         assert_gl_pair(delta)

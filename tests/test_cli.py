@@ -4,7 +4,7 @@ import pytest
 
 from srpb import (QQ, GLMat, PolyMatrix, QuotientRing, SimplicialComplex,
                   sr_quotient)
-from srpb import files
+from srpb import certs, files
 from srpb.cli import main
 from srpb.quotient import build_fiber_square
 from helpers import hollow_triangle, make_rng, random_elementary_product, two_points
@@ -355,6 +355,25 @@ def test_bad_header_is_input_error(tmp_path):
     assert run(["complex", "faces", "--complex", bad]) == 2
 
 
+@pytest.mark.parametrize("head", ["", "srpb/1\n"], ids=["header-less", "kind-less"])
+@pytest.mark.parametrize("argv", [["verify", "--cert", "{f}"],
+                                  ["ring", "nf", "--ring", "{f}", "--expr", "x0"]],
+                         ids=["verify", "ring-nf"])
+def test_file_without_its_kind_header_is_input_error(workdir, capsys, head, argv):
+    if argv[0] == "verify":
+        src = workdir / "ext.cert"
+        assert run(["extend", "--module", workdir / "mod.mat", "--out", src]) == 0
+    else:
+        src = workdir / "twopoints.ring"
+    body = open(src).read().partition("\n")[2]
+    path = workdir / "headless"
+    with open(path, "w") as fh:
+        fh.write(head + body)
+    capsys.readouterr()
+    assert run([a.format(f=path) for a in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(workdir, tmp_path):
     c1, c2 = tmp_path / "a.cert", tmp_path / "b.cert"
     assert run(["extend", "--module", workdir / "mod.mat", "--out", c1]) == 0
@@ -412,7 +431,7 @@ def test_main_twice_in_one_process_matches_fresh_processes(workdir, capsys, monk
 
     cert = workdir / "ext.cert"
     assert run(["extend", "--module", workdir / "mod.mat", "--out", cert]) == 0
-    payload = files.load_cert(str(cert))
+    payload = certs.read_payload(str(cert), "cert")
     payload["root"]["glue"]["iso"]["fwd"]["entries"][0] = "7"
     bad = workdir / "bad.cert"
     files.save_cert(str(bad), payload)

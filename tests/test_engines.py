@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
                   SimplicialComplex,
                   UmRow, cancel_witness, extend_witness, module_rank,
-                  sr_quotient, umrow_lift, unimodular_cert, verify_payload)
+                  parse_expression, section_aut_lifter, sr_quotient, umrow_lift,
+                  unimodular_cert, verify_payload)
 from srpb.engines import (always_fail_oracle, chain_oracles,
                           conjugation_witness_oracle, stable_adapter)
 from srpb.errors import PreconditionError
@@ -155,6 +158,24 @@ def test_cancel_identity_case():
     assert res.ok
     assert verify_payload(res.certificate).ok
     assert res.iso.fwd == p.matrix
+
+
+def test_cancel_lifts_through_the_extension_witness():
+    """Q_2 = E over the cone side has apex terms, so the section alone cannot
+    lift the overlap automorphism; conjugating by Q_2's extension witness can."""
+    r = xy_ring()
+    ctx = r.context
+    e = PolyMatrix.from_rows(ctx, [[ctx.one(), parse_expression("x0 - 3*x1 - 2", ctx)],
+                                   [ctx.zero(), ctx.zero()]])
+    p = ProjModule.make(r, e)
+    stab = stabilize(ModIso.identity(p))
+    stuck = cancel_witness(p, p, stab, aut_lifter_factory=section_aut_lifter)
+    assert [o.kind for o in stuck.obligations] == ["cancel"]
+    res = cancel_witness(p, p, stab)
+    assert res.ok
+    rep = verify_payload(res.certificate)
+    assert rep.ok, rep.summary()
+    assert res.iso.fwd == e
 
 
 def test_cancel_conjugate_pair():
@@ -314,6 +335,42 @@ def test_umrow_over_hollow_triangle_quotient():
         assert rep.ok, rep.summary()
         down = hollow_ring.nf_matrix(PolyMatrix(ctx, 1, 3, res.row.v.entries))
         assert down == row.v
+
+
+def _hollow_row(m: GLMat) -> UmRow:
+    """The first row of m over the hollow triangle's ring, completed by m^-1."""
+    ring = sr_quotient(QQ, hollow_triangle())
+    e1 = PolyMatrix.from_scalars(ring.context, [[1, 0, 0]])
+    v = ring.nf_matrix(m.ring.nf_matrix(e1 * m.mat))
+    w = ring.nf_matrix(m.ring.nf_matrix(m.inv * e1.transpose()).transpose())
+    return UmRow.make(ring, v, w)
+
+
+def test_umrow_partial_with_obligations():
+    free3 = QuotientRing.make(QQ, 3, ())
+    ctx = free3.context
+    m = (GLMat.elementary(free3, 3, 0, 1, ctx.variable(2))
+         * GLMat.elementary(free3, 3, 1, 2, ctx.variable(0) + ctx.variable(1)))
+    res = umrow_lift(_hollow_row(m), oracle=always_fail_oracle)
+    assert not res.ok and res.obligations
+    assert {o.kind for o in res.obligations} == {"extend"}
+    rep = verify_payload(res.certificate)
+    assert rep.ok, rep.summary()
+    assert "root: row lift left partial" in rep.warnings
+
+
+def test_umrow_partial_when_the_gl_stack_is_exhausted():
+    # the first row test_umrow_over_hollow_triangle_quotient draws at SRPB_SEED=27:
+    # descent's cone-side determinant 1 - 4*x0^2*x1*x2^2 is not a unit upstairs
+    rng = random.Random("27:umrow-hollow")
+    free3 = QuotientRing.make(QQ, 3, ())
+    m = random_elementary_product(free3, 3, rng, count=rng.randint(1, 4))
+    res = umrow_lift(_hollow_row(m), oracle=conjugation_witness_oracle(m.inverse()))
+    assert not res.ok and not res.obligations
+    assert set(res.diagnostics) == {"entrywise", "elementary", "descent"}
+    rep = verify_payload(res.certificate)
+    assert rep.ok, rep.summary()
+    assert "root: row lift left partial" in rep.warnings
 
 
 def test_umrow_profile_recorded():

@@ -112,16 +112,6 @@ def test_lift_roundtrips(field):
         assert up.mat_mul(delta.mat, delta.inv) == eye
 
 
-def test_lift_with_section_strategy():
-    c = two_points()
-    sq = build_fiber_square(QQ, c)
-    # lift along j2: a2 -> a0 with the registered section
-    f = sq.a0.normal_form(sq.a0.context.one().scale(__import__("fractions").Fraction(1)))
-    sig = GLMat.identity(sq.a0, 2)
-    delta = lift_gl(sig, sq.j2, strategies=("section",), section=sq.section)
-    assert sq.j2.apply_matrix(delta.mat) == sig.mat
-
-
 def _adversarial_sigma(field=QQ):
     ring = QuotientRing.make(field, 3, ((1, 1, 1),))
     ctx = ring.context
@@ -139,7 +129,7 @@ def test_adversarial_sigma_exhausts_stack():
     with pytest.raises(AllStrategiesFailed) as exc:
         lift_gl(sigma, pi)
     diags = exc.value.diagnostics
-    assert set(diags) == {"entrywise", "elementary", "section", "descent"}
+    assert set(diags) == {"entrywise", "elementary", "descent"}
 
 
 def test_non_squarefree_quotient_descent_declines():

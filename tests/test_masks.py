@@ -14,9 +14,8 @@ from srpb.errors import ContextError, InputError, PreconditionError
 from srpb.poly import exp_divides, support_mask
 from srpb.quotient import augmentation_hom, constants_inclusion, sr_quotient
 from srpb.simplicial import (ApexDecomposition, _check_split, apex_decomposition,
-                             bit_indices, complexes_on, minimal_nonfaces,
-                             minimal_transversals, random_complex)
-from helpers import corpus_squares, make_rng, random_poly
+                             bit_indices, minimal_nonfaces, minimal_transversals)
+from helpers import complexes_on, corpus_squares, make_rng, random_complex, random_poly
 
 FIELDS = (QQ, GF(5))
 

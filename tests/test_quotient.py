@@ -7,8 +7,7 @@ from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   fiber_check, glue_element, sr_quotient)
 from srpb.quotient import augmentation_hom, constants_inclusion
 from srpb.errors import GlueError, HomError, PreconditionError
-from srpb.simplicial import complexes_on
-from helpers import (corpus_complexes, corpus_squares, hollow_triangle,
+from helpers import (complexes_on, corpus_complexes, corpus_squares, hollow_triangle,
                      make_rng, random_elementary_product, random_gl_with_units,
                      random_poly, two_points)
 

@@ -1,10 +1,11 @@
 import pytest
 
 from srpb import SimplicialComplex, apex_decomposition, cone, deletion, link, star
-from srpb.simplicial import (MAX_TRANSVERSALS, bit_indices, complexes_on, minimal_nonfaces,
-                             minimal_transversals, random_complex, sr_ideal)
+from srpb.simplicial import (MAX_TRANSVERSALS, bit_indices, minimal_nonfaces,
+                             minimal_transversals, sr_ideal)
 from srpb.errors import InputError, PreconditionError
-from helpers import (cone_two_points, hollow_triangle, make_rng, two_points)
+from helpers import (complexes_on, cone_two_points, hollow_triangle, make_rng,
+                     random_complex, two_points)
 
 
 def test_empty_face_always_present():

@@ -312,3 +312,75 @@ def test_wrongly_typed_copy_of_a_read_payload_is_a_structure_failure():
                     rep = verify_payload(cert)
                     assert not rep.ok, (path, value)
                     assert rep.first_failure().check == "structure", (path, value)
+
+
+# -- square maps and the rarer verifier branches, on the golden certificates --------
+
+def _failures(rep) -> set:
+    return {(e.check, e.detail) for e in rep.entries if not e.ok}
+
+
+def test_every_square_map_image_edit_is_rejected():
+    """A square map sends each variable to itself or to 0, so doubling a
+    nonzero image or adding 1 to any image makes the certificate fail."""
+    from test_golden import GOLDEN
+
+    cases = 0
+    for build in GOLDEN:
+        cert = build().certificate
+        sites = [p for p in _value_paths(cert) if p[-4:-2] == ("square", "homs")]
+        for path in sites:
+            image = _get(cert, path)
+            assert image == "0" or image.startswith("x"), (build.__name__, path, image)
+            for bad_image in ([f"2*{image}"] if image != "0" else []) + [f"{image} + 1"]:
+                bad = copy.deepcopy(cert)
+                _get(bad, path[:-1])[path[-1]] = bad_image
+                assert not verify_payload(bad).ok, (build.__name__, path, bad_image)
+                cases += 1
+    assert cases == 335
+
+
+def _hollow_extension():
+    from test_golden import extend_hollow_oracle
+
+    cert = extend_hollow_oracle().certificate
+    assert cert["root"]["kind"] == "decompose" and cert["root"]["discharged"]
+    return cert
+
+
+def test_decompose_node_needs_two_children():
+    cert = _hollow_extension()
+    cert["root"]["children"].pop()
+    assert ("structure", "decompose node needs two children") in _failures(verify_payload(cert))
+
+
+def test_glued_node_with_an_undischarged_child_fails():
+    cert = _hollow_extension()
+    cert["root"]["children"][0]["discharged"] = False
+    assert ("structure", "glued node with undischarged children") in \
+        _failures(verify_payload(cert))
+
+
+def test_square_that_does_not_commute_fails():
+    # the root square splits the hollow triangle at x0, so j1(i1(x1)) == x1
+    cert = _hollow_extension()
+    cert["root"]["square"]["homs"]["i1"][1] = "0"
+    assert ("square-commutes", "j1(i1(x1)) != j2(i2(x1))") in _failures(verify_payload(cert))
+
+
+def test_section_that_does_not_split_j2_fails():
+    cert = _hollow_extension()
+    cert["root"]["square"]["homs"]["section"][1] = "0"
+    failures = _failures(verify_payload(cert))
+    assert ("square-commutes", "section law fails") in failures
+    assert not any(d.startswith("j1(i1(") for _, d in failures)
+
+
+def test_row_lift_without_its_gl_lift_is_a_warning():
+    from test_golden import umrow_hollow
+
+    cert = umrow_hollow().certificate
+    del cert["root"]["delta"]
+    rep = verify_payload(cert)
+    assert rep.ok, rep.summary()
+    assert "root: no GL lift recorded" in rep.warnings
