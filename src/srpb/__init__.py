@@ -21,7 +21,7 @@ from .groebner import (GroebnerBasis, MembershipCertificate, buchberger, member,
 from .lifting import (DEFAULT_STRATEGIES, det_unit_inverse, lift_gl,
                       whitehead_lift)
 from .matrix import PolyMatrix
-from .poly import GREVLEX, Polynomial, PolyRing, TermOrder, format_polynomial
+from .poly import Polynomial, PolyRing, format_polynomial
 from .projmod import (ModIso, ProjModule, UmElement, UmRow, base_change,
                       glue_iso_traced, kernel_module, milnor_patch, module_rank,
                       pair_aut, pair_um, section_aut_lifter, section_um_lifter)

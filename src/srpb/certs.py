@@ -15,7 +15,7 @@ from .errors import FileFormatError
 from .expr import parse_expression
 from .fields import Field
 from .matrix import PolyMatrix
-from .poly import GREVLEX, Polynomial, PolyRing, format_polynomial
+from .poly import Polynomial, PolyRing, format_polynomial
 from .quotient import FiberSquare, QuotientRing, RingHom
 
 HEADER = "srpb/1"
@@ -67,7 +67,7 @@ def parse_ring(payload: dict) -> QuotientRing:
     try:
         fld = Field.from_name(payload["field"])
         nvars = _count(payload, "vars")
-        ctx = PolyRing(fld, nvars, GREVLEX)
+        ctx = PolyRing(fld, nvars)
         gens = []
         for text in payload["ideal"]:
             p = parse_expression(text, ctx)
@@ -113,7 +113,7 @@ def glmat_payload(g) -> dict:
 
 
 def hom_images_payload(h: RingHom) -> list:
-    return [format_polynomial(p) for p in h.images]
+    return ["0" if h.kill >> v & 1 else f"x{v}" for v in range(h.source.nvars)]
 
 
 def complex_payload(c) -> dict:

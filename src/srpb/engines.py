@@ -414,7 +414,7 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     if not ring.is_square_free():
         raise PreconditionError("row lifting needs a square-free quotient")
     if target is None:
-        target = QuotientRing.make(ring.field, ring.nvars, (), ring.context.order)
+        target = QuotientRing(ring.context, ())
     for g in target.generators:
         if ring.survives(g):
             raise PreconditionError("target ideal is not contained in the row's ideal")

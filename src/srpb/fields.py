@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextError, InputError
+from .errors import InputError
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -126,8 +126,3 @@ QQ = Field(0)
 
 def GF(p: int) -> Field:
     return Field(p)
-
-
-def check_same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise ContextError(f"mixed coefficient fields {a.name()} and {b.name()}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ContextError, InputError, InternalCheckError
 from .matrix import PolyMatrix
-from .poly import Polynomial, exp_div, exp_divides, exp_lcm
+from .poly import Polynomial, exp_div, exp_divides, exp_lcm, grevlex
 from .quotient import QuotientRing
 # kept here: bench/tracing.py finds its groebner.unit_inverse layer in this module
 from .quotient import unit_inverse
@@ -175,7 +175,7 @@ def _minimalize_and_reduce(gens, work) -> list:
         lc = r.leading()[1]
         inv = ring.field.inv(lc)
         out.append((r.scale(inv), tuple(c.scale(inv) for c in total)))
-    out.sort(key=lambda item: ring.order.key(item[0].leading()[0]))
+    out.sort(key=lambda item: grevlex(item[0].leading()[0]))
     return out
 
 

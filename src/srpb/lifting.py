@@ -60,8 +60,8 @@ def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
     Whitehead's four factors
         [[I, s],[0, I]] [[I, 0],[-s^-1, I]] [[I, s],[0, I]] [[0, -I],[I, 0]]
     pushed through the section multiply out to U = S (+) T, where (S, T)
-    is the section image of (sigma, sigma^-1).  The section is a verified
-    ring hom, so S T == T S == I, and j2 o section == id gives j2(U) ==
+    is the section image of (sigma, sigma^-1).  The section is a ring map,
+    so S T == T S == I, and j2 o section == id gives j2(U) ==
     sigma (+) sigma^-1 (both re-checked by verifier rule ``whitehead``).
     """
     if sigma.ring != j2.target:
@@ -83,8 +83,8 @@ class _StrategyFailure(Exception):
 def _require_compatible(sigma: GLMat, pi: RingHom) -> None:
     if pi.target != sigma.ring:
         raise ContextError("pi must map onto sigma's ring")
-    if not pi.is_identity_pattern():
-        raise PreconditionError("lift_gl expects an identity-pattern quotient map")
+    if pi.kill != pi.target.zero_mask:
+        raise PreconditionError("lift_gl expects a quotient map, x_v -> x_v")
     up_gens = set(pi.source.generators)
     down = pi.target
     for g in up_gens:

@@ -87,7 +87,7 @@ class PolyMatrix:
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "PolyMatrix") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContextError("matrices over different contexts")
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -195,7 +195,8 @@ class PolyMatrix:
 
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyMatrix) and self.ring == other.ring
+        return (isinstance(other, PolyMatrix)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 

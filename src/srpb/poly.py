@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A polynomial is an immutable sequence of (exponent-vector, coefficient)
-terms, strictly descending under the ring's term order, with no zero
+terms, strictly descending in grevlex with x0 > x1 > ... > xn, with no zero
 coefficients.  All operations are pure and return canonical values.
 """
 
@@ -10,39 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import ContextError, InputError
-from .fields import Field, check_same_field
+from .fields import Field
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Monomial order: grevlex or lex, with x0 > x1 > ... > xn."""
-
-    kind: str = "grevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise InputError(f"unknown term order kind {self.kind!r}")
-
-    def key(self, exps: tuple):
-        """Sort key; larger key means larger monomial."""
-        if self.kind == "lex":
-            return exps
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-GREVLEX = TermOrder("grevlex")
+def grevlex(exps: tuple) -> tuple:
+    """Sort key of the term order; larger key means larger monomial."""
+    return sum(exps), tuple(-e for e in reversed(exps))
 
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Free polynomial context: coefficient field, variable count, term order."""
+    """Free polynomial context: coefficient field and variable count."""
 
     field: Field
     nvars: int
-    order: TermOrder = GREVLEX
 
     def __post_init__(self):
         if self.nvars < 0:
@@ -83,9 +67,8 @@ class PolyRing:
 
 
 def _from_dict(ring: PolyRing, d: dict) -> "Polynomial":
-    key = ring.order.key
     items = [(e, c) for e, c in d.items() if c]
-    items.sort(key=lambda ec: key(ec[0]), reverse=True)
+    items.sort(key=lambda ec: grevlex(ec[0]), reverse=True)
     return Polynomial(ring, tuple(items))
 
 
@@ -123,7 +106,7 @@ class Polynomial:
                     out.add(i)
         return frozenset(out)
 
-    # -- leading data (w.r.t. the ring order) --------------------------
+    # -- leading data (w.r.t. grevlex) ---------------------------------
     def leading(self):
         """(exponent vector, coefficient) of the leading term."""
         if not self.terms:
@@ -132,7 +115,7 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContextError("polynomials over different contexts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -195,39 +178,10 @@ class Polynomial:
             n >>= 1
         return out
 
-    def substitute(self, assignment: Mapping[int, "Polynomial"],
-                   target: Optional[PolyRing] = None) -> "Polynomial":
-        """Apply the variable assignment; unassigned variables map to themselves."""
-        tgt = target if target is not None else self.ring
-        check_same_field(self.ring.field, tgt.field)
-        for i, img in assignment.items():
-            if img.ring != tgt:
-                raise ContextError(f"image of x{i} is not over the target context")
-        out = tgt.zero()
-        cache: dict = {}
-        for exps, coeff in self.terms:
-            acc = tgt.constant(coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                img = assignment.get(i)
-                if img is None:
-                    if i >= tgt.nvars:
-                        raise ContextError(f"variable x{i} has no image in the target context")
-                    p = tgt.monomial(tuple(e if j == i else 0 for j in range(tgt.nvars)))
-                else:
-                    key = (i, e)
-                    p = cache.get(key)
-                    if p is None:
-                        p = img ** e
-                        cache[key] = p
-                acc = acc * p
-            out = out + acc
-        return out
-
     # -- comparisons / hashing -----------------------------------------
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Polynomial) and self.ring == other.ring
+        return (isinstance(other, Polynomial)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:

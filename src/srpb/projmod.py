@@ -13,7 +13,7 @@ can re-check without trusting the construction that produced it.
 
 ``make`` checks these laws where data enters (caller matrices, oracle and
 lifter outputs, each glued result); ``inverse``, ``compose`` and
-``apply_hom`` along a verified hom keep them by algebra and skip the check.
+``apply_hom`` along a ring map keep them by algebra and skip the check.
 Every fiber square is split, so ``milnor_patch`` of free data is the free
 module I_r (+) 0 in closed form, with no glue and no product.
 """
@@ -86,11 +86,9 @@ def module_rank(p: ProjModule) -> int:
 
 
 def base_change(p: ProjModule, h: RingHom) -> ProjModule:
-    """Push the module along a verified ring map."""
+    """Push the module along a ring map."""
     if h.source != p.ring:
         raise ContextError("hom source does not match the module ring")
-    if not h.verified:
-        raise PreconditionError("base change needs a verified hom")
     # a ring map keeps E*E == E; verifier rule ``idempotency`` re-checks it
     return ProjModule(h.target, h.apply_matrix(p.matrix))
 
@@ -143,7 +141,7 @@ class ModIso:
                       ring.mat_mul(self.fwd, inner.fwd), ring.mat_mul(inner.bwd, self.bwd))
 
     def apply_hom(self, h: RingHom) -> "ModIso":
-        """The iso pushed along a verified hom, which keeps every matrix identity."""
+        """The iso pushed along a ring map, which keeps every matrix identity."""
         return ModIso(base_change(self.source, h), base_change(self.target, h),
                       h.apply_matrix(self.fwd), h.apply_matrix(self.bwd))
 
@@ -214,7 +212,7 @@ class UmElement:
         return UmElement(module, u, c)
 
     def apply_hom(self, h: RingHom) -> "UmElement":
-        """The element pushed along a verified hom, which keeps its three identities."""
+        """The element pushed along a ring map, which keeps its three identities."""
         return UmElement(base_change(self.module, h),
                          h.apply_matrix(self.u), h.apply_matrix(self.c))
 

@@ -6,11 +6,12 @@ canonical and multiplicative.  For a square-free ideal (every Stanley-Reisner
 ideal) a generator divides a monomial iff its support lies inside the
 monomial's, so survival is a test ``g & m == g`` on variable bitmasks, with
 the generator masks computed once per ring; any other ideal compares
-exponent vectors.  A ring hom over one context that sends each variable to
-itself or to 0 (quotient maps, square maps, sections, augmentations) is a
-term filter: it keeps, in order, the terms that meet no variable sent to 0
-and survive in the target, so it neither substitutes nor re-sorts.  The
-fiber square built from an apex decomposition is the workhorse for all
+exponent vectors.  Every ring map here (quotient maps, square maps,
+sections, augmentations) runs between two presentations over one context
+and sends each variable to itself or to 0, so a ``RingHom`` is a kill mask
+and a term filter: it keeps, in order, the terms that meet no killed
+variable and survive in the target, so it neither substitutes nor re-sorts.
+The fiber square built from an apex decomposition is the workhorse for all
 patching constructions.  Stanley-Reisner quotients are sorted antichains by
 construction (``sr_quotient``); ``QuotientRing.make`` minimalizes caller generators.
 
@@ -22,7 +23,7 @@ verifier re-checks what a certificate records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add
@@ -32,8 +33,8 @@ from .errors import (ContextError, GlueError, HomError, InputError,
                      InternalCheckError, PreconditionError, ShapeError)
 from .fields import Field
 from .matrix import PolyMatrix
-from .poly import (GREVLEX, Polynomial, PolyRing, TermOrder, _format_monomial,
-                   _from_dict, exp_divides, support_mask)
+from .poly import (Polynomial, PolyRing, _format_monomial, _from_dict, exp_divides,
+                   support_mask)
 from .simplicial import (ApexDecomposition, SimplicialComplex, apex_decomposition,
                          bit_indices, minimal_transversals, sr_ideal)
 
@@ -60,9 +61,8 @@ class QuotientRing:
     generators: tuple
 
     @staticmethod
-    def make(field_: Field, nvars: int, generators: Sequence[tuple] = (),
-             order: TermOrder = GREVLEX) -> "QuotientRing":
-        ctx = PolyRing(field_, nvars, order)
+    def make(field_: Field, nvars: int, generators: Sequence[tuple] = ()) -> "QuotientRing":
+        ctx = PolyRing(field_, nvars)
         for g in generators:
             if len(g) != nvars or any(e < 0 for e in g) or not any(g):
                 raise InputError(f"bad monomial generator {g}")
@@ -90,6 +90,11 @@ class QuotientRing:
         if not self.is_square_free():
             return None
         return tuple(support_mask(g) for g in self.generators)
+
+    @cached_property
+    def zero_mask(self) -> int:
+        """Mask of the variables that are 0 in the ring (its degree-one generators)."""
+        return sum(support_mask(g) for g in self.generators if sum(g) == 1)
 
     def _survives(self, exps: tuple, mask: int) -> bool:
         """Survival of the monomial with exponents exps and support mask."""
@@ -130,11 +135,11 @@ class QuotientRing:
         polynomial is built (Monagan and Pearce, CASC 2007).
         """
         ctx = self.context
-        if a.ring != b.ring:
+        if a.ring is not b.ring and a.ring != b.ring:
             raise ContextError("matrices over different contexts")
         if a.cols != b.rows:
             raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-        if a.ring != ctx and a.rows and b.cols:
+        if a.ring is not ctx and a.ring != ctx and a.rows and b.cols:
             raise ContextError("polynomial over a different context")
         p = ctx.field.char
         test = self._survives if self.generators else None
@@ -217,11 +222,13 @@ def unit_inverse(f: Polynomial, ring: QuotientRing) -> Optional[Polynomial]:
     return q
 
 
-def sr_quotient(field_: Field, c: SimplicialComplex,
-                order: TermOrder = GREVLEX) -> QuotientRing:
+def sr_quotient(field_: Field, c: SimplicialComplex) -> QuotientRing:
     """The Stanley-Reisner ring of c: its minimal non-faces, an antichain, only sorted."""
-    return QuotientRing(PolyRing(field_, c.ambient, order),
-                        tuple(sorted(sr_ideal(c), key=_generator_key)))
+    return _sr_ring(PolyRing(field_, c.ambient), c)
+
+
+def _sr_ring(ctx: PolyRing, c: SimplicialComplex) -> QuotientRing:
+    return QuotientRing(ctx, tuple(sorted(sr_ideal(c), key=_generator_key)))
 
 
 def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
@@ -232,31 +239,31 @@ def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
     full = (1 << r.nvars) - 1
     facets = [bit_indices(full & ~t) for t in minimal_transversals(r.generator_masks)]
     c = SimplicialComplex.from_facets(r.nvars, facets)
-    if sr_quotient(r.field, c, r.context.order) != r:
+    if _sr_ring(r.context, c) != r:
         raise InternalCheckError("complex reconstruction does not round-trip")
     return c
 
 
 @dataclass(frozen=True)
 class RingHom:
-    """Variable-assignment map between presented rings.
-
-    Applied as a term filter when ``kill`` is defined, else by substitution.
-    """
+    """The map x_v -> 0 for v in ``kill``, x_v -> x_v otherwise, between two
+    presentations over one context, applied as a term filter.  ``kill``
+    holds every variable that is 0 in the target, so equal maps are equal."""
 
     source: QuotientRing
     target: QuotientRing
-    images: tuple
-    verified: bool = False
+    kill: int
+
+    def __post_init__(self):
+        if self.source.context is not self.target.context and \
+                self.source.context != self.target.context:
+            raise ContextError("ring map between different contexts")
 
     @staticmethod
     def make(source: QuotientRing, target: QuotientRing,
-             images: Sequence[Polynomial], verify: bool = True) -> "RingHom":
-        if len(images) != source.nvars:
-            raise InputError("need one image per source variable")
-        images = tuple(target.normal_form(p) for p in images)
-        h = RingHom(source, target, images, False)
-        return hom_check(h) if verify else h
+             images: Sequence[Polynomial]) -> "RingHom":
+        """The checked map with these variable images (``hom_check``)."""
+        return hom_check(RingHom(source, target, image_mask(source, target, images)))
 
     @staticmethod
     def identity(ring: QuotientRing) -> "RingHom":
@@ -265,31 +272,18 @@ class RingHom:
     @staticmethod
     def quotient_map(source: QuotientRing, target: QuotientRing) -> "RingHom":
         """Identity on variables; valid when source ideal sits inside target's."""
-        imgs = [target.context.variable(i) for i in range(source.nvars)]
-        return RingHom.make(source, target, imgs)
+        return hom_check(RingHom(source, target, target.zero_mask))
 
-    @cached_property
-    def kill(self) -> Optional[int]:
-        """Mask of the variables sent to 0 when every other variable goes to
-        itself over the source's context; None for any other hom."""
-        ctx = self.source.context
-        if self.target.context != ctx:
-            return None
-        kill = 0
-        for i, img in enumerate(self.images):
-            if img.is_zero():
-                kill |= 1 << i
-            elif img != ctx.variable(i):
-                return None
-        return kill
+    @property
+    def images(self) -> tuple:
+        ctx = self.target.context
+        return tuple(ctx.zero() if self.kill >> v & 1 else ctx.variable(v)
+                     for v in range(ctx.nvars))
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        kill = self.kill
-        if kill is None or f.ring != self.source.context:
-            assignment = {i: img for i, img in enumerate(self.images)}
-            return self.target.normal_form(
-                f.substitute(assignment, target=self.target.context))
-        survives = self.target._survives
+        if f.ring is not self.source.context and f.ring != self.source.context:
+            raise ContextError("polynomial over a different context")
+        kill, survives = self.kill, self.target._survives
         kept = tuple(t for t in f.terms
                      if not (m := support_mask(t[0])) & kill and survives(t[0], m))
         return f if len(kept) == len(f.terms) else Polynomial(self.target.context, kept)
@@ -301,13 +295,23 @@ class RingHom:
         """self after inner (inner first)."""
         if inner.target != self.source:
             raise ContextError("homs do not compose")
-        # each self(img) is already normal in the target
-        return RingHom(inner.source, self.target, tuple(self(img) for img in inner.images), True)
+        return RingHom(inner.source, self.target, inner.kill | self.kill)
 
-    def is_identity_pattern(self) -> bool:
-        ctx = self.target.context
-        return all(img == self.target.normal_form(ctx.variable(i))
-                   for i, img in enumerate(self.images))
+
+def image_mask(source: QuotientRing, target: QuotientRing,
+               images: Sequence[Polynomial]) -> int:
+    """The kill mask of the map with these variable images: InputError unless
+    there is one per source variable, HomError unless each is, in the
+    target, 0 or its own variable."""
+    if len(images) != source.nvars:
+        raise InputError("need one image per source variable")
+    kill = 0
+    for v, img in enumerate(target.normal_form(p) for p in images):
+        if img.is_zero():
+            kill |= 1 << v
+        elif img != target.context.variable(v):
+            raise HomError(f"x{v} maps to {img}, neither itself nor 0", image=img)
+    return kill
 
 
 def hom_check(h: RingHom) -> RingHom:
@@ -318,26 +322,22 @@ def hom_check(h: RingHom) -> RingHom:
             raise HomError(
                 f"generator {h.source.context.monomial(g)} maps to nonzero {image}",
                 generator=g, image=image)
-    return h if h.verified else replace(h, verified=True)
+    return h
 
 
 def augmentation_hom(r: QuotientRing) -> RingHom:
     """Every variable to zero, landing in the constants-only presentation."""
-    consts = constants_ring(r)
-    zero = consts.context.zero()
-    return RingHom.make(r, consts, [zero] * r.nvars)
+    return RingHom(r, constants_ring(r), (1 << r.nvars) - 1)
 
 
 def constants_ring(r: QuotientRing) -> QuotientRing:
     gens = [tuple(1 if j == i else 0 for j in range(r.nvars)) for i in range(r.nvars)]
-    return QuotientRing.make(r.field, r.nvars, gens, r.context.order)
+    return QuotientRing(r.context, _minimalize(gens))
 
 
 def constants_inclusion(r: QuotientRing) -> RingHom:
     """The constants presentation mapped into r (variables to zero)."""
-    consts = constants_ring(r)
-    zero = r.context.zero()
-    return RingHom.make(consts, r, [zero] * r.nvars)
+    return RingHom(constants_ring(r), r, (1 << r.nvars) - 1)
 
 
 @dataclass(frozen=True)
@@ -374,16 +374,6 @@ def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
     return _square(sr_quotient(field_, c), c)
 
 
-def _mask_hom(source: QuotientRing, target: QuotientRing, kill: int) -> RingHom:
-    """The verified hom x_v -> 0 (v in kill), x_v -> x_v (else), with ``kill`` set.  The
-    caller's construction kills the source ideal, and kill holds x_v when x_v is 0 in target."""
-    ctx = target.context
-    imgs = tuple(ctx.zero() if kill >> v & 1 else ctx.variable(v) for v in range(ctx.nvars))
-    h = RingHom(source, target, imgs, True)
-    h.__dict__["kill"] = kill  # what the cached property derives from imgs
-    return h
-
-
 def _square(a: QuotientRing, c: SimplicialComplex) -> FiberSquare:
     """The patching square of c over a, which presents c; homs built by construction.
 
@@ -396,11 +386,11 @@ def _square(a: QuotientRing, c: SimplicialComplex) -> FiberSquare:
     """
     split = apex_decomposition(c)
     parts = (split.deletion_part, split.cone_part(), split.link_part)
-    a1, a2, a0 = (sr_quotient(a.field, part, a.context.order) for part in parts)
+    a1, a2, a0 = (_sr_ring(a.context, part) for part in parts)
     g1, g2, g0 = (((1 << c.ambient) - 1) & ~part.used_mask for part in parts)
-    return FiberSquare(a, a1, a2, a0, _mask_hom(a, a1, g1), _mask_hom(a, a2, g2),
-                       _mask_hom(a1, a0, g0), _mask_hom(a2, a0, g0),
-                       _mask_hom(a0, a2, g2 | 1 << split.apex), split.apex, c, split)
+    return FiberSquare(a, a1, a2, a0, RingHom(a, a1, g1), RingHom(a, a2, g2),
+                       RingHom(a1, a0, g0), RingHom(a2, a0, g0),
+                       RingHom(a0, a2, g2 | 1 << split.apex), split.apex, c, split)
 
 
 @dataclass(frozen=True)
@@ -509,7 +499,7 @@ class GLMat:
     def _known_pair(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
         """A normal-form pair that is inverse by algebra, built unverified.
 
-        Products, swaps, direct sums and verified-hom images of verified
+        Products, swaps, direct sums and ring-map images of verified
         pairs ((AB)(B^-1 A^-1) = I), permutation matrices with their
         transposes, I + fE_ij with I - fE_ij for i != j, diagonals of
         checked unit pairs, m with det(m)^-1 adj(m)
@@ -576,11 +566,9 @@ class GLMat:
         return GLMat._known_pair(self.ring, self.inv, self.mat)
 
     def apply_hom(self, h: RingHom) -> "GLMat":
-        """The pair pushed along a verified hom, which keeps both products I."""
+        """The pair pushed along a ring map, which keeps both products I."""
         if h.source != self.ring:
             raise ContextError("hom source does not match")
-        if not h.verified:
-            raise PreconditionError("GL base change needs a verified hom")
         return GLMat._known_pair(h.target, h.apply_matrix(self.mat), h.apply_matrix(self.inv))
 
     def __eq__(self, other) -> bool:

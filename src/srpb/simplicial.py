@@ -227,6 +227,10 @@ class ApexDecomposition:
     link_part: SimplicialComplex
 
     def cone_part(self) -> SimplicialComplex:
+        return self._cone
+
+    @cached_property
+    def _cone(self) -> SimplicialComplex:
         return cone(self.link_part, self.apex)
 
 

@@ -5,7 +5,8 @@ arithmetic over the rings named in the file; no engine code is imported.
 One rule per identity type:
 
     idempotency            nf(E*E) == E
-    hom well-definedness   every source ideal generator maps to 0
+    hom well-definedness   each variable maps to itself or 0, and every
+                           source ideal generator to 0
     square commutativity   j1 o i1 == j2 o i2 on variables, section law
     restriction            child data equals the hom image of parent data
     ModIso laws            the four corner identities
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import certs
-from .errors import SrpbError
+from .errors import ContextError, HomError, SrpbError
 from .matrix import PolyMatrix, scalar_rank
 from .poly import Polynomial, PolyRing, format_polynomial
-from .quotient import QuotientRing, RingHom
+from .quotient import QuotientRing, RingHom, image_mask
 
 # Apex splits happen only at x0..x63 (a vertex no generator names is a cone
 # point), so certificates nest under 70 levels, far from the recursion limit.
@@ -237,14 +238,10 @@ def _check_iso_laws(report, where, ring: QuotientRing, es: PolyMatrix, et: PolyM
     report.add(where, "mod-iso-laws", ok, detail)
 
 
-def _identity_hom(source: QuotientRing, target: QuotientRing) -> RingHom:
-    imgs = [target.context.variable(i) for i in range(source.nvars)]
-    return RingHom.make(source, target, imgs, verify=False)
-
-
-def _check_hom_defined(report, where, h: RingHom, label: str) -> None:
-    """A square map sends each variable to itself or to 0 and kills its source ideal."""
-    if h.kill is None:
+def _check_hom_defined(report, where, h: Optional[RingHom], label: str) -> None:
+    """A square map sends each variable to itself or to 0 (else ``_load_square``
+    yields no map, h is None) and kills its source ideal."""
+    if h is None:
         report.add(where, "hom-defined", False, f"{label}: a variable maps to neither itself nor 0")
         return
     bad = None
@@ -260,46 +257,41 @@ def _check_hom_defined(report, where, h: RingHom, label: str) -> None:
 
 # -- square ----------------------------------------------------------------------
 
+SQUARE_MAPS = (("i1", "a", "a1"), ("i2", "a", "a2"), ("j1", "a1", "a0"),
+               ("j2", "a2", "a0"), ("section", "a0", "a2"))
+
+
 def _load_square(rd: _Reader, node: dict) -> dict:
     rings = {k: rd.ring(v) for k, v in node["square"]["rings"].items()}
     ctxs = {k: r.context for k, r in rings.items()}
     homs_raw = node["square"]["homs"]
 
-    def hom(name, src, tgt):
+    sq: dict = {"rings": rings}
+    for name, src, tgt in SQUARE_MAPS:
         imgs = [rd.expression(t, ctxs[tgt]) for t in homs_raw[name]]
-        return RingHom.make(rings[src], rings[tgt], imgs, verify=False)
-
-    return {
-        "rings": rings,
-        "i1": hom("i1", "a", "a1"),
-        "i2": hom("i2", "a", "a2"),
-        "j1": hom("j1", "a1", "a0"),
-        "j2": hom("j2", "a2", "a0"),
-        "section": hom("section", "a0", "a2"),
-        "apex": int(node["apex"]) if "apex" in node else int(node["square"]["apex"]),
-    }
+        try:
+            sq[name] = RingHom(rings[src], rings[tgt], image_mask(rings[src], rings[tgt], imgs))
+        except (ContextError, HomError):
+            pass  # not a term filter: no map, so the checks that would apply it are skipped
+    sq["apex"] = int(node["apex"]) if "apex" in node else int(node["square"]["apex"])
+    return sq
 
 
 def _check_square(report, where, sq: dict) -> None:
-    for name in ("i1", "i2", "j1", "j2", "section"):
-        _check_hom_defined(report, where, sq[name], name)
+    for name, _, _ in SQUARE_MAPS:
+        _check_hom_defined(report, where, sq.get(name), name)
     a = sq["rings"]["a"]
     ctx = a.context
-    ok = True
-    for v in range(a.nvars):
-        xv = ctx.variable(v)
-        if sq["j1"](sq["i1"](xv)) != sq["j2"](sq["i2"](xv)):
-            ok = False
-            break
-    report.add(where, "square-commutes", ok, "" if ok else f"j1(i1(x{v})) != j2(i2(x{v}))")
+    if sq.keys() >= {"i1", "i2", "j1", "j2"}:
+        bad = next((v for v in range(a.nvars) if sq["j1"](sq["i1"](ctx.variable(v)))
+                    != sq["j2"](sq["i2"](ctx.variable(v)))), None)
+        report.add(where, "square-commutes", bad is None,
+                   "" if bad is None else f"j1(i1(x{bad})) != j2(i2(x{bad}))")
     a0 = sq["rings"]["a0"]
-    ok = True
-    for v in range(a0.nvars):
-        xv = a0.normal_form(a0.context.variable(v))
-        if sq["j2"](sq["section"](xv)) != xv:
-            ok = False
-            break
-    report.add(where, "square-commutes", ok, "" if ok else "section law fails")
+    if sq.keys() >= {"j2", "section"}:
+        ok = all(sq["j2"](sq["section"](xv)) == xv for xv in
+                 (a0.normal_form(a0.context.variable(v)) for v in range(a0.nvars)))
+        report.add(where, "square-commutes", ok, "" if ok else "section law fails")
 
 
 # -- node dispatch -----------------------------------------------------------------
@@ -361,16 +353,16 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
     if len(children) != 2:
         report.add(where, "structure", False, "decompose node needs two children")
         return
-    for idx, (corner, hom) in enumerate((("a1", sq["i1"]), ("a2", sq["i2"]))):
+    for idx, (corner, hom) in enumerate((("a1", sq.get("i1")), ("a2", sq.get("i2")))):
         child = children[idx]
         child_ring = rd.ring(child["ring"])
         ok = child_ring == sq["rings"][corner]
         report.add(where, "structure", ok,
                    "" if ok else f"child {idx} ring is not the {corner} corner")
-        child_e = rd.matrix(child["module"], ctx)
-        _eq(report, f"{where}.child{idx}", "restriction",
-            child_e, hom.apply_matrix(e), "child module vs restriction")
-        if task == "cancel" and "module_other" in node:
+        if hom is not None:
+            _eq(report, f"{where}.child{idx}", "restriction", rd.matrix(child["module"], ctx),
+                hom.apply_matrix(e), "child module vs restriction")
+        if hom is not None and task == "cancel" and "module_other" in node:
             other = rd.matrix(node["module_other"], ctx)
             child_other = rd.matrix(child["module_other"], ctx)
             _eq(report, f"{where}.child{idx}", "restriction",
@@ -385,7 +377,7 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
         return
 
     a1, a2, a0 = sq["rings"]["a1"], sq["rings"]["a2"], sq["rings"]["a0"]
-    j1, j2 = sq["j1"], sq["j2"]
+    j1, j2 = sq.get("j1"), sq.get("j2")
     target = rd.matrix(node["target"], ctx)
     _check_idempotent(report, where, ring, target)
     if task == "extend":
@@ -405,20 +397,23 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
     iso_f, iso_b = rd.pair(glue["iso"], ctx)
 
     # mismatch definition: alpha0 = j2(phi2) o j1(phi1)^-1 over a0
-    _eq(report, where, "compose", alpha0_f,
-        a0.mat_mul(j2.apply_matrix(phi2_f), j1.apply_matrix(phi1_b)),
-        "alpha0 fwd vs j2(phi2)*j1(phi1 bwd)")
-    _eq(report, where, "compose", alpha0_b,
-        a0.mat_mul(j1.apply_matrix(phi1_f), j2.apply_matrix(phi2_b)),
-        "alpha0 bwd vs j1(phi1 fwd)*j2(phi2 bwd)")
+    if j1 is not None and j2 is not None:
+        _eq(report, where, "compose", alpha0_f,
+            a0.mat_mul(j2.apply_matrix(phi2_f), j1.apply_matrix(phi1_b)),
+            "alpha0 fwd vs j2(phi2)*j1(phi1 bwd)")
+        _eq(report, where, "compose", alpha0_b,
+            a0.mat_mul(j1.apply_matrix(phi1_f), j2.apply_matrix(phi2_b)),
+            "alpha0 bwd vs j1(phi1 fwd)*j2(phi2 bwd)")
 
     # alpha2 is an automorphism of Q_2 reducing to alpha0
-    q2 = a2.nf_matrix(sq["i2"].apply_matrix(target))
-    _check_iso_laws(report, where, a2, q2, q2, alpha2_f, alpha2_b)
-    _eq(report, where, "restriction", j2.apply_matrix(alpha2_f), a0.nf_matrix(alpha0_f),
-        "j2(alpha2 fwd) vs alpha0 fwd")
-    _eq(report, where, "restriction", j2.apply_matrix(alpha2_b), a0.nf_matrix(alpha0_b),
-        "j2(alpha2 bwd) vs alpha0 bwd")
+    if "i2" in sq:
+        q2 = a2.nf_matrix(sq["i2"].apply_matrix(target))
+        _check_iso_laws(report, where, a2, q2, q2, alpha2_f, alpha2_b)
+    if j2 is not None:
+        _eq(report, where, "restriction", j2.apply_matrix(alpha2_f), a0.nf_matrix(alpha0_f),
+            "j2(alpha2 fwd) vs alpha0 fwd")
+        _eq(report, where, "restriction", j2.apply_matrix(alpha2_b), a0.nf_matrix(alpha0_b),
+            "j2(alpha2 bwd) vs alpha0 bwd")
 
     # corrected second iso: phi2' = alpha2^-1 o phi2
     _eq(report, where, "compose", fix_f, a2.mat_mul(alpha2_b, phi2_f),
@@ -427,14 +422,14 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
         "phi2' bwd vs phi2 bwd * alpha2 fwd")
 
     # glued iso restricts to its parts and satisfies the laws
-    _eq(report, where, "restriction", sq["i1"].apply_matrix(iso_f), a1.nf_matrix(phi1_f),
-        "i1(iso fwd) vs phi1 fwd")
-    _eq(report, where, "restriction", sq["i2"].apply_matrix(iso_f), a2.nf_matrix(fix_f),
-        "i2(iso fwd) vs phi2' fwd")
-    _eq(report, where, "restriction", sq["i1"].apply_matrix(iso_b), a1.nf_matrix(phi1_b),
-        "i1(iso bwd) vs phi1 bwd")
-    _eq(report, where, "restriction", sq["i2"].apply_matrix(iso_b), a2.nf_matrix(fix_b),
-        "i2(iso bwd) vs phi2' bwd")
+    for name, corner, iso, part, what in (
+            ("i1", a1, iso_f, phi1_f, "i1(iso fwd) vs phi1 fwd"),
+            ("i2", a2, iso_f, fix_f, "i2(iso fwd) vs phi2' fwd"),
+            ("i1", a1, iso_b, phi1_b, "i1(iso bwd) vs phi1 bwd"),
+            ("i2", a2, iso_b, fix_b, "i2(iso bwd) vs phi2' bwd")):
+        if name in sq:
+            _eq(report, where, "restriction", sq[name].apply_matrix(iso), corner.nf_matrix(part),
+                what)
     _check_iso_laws(report, where, ring, e, target, iso_f, iso_b)
 
 
@@ -483,7 +478,7 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     delta_m, delta_i = rd.glpair(node["delta"], tctx)
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
         target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
-    pi = _identity_hom(target_ring, ring)
+    pi = RingHom(target_ring, ring, ring.zero_mask)
     _eq(report, where, "gl-lift", pi.apply_matrix(delta_m), ring.nf_matrix(sigma_m),
         "pi(delta) vs sigma")
 
@@ -516,7 +511,7 @@ def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport)
         ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
         target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
-    pi = _identity_hom(target_ring, ring)
+    pi = RingHom(target_ring, ring, ring.zero_mask)
     _eq(report, where, "gl-lift", pi.apply_matrix(delta_m), ring.nf_matrix(sigma_m),
         "pi(delta) vs sigma")
 
@@ -535,16 +530,19 @@ def _verify_patch(rd: _Reader, node: dict, where: str, report: VerifierReport) -
         a0.nf_matrix(PolyMatrix.identity(ctx, rank)), "sigma*sigma^-1 vs I")
     _eq(report, where, "whitehead", a2.mat_mul(u_m, u_i),
         a2.nf_matrix(PolyMatrix.identity(ctx, 2 * rank)), "U*U^-1 vs I")
-    _eq(report, where, "whitehead", sq["j2"].apply_matrix(u_m),
-        a0.nf_matrix(sigma_m.direct_sum(sigma_i)), "j2(U) vs sigma (+) sigma^-1")
+    if "j2" in sq:
+        _eq(report, where, "whitehead", sq["j2"].apply_matrix(u_m),
+            a0.nf_matrix(sigma_m.direct_sum(sigma_i)), "j2(U) vs sigma (+) sigma^-1")
     corner = PolyMatrix.identity(ctx, rank).direct_sum(PolyMatrix.zeros(ctx, rank, rank))
     e2 = a2.mat_mul(a2.mat_mul(u_m, corner), u_i)
     e = rd.matrix(node["module"], ctx)
     _check_idempotent(report, where, a, e)
-    _eq(report, where, "restriction", sq["i1"].apply_matrix(e), a1.nf_matrix(corner),
-        "i1(E) vs I_r (+) 0")
-    _eq(report, where, "restriction", sq["i2"].apply_matrix(e), e2,
-        "i2(E) vs whitehead conjugate")
+    if "i1" in sq:
+        _eq(report, where, "restriction", sq["i1"].apply_matrix(e), a1.nf_matrix(corner),
+            "i1(E) vs I_r (+) 0")
+    if "i2" in sq:
+        _eq(report, where, "restriction", sq["i2"].apply_matrix(e), e2,
+            "i2(E) vs whitehead conjugate")
     got_rank = scalar_rank(e.augmentation())
     report.add(where, "rank", got_rank == rank,
                "" if got_rank == rank else f"rank {got_rank} != {rank}")

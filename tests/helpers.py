@@ -31,6 +31,21 @@ def random_poly(ring, rng, max_deg=2, terms=3, nonzero=False):
     return out
 
 
+def substitute(f, assignment, target=None):
+    """f with x_i -> assignment[i] over target (default f's context), unassigned
+    variables to themselves: the plain reference that ring maps are compared with."""
+    tgt = target if target is not None else f.ring
+    out = tgt.zero()
+    for exps, coeff in f.terms:
+        acc = tgt.constant(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                img = assignment.get(i)
+                acc = acc * (img ** e if img is not None else tgt.variable(i) ** e)
+        out = out + acc
+    return out
+
+
 def random_elementary_product(ring, size, rng, count=None, max_deg=2):
     g = GLMat.identity(ring, size)
     n = rng.randint(1, 4) if count is None else count

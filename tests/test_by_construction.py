@@ -188,9 +188,6 @@ def test_gl_pairs_built_by_construction_are_inverse(field):
         assert_gl_pair(_gl_upstairs(u.mat, nil, "test"))
     with pytest.raises(InputError, match="not a permutation"):
         GLMat.permutation(sq.a, [0, 0, 2])
-    raw = RingHom.make(sq.a, sq.a1, sq.i1.images, verify=False)
-    with pytest.raises(PreconditionError, match="verified hom"):
-        g.apply_hom(raw)
 
 
 def reference_square_check(sq):
@@ -214,7 +211,6 @@ def test_square_homs_pass_the_square_check(field):
         if c.is_simplex():
             continue
         sq = build_fiber_square(field, c)
-        assert all(h.verified for h in square_homs(sq))
         reference_square_check(sq)
         with pytest.raises(InternalCheckError):
             reference_square_check(dataclasses.replace(sq, i1=sq.i2, i2=sq.i1))
@@ -256,7 +252,7 @@ def test_mask_built_square_homs_match_hom_make(field):
         sq = build_fiber_square(field, c)
         for h, ref in zip(square_homs(sq), reference_square_homs(sq)):
             assert (h.source, h.target) == (ref.source, ref.target)
-            assert (h.images, h.kill, h.verified) == (ref.images, ref.kill, ref.verified)
+            assert h == ref and h.images == ref.images
             assert certs.hom_images_payload(h) == certs.hom_images_payload(ref)
         checked += 1
     assert checked > 7000
@@ -353,9 +349,6 @@ def test_whitehead_lift_is_the_section_image_and_patch_is_free(field):
             p = milnor_patch(sq, rank, sigma)
             assert p == reference_patch(sq, sigma), name
             assert p.rank() == rank
-    raw = RingHom.make(sq.a0, sq.a2, sq.section.images, verify=False)
-    with pytest.raises(PreconditionError, match="verified hom"):
-        whitehead_lift(sigma, sq.j2, raw)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from srpb import GF, QQ, PolyRing, TermOrder
+from srpb import GF, QQ, PolyRing
 from srpb.errors import ContextError, InputError
-from helpers import make_rng, random_poly
+from srpb.poly import grevlex
+from helpers import make_rng, random_poly, substitute
 
 
 def ring2(field=QQ):
@@ -38,7 +39,7 @@ def test_canonical_terms_strictly_ordered():
     rng = make_rng("poly-canon")
     for _ in range(50):
         f = random_poly(ctx, rng, max_deg=4, terms=6)
-        keys = [ctx.order.key(e) for e, _ in f.terms]
+        keys = [grevlex(e) for e, _ in f.terms]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
         assert all(c for _, c in f.terms)
@@ -74,24 +75,18 @@ def test_grevlex_order():
     assert exps == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
 
 
-def test_lex_order():
-    ctx = PolyRing(QQ, 2, TermOrder("lex"))
-    x, y = ctx.variable(0), ctx.variable(1)
-    f = y * y * y + x
-    assert [e for e, _ in f.terms] == [(1, 0), (0, 3)]
-
-
+# the reference substitution that test_masks.py compares ring maps with
 def test_substitute_evaluation_at_zero():
     ctx = ring2()
     x, y = ctx.variable(0), ctx.variable(1)
     f = x * x + y
-    assert f.substitute({0: ctx.zero()}) == y
+    assert substitute(f, {0: ctx.zero()}) == y
 
 
 def test_substitute_rename():
     ctx = ring2()
     x, y = ctx.variable(0), ctx.variable(1)
-    assert (x * y).substitute({0: y}) == y * y
+    assert substitute(x * y, {0: y}) == y * y
 
 
 def test_substitute_identity_random():
@@ -99,8 +94,8 @@ def test_substitute_identity_random():
     rng = make_rng("poly-subst")
     for _ in range(10):
         f = random_poly(ctx, rng, max_deg=3, terms=4)
-        assert f.substitute({}) == f
-        assert f.substitute({0: ctx.variable(0)}) == f
+        assert substitute(f, {}) == f
+        assert substitute(f, {0: ctx.variable(0)}) == f
 
 
 def test_substitute_is_multiplicative():
@@ -110,7 +105,7 @@ def test_substitute_is_multiplicative():
         f = random_poly(ctx, rng)
         g = random_poly(ctx, rng)
         img = {0: random_poly(ctx, rng), 1: random_poly(ctx, rng)}
-        assert (f * g).substitute(img) == f.substitute(img) * g.substitute(img)
+        assert substitute(f * g, img) == substitute(f, img) * substitute(g, img)
 
 
 def test_context_mismatch_raises():

@@ -45,13 +45,14 @@ def test_hom_check_accepts_and_rejects():
     r = xy_ring()
     free1 = QuotientRing.make(QQ, 2, ((1, 0),))  # kills x0
     ok = RingHom.make(r, free1, [free1.context.zero(), free1.context.variable(1)])
-    assert ok.verified
+    assert ok.kill == 0b01 and ok == RingHom.quotient_map(r, free1)
+    free = QuotientRing.make(QQ, 2, ())
     with pytest.raises(HomError):
-        RingHom.make(r, QuotientRing.make(QQ, 2, ()),
-                     [QuotientRing.make(QQ, 2, ()).context.variable(0),
-                      QuotientRing.make(QQ, 2, ()).context.one()])
+        RingHom.make(r, free, [free.context.variable(0), free.context.one()])
+    with pytest.raises(HomError):  # x0 x1 survives in the free ring
+        RingHom.quotient_map(r, free)
     ident = RingHom.identity(r)
-    assert ident.verified
+    assert ident.kill == 0 and ident.images == (r.context.variable(0), r.context.variable(1))
 
 
 def test_complex_ring_roundtrip():

@@ -289,11 +289,24 @@ def _value_paths(node, path=()):
             yield from _value_paths(value, path + (idx,))
 
 
+def _two_point_extension():
+    """The extension certificate of E = g (I_1 (+) 0) g^-1 with g = I + (x0 + x1) E_01
+    over Q[x0, x1]/(x0 x1); E is not constant on either corner, so the root is a
+    decompose node whatever SRPB_SEED is."""
+    r = xy_ring()
+    ctx = r.context
+    g = GLMat.elementary(r, 2, 0, 1, ctx.variable(0) + ctx.variable(1))
+    e = r.mat_mul(r.mat_mul(g.mat, PolyMatrix.from_scalars(ctx, [[1, 0], [0, 0]])), g.inv)
+    cert = extend_witness(ProjModule.make(r, e)).certificate
+    assert cert["root"]["kind"] == "decompose"
+    return cert
+
+
 def test_wrongly_typed_copy_of_a_read_payload_is_a_structure_failure():
     """True == 1 and 2.0 == 2, so a copy of a ring or matrix payload whose
     count is an equal value of another JSON type must fail even when a
     well-typed copy of it was read first."""
-    base = dict(corpus_certificates())["extend-two-points"]  # over Q[x0, x1]/(x0 x1)
+    base = _two_point_extension()
     for count in ("vars", "rows"):
         groups: dict = {}
         for path in _value_paths(base):
@@ -338,6 +351,20 @@ def test_every_square_map_image_edit_is_rejected():
                 assert not verify_payload(bad).ok, (build.__name__, path, bad_image)
                 cases += 1
     assert cases == 335
+
+
+def test_non_filter_square_image_is_a_node_local_hom_defined_failure():
+    """A square-map image that is neither its variable nor 0 loads no map: the
+    node fails ``hom-defined`` and skips the checks that would apply that map,
+    so it is the only failure of an otherwise valid certificate."""
+    from test_golden import extend_hollow_oracle
+
+    cert = extend_hollow_oracle().certificate
+    assert cert["root"]["square"]["homs"]["i2"][0] == "x0"
+    cert["root"]["square"]["homs"]["i2"][0] = "x1"
+    rep = verify_payload(cert)
+    assert [(e.node, e.check, e.detail) for e in rep.entries if not e.ok] == \
+        [("root", "hom-defined", "i2: a variable maps to neither itself nor 0")]
 
 
 def _hollow_extension():
