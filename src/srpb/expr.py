@@ -71,7 +71,7 @@ class _Tokens:
                 if den == 0:
                     raise ExprError("zero denominator", j + 1)
                 return ("number", (Fraction(num, den), k - start), start)
-            return ("number", (Fraction(num), j - start), start)
+            return ("number", (num, j - start), start)
         if ch == "x":
             j = self._digits(start + 1)
             if j == start + 1:
@@ -102,13 +102,13 @@ def parse_expression(text: str, ring: PolyRing) -> Polynomial:
 
 
 def _parse_expr(toks: _Tokens, ring: PolyRing) -> Polynomial:
-    """The terms' coefficients summed in one dict, sorted once."""
-    fld = ring.field
+    """The terms' coefficients summed raw in one dict, reduced and sorted once."""
     coeffs = dict(_parse_term(toks, ring).terms)
     while toks.peek()[0] in ("+", "-"):
-        op = fld.add if toks.take()[0] == "+" else fld.sub
+        plus = toks.take()[0] == "+"
         for e, c in _parse_term(toks, ring).terms:
-            coeffs[e] = op(coeffs.get(e, fld.zero), c)
+            c = c if plus else -c
+            coeffs[e] = coeffs[e] + c if e in coeffs else c
     return ring.from_terms(coeffs)
 
 
@@ -189,10 +189,7 @@ def _parse_power(toks: _Tokens, ring: PolyRing) -> Polynomial:
 def _parse_atom(toks: _Tokens, ring: PolyRing) -> Polynomial:
     kind, value, start = toks.take()
     if kind == "number":
-        q = value[0]
-        if ring.field.char == 0:
-            return ring.constant(q)
-        return ring.constant(ring.field.from_fraction(q))
+        return ring.constant(value[0])
     if kind == "var":
         idx = value[0]
         if idx > _MAX_VAR:

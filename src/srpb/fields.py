@@ -1,7 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain python values (Fraction for Q, int in [0, p) for F_p);
-the Field descriptor supplies the arithmetic and is shared ring-wide.
+Scalars are plain python values: over Q an ``int`` when integral and a
+``Fraction`` otherwise, over F_p an ``int`` in [0, p).  The two rational types
+mix exactly and compare and hash equal (``Fraction(2) == 2``), so integral
+values skip ``Fraction``'s gcd work.  The Field descriptor supplies the
+arithmetic and is shared ring-wide; sums accumulated raw (as polynomial
+products do) are brought back to this form once, by ``reduce_terms``.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .errors import InputError
 
@@ -52,40 +57,48 @@ class Field:
     """Field descriptor: char == 0 means Q, char == p means F_p."""
 
     char: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.char != 0 and not _is_prime(self.char):
             raise InputError(f"field characteristic must be 0 or prime, got {self.char}")
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
-
     def from_int(self, n: int):
-        if self.char == 0:
-            return Fraction(n)
-        return n % self.char
+        n = index(n)
+        return n % self.char if self.char else n
 
     def from_fraction(self, q: Fraction):
         if self.char == 0:
-            return Fraction(q)
+            return self.reduce(Fraction(q))
         den = q.denominator % self.char
         if den == 0:
             raise InputError(f"denominator {q.denominator} is zero mod {self.char}")
         return (q.numerator * pow(den, self.char - 2, self.char)) % self.char
 
+    def reduce(self, c):
+        """A raw sum or product of elements as an element: mod p, or integral -> int."""
+        if self.char:
+            return c % self.char
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def reduce_terms(self, d: dict) -> list:
+        """The (key, element) pairs of a dict of raw sums whose reduction is
+        nonzero; ``reduce`` inlined, as this runs once per polynomial result."""
+        if self.char:
+            p = self.char
+            return [(e, r) for e, c in d.items() if (r := c % p)]
+        return [(e, c if type(c) is int or c.denominator != 1 else c.numerator)
+                for e, c in d.items() if c]
+
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return self.reduce(a + b)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return self.reduce(a - b)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return self.reduce(a * b)
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -94,7 +107,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         if self.char == 0:
-            return Fraction(1) / a
+            return self.reduce(Fraction(1) / a)
         return pow(a, self.char - 2, self.char)
 
     def div(self, a, b):

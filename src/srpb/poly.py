@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ContextError, InputError
@@ -41,7 +42,7 @@ class PolyRing:
     def constant(self, c) -> "Polynomial":
         if isinstance(c, int):
             c = self.field.from_int(c)
-        elif isinstance(c, Fraction) and self.field.char:
+        elif isinstance(c, Fraction):
             c = self.field.from_fraction(c)
         if not c:
             return self.zero()
@@ -66,9 +67,17 @@ class PolyRing:
         return _from_dict(self, dict(mapping))
 
 
+def _descending(term: tuple) -> tuple:
+    """Ascending sort key of a term that lists grevlex-larger monomials first."""
+    exps = term[0]
+    return -sum(exps), exps[::-1]
+
+
 def _from_dict(ring: PolyRing, d: dict) -> "Polynomial":
-    items = [(e, c) for e, c in d.items() if c]
-    items.sort(key=lambda ec: grevlex(ec[0]), reverse=True)
+    """The polynomial of a dict of raw coefficient sums: reduced once, zeros dropped, sorted once."""
+    items = ring.field.reduce_terms(d)
+    if len(items) > 1:
+        items.sort(key=_descending)
     return Polynomial(ring, tuple(items))
 
 
@@ -120,26 +129,16 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         d = dict(self.terms)
         for e, c in other.terms:
-            s = fld.add(d.get(e, fld.zero), c)
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
+            d[e] = d[e] + c if e in d else c
         return _from_dict(self.ring, d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         d = dict(self.terms)
         for e, c in other.terms:
-            s = fld.sub(d.get(e, fld.zero), c)
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
+            d[e] = d[e] - c if e in d else -c
         return _from_dict(self.ring, d)
 
     def __neg__(self) -> "Polynomial":
@@ -148,16 +147,11 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         d: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(d.get(e, fld.zero), fld.mul(c1, c2))
-                if s:
-                    d[e] = s
-                else:
-                    d.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                d[e] = d[e] + c1 * c2 if e in d else c1 * c2
         return _from_dict(self.ring, d)
 
     def scale(self, c) -> "Polynomial":

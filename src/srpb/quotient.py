@@ -126,7 +126,7 @@ class QuotientRing:
         return self.normal_form(f * g)
 
     def mat_mul(self, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-        """nf(a * b), each entry accumulated in one dict and sorted once.
+        """nf(a * b), each entry accumulated raw in one dict, reduced and sorted once.
 
         Normal form over a monomial ideal is multiplicative, so a product
         term is tested for survival as it is formed (on the union of its
@@ -141,7 +141,6 @@ class QuotientRing:
             raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
         if a.ring is not ctx and a.ring != ctx and a.rows and b.cols:
             raise ContextError("polynomial over a different context")
-        p = ctx.field.char
         test = self._survives if self.generators else None
         masked = test is not None and self.generator_masks is not None
 
@@ -172,8 +171,6 @@ class QuotientRing:
                                     d[e] = c1 * c2
                                 else:
                                     dead.add(e)
-                if p:
-                    d = {e: c % p for e, c in d.items()}
                 out.append(_from_dict(ctx, d) if d else zero)
         return PolyMatrix(a.ring, a.rows, cols, out)
 

@@ -114,11 +114,14 @@ class _Reader:
     over one context to one PolyMatrix, and equal entry or hom-image texts
     over one context to one Polynomial; matrices and texts are keyed with
     their context because children's modules are read over their parent's.
-    A reader lives for one ``verify_payload`` call.
+    Rings of one field and variable count share one ``PolyRing``, so context
+    checks between them are ``is`` hits.  A reader lives for one
+    ``verify_payload`` call.
     """
 
     def __init__(self):
         self._rings: dict = {}
+        self._contexts: dict = {}
         self._matrices: dict = {}
         self._texts: dict = {}
 
@@ -134,11 +137,16 @@ class _Reader:
     def ring(self, payload) -> QuotientRing:
         key = _exact_key(payload, _RING_KEY)
         if key is None:
-            return certs.parse_ring(payload)  # no key; the parser reports it
+            return self._rehome(certs.parse_ring(payload))  # no key; the parser reports it
         r = self._rings.get(key)
         if r is None:
-            r = self._rings[key] = certs.parse_ring(payload)
+            r = self._rings[key] = self._rehome(certs.parse_ring(payload))
         return r
+
+    def _rehome(self, r: QuotientRing) -> QuotientRing:
+        """r over the certificate's one context for its field and variable count."""
+        ctx = self._contexts.setdefault((r.field, r.nvars), r.context)
+        return r if ctx is r.context else QuotientRing(ctx, r.generators)
 
     def matrix(self, payload, ctx: PolyRing) -> PolyMatrix:
         key = _exact_key(payload, _MATRIX_KEY)
@@ -511,6 +519,10 @@ def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport)
         ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
         target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
+    if any(ring.survives(g) for g in target_ring.generators):
+        # reported only on failure, so a valid node's summary keeps its entries
+        report.add(where, "structure", False, "target ideal escapes the quotient")
+        return
     pi = RingHom(target_ring, ring, ring.zero_mask)
     _eq(report, where, "gl-lift", pi.apply_matrix(delta_m), ring.nf_matrix(sigma_m),
         "pi(delta) vs sigma")

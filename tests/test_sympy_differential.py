@@ -1,11 +1,12 @@
 """Differential tests of the arithmetic core against sympy.
 
 The engines and the verifier share ``Polynomial`` arithmetic, monomial
-normal forms and ``QuotientRing.mat_mul``.  These tests compare them on
-seeded inputs over Q and F_5 with sympy's ``Poly`` and ``Matrix``, an
-independent implementation: the coefficients and, under grevlex, the order
-of the terms.  The normal form is sympy's reduction by the ideal's
-Groebner basis, which for a monomial ideal is its generators.
+normal forms, ``QuotientRing.mat_mul``, determinants, adjugates and unit
+inverses.  These tests compare them on seeded inputs over Q and F_5 with
+sympy's ``Poly``, ``Matrix`` and ``groebner``, an independent
+implementation: the coefficients and, under grevlex, the order of the
+terms.  The normal form is sympy's reduction by the ideal's Groebner basis,
+which for a monomial ideal is its generators.
 """
 
 from fractions import Fraction
@@ -122,3 +123,75 @@ def test_mat_mul_matches_sympy_matrix_product(field):
             reduced = sympy_normal_form(sympy.Poly(sympy.expand(want), *SYMBOLS, domain=domain),
                                         ring)
             assert entry.terms == terms_of(reduced, field)
+
+
+def random_square(ctx, rng, n):
+    return PolyMatrix.from_rows(ctx, [[random_element(ctx, rng, max_deg=2, terms=3)
+                                       for _ in range(n)] for _ in range(n)])
+
+
+def to_sympy_matrix(m):
+    return sympy.Matrix(m.rows, m.cols, [to_sympy(f).as_expr() for f in m.entries])
+
+
+def expanded(expr, field):
+    domain = sympy.QQ if field.char == 0 else sympy.GF(field.char)
+    return sympy.Poly(sympy.expand(expr), *SYMBOLS, domain=domain)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_det_and_adjugate_match_sympy(field):
+    rng = make_rng(f"sympy-det-{field.char}")
+    ctx = PolyRing(field, NVARS)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        m = random_square(ctx, rng, n)
+        sm = to_sympy_matrix(m)
+        assert m.det().terms == terms_of(expanded(sm.det(method="berkowitz"), field), field)
+        adj = m.adjugate()
+        for entry, want in zip(adj.entries, sm.adjugate(method="berkowitz")):
+            assert entry.terms == terms_of(expanded(want, field), field)
+
+
+def random_unit_candidate(ring, rng):
+    """c + a sum of terms: nilpotent ones (on a generator's support, below its
+    exponents where they pass 1), and with probability 1/3 one random term besides."""
+    ctx, field = ring.context, ring.field
+    d = {(0,) * NVARS: field.from_int(rng.randint(-3, 3))}
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice(ring.generators)
+        exps = tuple(rng.randint(1, max(1, e - 1)) if e else 0 for e in g)
+        d[exps] = field.from_int(rng.choice((1, 2, -1)))
+    f = ctx.from_terms(d)
+    if rng.random() < 1 / 3:
+        f = f + random_element(ctx, rng, max_deg=2, terms=1)
+    return ring.normal_form(f)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_unit_inverse_matches_sympy(field):
+    """A unit iff sympy's Groebner basis of (f) + I is {1}; the inverse is
+    normal and sympy reduces f * inverse - 1 to 0."""
+    from srpb.quotient import unit_inverse
+
+    rng = make_rng(f"sympy-unit-{field.char}")
+    units = deep = 0
+    for _ in range(40):
+        # generators with an exponent past 1, so that nilpotents survive
+        gens = [tuple(rng.randint(0, 3) for _ in range(NVARS)) for _ in range(rng.randint(1, 3))]
+        ring = QuotientRing.make(field, NVARS, [g[:-1] + (max(g[-1], 2),) for g in gens])
+        f = random_unit_candidate(ring, rng)
+        sf = to_sympy(f)
+        ideal = [to_sympy(ring.context.monomial(g)).as_expr() for g in ring.generators]
+        basis = sympy.groebner([sf.as_expr()] + ideal, *SYMBOLS, order="grevlex",
+                               domain=sf.domain)
+        inv = unit_inverse(f, ring)
+        assert (inv is not None) == (list(basis.exprs) == [1]), (ring, f)
+        if inv is None:
+            continue
+        units += 1
+        deep += not f.is_constant()
+        sinv = to_sympy(inv)
+        assert sympy_normal_form(sinv, ring) == sinv
+        assert sympy_normal_form(sf * sinv - 1, ring).is_zero
+    assert units < 40 and deep >= 10  # non-units, and units with a nilpotent part

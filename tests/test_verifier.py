@@ -411,3 +411,18 @@ def test_row_lift_without_its_gl_lift_is_a_warning():
     rep = verify_payload(cert)
     assert rep.ok, rep.summary()
     assert "root: no GL lift recorded" in rep.warnings
+
+
+def test_gl_lift_whose_target_ideal_escapes_the_quotient_fails():
+    """Over Q[x0,x1]/(x0x1) a target ring Q[x0,x1]/(x0) has no map x_v -> x_v onto
+    the ring, so sigma = delta = I + x1*E_01 lifts nothing and the node fails."""
+    r = xy_ring()
+    sigma = GLMat.elementary(r, 2, 0, 1, r.context.variable(1))
+    prof = HypothesisProfile(0, 2).payload()
+    cert = gl_lift_node(r, r, sigma, sigma, prof)
+    cert["root"]["target_ring"]["ideal"] = ["x0"]
+    rep = verify_payload(cert)
+    assert ("structure", "target ideal escapes the quotient") in _failures(rep), rep.summary()
+    # over the ring's own ideal the same node passes with no structure entry
+    rep = verify_payload(gl_lift_node(r, r, sigma, sigma, prof))
+    assert rep.ok and all(e.check == "gl-lift" for e in rep.entries), rep.summary()
