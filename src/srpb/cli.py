@@ -13,7 +13,7 @@ import sys
 
 from . import certs, files
 from .engines import HypothesisProfile, extend_witness, umrow_lift
-from .errors import AllStrategiesFailed, ExprError, SrpbError
+from .errors import AllStrategiesFailed, SrpbError
 from .expr import parse_expression
 from .fields import Field
 from .lifting import lift_gl
@@ -35,18 +35,12 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     try:
         return args.run(args)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except AllStrategiesFailed as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         for name, detail in exc.diagnostics.items():
             print(f"  {name}: {detail}", file=sys.stderr)
         return EXHAUSTED
-    except SrpbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
+    except (SrpbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -54,20 +54,19 @@ class Obligation:
 
 @dataclass(frozen=True)
 class HypothesisProfile:
-    """Advisory record of the dimension/characteristic side conditions."""
+    """Advisory record of the side conditions; the base ring is the field k, of dimension 0."""
 
     characteristic: int
     rank: int
-    base_dimension: int = 0
 
     def payload(self) -> dict:
         p, r = self.characteristic, self.rank
         return {
             "characteristic": p,
             "rank": r,
-            "base_dimension": self.base_dimension,
+            "base_dimension": 0,
             "char_prime_to_rank_factorial": bool(p) and math.gcd(p, math.factorial(r)) == 1,
-            "rank_at_least_half_dim_plus_two": r >= self.base_dimension / 2 + 2,
+            "rank_at_least_half_dim_plus_two": r >= 2,
         }
 
 
@@ -216,7 +215,7 @@ def _smith_freeness_iso(p: ProjModule) -> ModIso:
     ginv = g.adjugate().scale(inv_scalar)
     s = len([j for j in range(n) if dec1.d[j, j].is_zero()])
     corner = PolyMatrix.identity(ctx, s).direct_sum(PolyMatrix.zeros(ctx, n - s, n - s))
-    if ring.mat_mul(ring.mat_mul(ginv, e), g) != ring.nf_matrix(corner):
+    if ring.mat_mul(ring.mat_mul(ginv, e), g) != corner:
         raise InternalCheckError("basis change does not diagonalize the idempotent")
     g0 = g.augmentation()
     g0inv = scalar_inverse(g0)
@@ -431,8 +430,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     v0 = row.v.augmentation()
     w0 = row.w.augmentation()
     sigma = GLMat._known_pair(
-        ring, ring.nf_matrix(iso.bwd) + ring.mat_mul(row.w.transpose(), v0),
-        ring.nf_matrix(iso.fwd) + ring.mat_mul(w0.transpose(), row.v))
+        ring, iso.bwd + ring.mat_mul(row.w.transpose(), v0),
+        iso.fwd + ring.mat_mul(w0.transpose(), row.v))
 
     pi = RingHom.quotient_map(target, ring)
     try:

@@ -68,6 +68,12 @@ class Field:
         n = index(n)
         return n % self.char if self.char else n
 
+    def element(self, c):
+        """c as a field element: an int or a Fraction is reduced, anything else kept."""
+        if isinstance(c, int):
+            return self.from_int(c)
+        return self.from_fraction(c) if isinstance(c, Fraction) else c
+
     def from_fraction(self, q: Fraction):
         if self.char == 0:
             return self.reduce(Fraction(q))

@@ -93,10 +93,10 @@ def _require_compatible(sigma: GLMat, pi: RingHom) -> None:
 
 
 def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
-    """m's entries read over up as a GL element, or a failure naming the determinant."""
-    lifted = up.nf_matrix(m)
+    """m, normal over a quotient of up and so over up, as a GL element over up,
+    or a failure naming the determinant."""
     try:
-        return GLMat._known_pair(up, lifted, det_unit_inverse(lifted, up))
+        return GLMat._known_pair(up, m, det_unit_inverse(m, up))
     except NonUnitError as exc:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 

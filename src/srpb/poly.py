@@ -8,7 +8,6 @@ coefficients.  All operations are pure and return canonical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from operator import add
 from typing import Iterable, Mapping
@@ -40,13 +39,8 @@ class PolyRing:
         return self.constant(self.field.one)
 
     def constant(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        elif isinstance(c, Fraction):
-            c = self.field.from_fraction(c)
-        if not c:
-            return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        c = self.field.element(c)
+        return Polynomial(self, (((0,) * self.nvars, c),)) if c else self.zero()
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -55,10 +49,11 @@ class PolyRing:
         return Polynomial(self, ((exps, self.field.one),))
 
     def monomial(self, exps: Iterable[int], coeff=None) -> "Polynomial":
+        """coeff * x^exps, an int or Fraction coefficient reduced into the field."""
         exps = tuple(exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ContextError("bad exponent vector for this context")
-        c = self.field.one if coeff is None else coeff
+        c = self.field.one if coeff is None else self.field.element(coeff)
         if not c:
             return self.zero()
         return Polynomial(self, ((exps, c),))

@@ -51,7 +51,7 @@ class ProjModule:
         ctx = ring.context
         pad = max(0, (rank if size is None else size) - rank)
         e = PolyMatrix.identity(ctx, rank).direct_sum(PolyMatrix.zeros(ctx, pad, pad))
-        return ProjModule(ring, ring.nf_matrix(e))
+        return ProjModule(ring, e)
 
     @property
     def size(self) -> int:
@@ -183,7 +183,7 @@ def kernel_module(u: UmRow) -> ProjModule:
     """
     ring = u.ring
     e = ring.mat_mul(u.w.transpose(), u.v)
-    return ProjModule(ring, ring.nf_matrix(PolyMatrix.identity(ring.context, u.width) - e))
+    return ProjModule(ring, PolyMatrix.identity(ring.context, u.width) - e)
 
 
 # -- unimodular elements of a projective module -------------------------------

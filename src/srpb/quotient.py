@@ -18,7 +18,15 @@ construction (``sr_quotient``); ``QuotientRing.make`` minimalizes caller generat
 Each identity is checked once, where its data enters (``hom_check`` in
 ``RingHom.make``, ``GLMat(...)``, ``unit_inverse``); values derived from
 checked ones, such as the square's homs, are built by construction, and the
-verifier re-checks what a certificate records.
+verifier re-checks what a certificate records.  Normal form, too, runs only
+where data enters (the ``make`` constructors, ``GLMat(...)``, ``RingHom.make``'s
+images, ``unit_inverse``, ``det_unit_inverse``, ``GLMat.elementary``,
+``glue_element``, the verifier's parsed matrices) and on products formed in
+the free context (``det``, ``adjugate``, Buchberger cofactors).  The surviving
+monomials are a basis, so ``mat_mul``, ``mul``, ring maps, sums of normal
+values and constants (``make`` refuses the generator 1) are normal by
+construction, and a value normal over a square's corner, whose ideal is
+larger, is normal over its total ring.
 """
 
 from __future__ import annotations
@@ -130,8 +138,7 @@ class QuotientRing:
 
         Normal form over a monomial ideal is multiplicative, so a product
         term is tested for survival as it is formed (on the union of its
-        factors' support masks for a square-free ideal), an exponent that
-        dies is remembered for the rest of the call, and no intermediate
+        factors' support masks for a square-free ideal) and no intermediate
         polynomial is built (Monagan and Pearce, CASC 2007).
         """
         ctx = self.context
@@ -151,7 +158,6 @@ class QuotientRing:
         at = [terms(f) for f in a.entries]
         bt = [terms(f) for f in b.entries]
         zero = ctx.zero()
-        dead: set = set()
         out = []
         for i in range(a.rows):
             arow = at[i * n:(i + 1) * n]
@@ -166,11 +172,8 @@ class QuotientRing:
                             e = tuple(map(add, e1, e2))
                             if e in d:
                                 d[e] += c1 * c2
-                            elif e not in dead:
-                                if test is None or test(e, m1 | m2):
-                                    d[e] = c1 * c2
-                                else:
-                                    dead.add(e)
+                            elif test is None or test(e, m1 | m2):
+                                d[e] = c1 * c2
                 out.append(_from_dict(ctx, d) if d else zero)
         return PolyMatrix(a.ring, a.rows, cols, out)
 
@@ -454,13 +457,17 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
 # -- gluing -------------------------------------------------------------------
 
 def glue_element(square: FiberSquare, f1: Polynomial, f2: Polynomial) -> Polynomial:
-    """The unique element of a restricting to f1 over a1 and f2 over a2."""
+    """The unique element of a restricting to f1 over a1 and f2 over a2, with
+    f1 and f2 read as elements of a1 and a2 (their normal forms there); the
+    precondition j1(f1) == j2(f2) over a0 is checked (GlueError)."""
+    f1, f2 = square.a1.normal_form(f1), square.a2.normal_form(f2)
     g1 = square.j1(f1)
     g2 = square.j2(f2)
     if g1 != g2:
         raise GlueError(f"incompatible patch data: j1 gives {g1}, j2 gives {g2}")
-    # the square is cartesian, so this restricts to f1 and f2 (verifier rule ``restriction``)
-    return square.a.normal_form(f1 + f2 - g1)
+    # normal over corners, so over a; the square is cartesian, so this
+    # restricts to f1 and f2 (verifier rule ``restriction``)
+    return f1 + f2 - g1
 
 
 def glue_matrix(square: FiberSquare, m1: PolyMatrix, m2: PolyMatrix) -> PolyMatrix:
@@ -531,7 +538,7 @@ class GLMat:
         m = [[ctx.one() if a == b else ctx.zero() for b in range(n)] for a in range(n)]
         minv = [row[:] for row in m]
         m[i][j] = ring.normal_form(f)
-        minv[i][j] = ring.normal_form(-f)
+        minv[i][j] = -m[i][j]
         return GLMat._known_pair(ring, PolyMatrix.from_rows(ctx, m),
                                  PolyMatrix.from_rows(ctx, minv))
 

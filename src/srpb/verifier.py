@@ -415,7 +415,7 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
 
     # alpha2 is an automorphism of Q_2 reducing to alpha0
     if "i2" in sq:
-        q2 = a2.nf_matrix(sq["i2"].apply_matrix(target))
+        q2 = sq["i2"].apply_matrix(target)
         _check_iso_laws(report, where, a2, q2, q2, alpha2_f, alpha2_b)
     if j2 is not None:
         _eq(report, where, "restriction", j2.apply_matrix(alpha2_f), a0.nf_matrix(alpha0_f),
@@ -446,12 +446,11 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     ctx = ring.context
     v = rd.matrix(node["v"], ctx)
     w = rd.matrix(node["w"], ctx)
-    one = PolyMatrix.identity(ctx, 1)
-    _eq(report, where, "um-congruence", ring.mat_mul(v, w.transpose()), ring.nf_matrix(one),
-        "v*w^T vs 1")
+    _eq(report, where, "um-congruence", ring.mat_mul(v, w.transpose()),
+        PolyMatrix.identity(ctx, 1), "v*w^T vs 1")
 
     extend = node["extend"]
-    kernel = ring.nf_matrix(PolyMatrix.identity(ctx, v.cols)) - ring.mat_mul(w.transpose(), v)
+    kernel = PolyMatrix.identity(ctx, v.cols) - ring.mat_mul(w.transpose(), v)
     ext_ring = rd.ring(extend["ring"])
     report.add(where, "structure", ext_ring == ring,
                "" if ext_ring == ring else "extend subtree over a different ring")
@@ -464,7 +463,7 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
         return
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
-        ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
+        PolyMatrix.identity(ctx, sigma_m.rows), "sigma*sigma^-1 vs I")
     v0 = v.augmentation()
     w0 = w.augmentation()
     if extend.get("discharged"):
@@ -473,8 +472,7 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
             ring.nf_matrix(bwd) + ring.mat_mul(w.transpose(), v0), "sigma vs bwd + w^T v(0)")
         _eq(report, where, "compose", sigma_i,
             ring.nf_matrix(fwd) + ring.mat_mul(w0.transpose(), v), "sigma^-1 vs fwd + w(0)^T v")
-    _eq(report, where, "um-congruence", ring.mat_mul(v, sigma_m), ring.nf_matrix(v0),
-        "v*sigma vs v(0)")
+    _eq(report, where, "um-congruence", ring.mat_mul(v, sigma_m), v0, "v*sigma vs v(0)")
 
     if "delta" not in node:
         report.warnings.append(f"{where}: no GL lift recorded")
@@ -485,7 +483,7 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     report.add(where, "structure", ok, "" if ok else "target ideal escapes the quotient")
     delta_m, delta_i = rd.glpair(node["delta"], tctx)
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
-        target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
+        PolyMatrix.identity(tctx, delta_m.rows), "delta*delta^-1 vs I")
     pi = RingHom(target_ring, ring, ring.zero_mask)
     _eq(report, where, "gl-lift", pi.apply_matrix(delta_m), ring.nf_matrix(sigma_m),
         "pi(delta) vs sigma")
@@ -496,9 +494,8 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
         target_ring.mat_mul(v0_in(tctx, v0), delta_i), "u vs v(0)*delta^-1")
     _eq(report, where, "compose", w_prime,
         target_ring.mat_mul(v0_in(tctx, w0), delta_m.transpose()), "w' vs w(0)*delta^T")
-    one_t = PolyMatrix.identity(tctx, 1)
     _eq(report, where, "um-congruence", target_ring.mat_mul(u, w_prime.transpose()),
-        target_ring.nf_matrix(one_t), "u*w'^T vs 1")
+        PolyMatrix.identity(tctx, 1), "u*w'^T vs 1")
     _eq(report, where, "um-congruence", pi.apply_matrix(u), ring.nf_matrix(v),
         "u mod J vs v")
 
@@ -516,9 +513,9 @@ def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport)
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     delta_m, delta_i = rd.glpair(node["delta"], tctx)
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
-        ring.nf_matrix(PolyMatrix.identity(ctx, sigma_m.rows)), "sigma*sigma^-1 vs I")
+        PolyMatrix.identity(ctx, sigma_m.rows), "sigma*sigma^-1 vs I")
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
-        target_ring.nf_matrix(PolyMatrix.identity(tctx, delta_m.rows)), "delta*delta^-1 vs I")
+        PolyMatrix.identity(tctx, delta_m.rows), "delta*delta^-1 vs I")
     if any(ring.survives(g) for g in target_ring.generators):
         # reported only on failure, so a valid node's summary keeps its entries
         report.add(where, "structure", False, "target ideal escapes the quotient")
@@ -539,9 +536,9 @@ def _verify_patch(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     u_m, u_i = rd.glpair(node["whitehead"], ctx)
     _eq(report, where, "gl-lift", a0.mat_mul(sigma_m, sigma_i),
-        a0.nf_matrix(PolyMatrix.identity(ctx, rank)), "sigma*sigma^-1 vs I")
+        PolyMatrix.identity(ctx, rank), "sigma*sigma^-1 vs I")
     _eq(report, where, "whitehead", a2.mat_mul(u_m, u_i),
-        a2.nf_matrix(PolyMatrix.identity(ctx, 2 * rank)), "U*U^-1 vs I")
+        PolyMatrix.identity(ctx, 2 * rank), "U*U^-1 vs I")
     if "j2" in sq:
         _eq(report, where, "whitehead", sq["j2"].apply_matrix(u_m),
             a0.nf_matrix(sigma_m.direct_sum(sigma_i)), "j2(U) vs sigma (+) sigma^-1")
@@ -550,7 +547,7 @@ def _verify_patch(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     e = rd.matrix(node["module"], ctx)
     _check_idempotent(report, where, a, e)
     if "i1" in sq:
-        _eq(report, where, "restriction", sq["i1"].apply_matrix(e), a1.nf_matrix(corner),
+        _eq(report, where, "restriction", sq["i1"].apply_matrix(e), corner,
             "i1(E) vs I_r (+) 0")
     if "i2" in sq:
         _eq(report, where, "restriction", sq["i2"].apply_matrix(e), e2,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import random
 
-from srpb import QQ, GLMat, PolyMatrix, SimplicialComplex
+from srpb import QQ, GLMat, ModIso, PolyMatrix, ProjModule, SimplicialComplex
 from srpb.simplicial import bit_indices
 
 SEED = int(os.environ.get("SRPB_SEED", "20260808"))
@@ -78,6 +78,15 @@ def random_gl_with_units(ring, size, rng, count=4, max_deg=2):
                     pairs.append((ctx.constant(cc), ctx.constant(ctx.field.inv(cc))))
             g = g * GLMat.diagonal(ring, pairs)
     return g
+
+
+def stabilize(iso):
+    """The iso (+) the identity of a free rank-one module, as a cancellation takes it."""
+    ring = iso.ring
+    one = PolyMatrix.identity(ring.context, 1)
+    src = ProjModule.make(ring, iso.source.matrix.direct_sum(one))
+    tgt = ProjModule.make(ring, iso.target.matrix.direct_sum(one))
+    return ModIso.make(src, tgt, iso.fwd.direct_sum(one), iso.bwd.direct_sum(one))
 
 
 def conjugated_idempotent(ring, rng, size=None, rank=None, elementaries=4, max_deg=2):

@@ -13,7 +13,9 @@ on each output over Q and F_5, with plain products (``nf(a * b)``, not
 (``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
 over each node's own ring.  Caller data (oracle
 witnesses, the stabilized iso of a cancellation) is checked once where it
-enters, and the last tests feed it lawless values.
+enters, and three tests feed it lawless values.  Normal form likewise runs
+only where data enters: the last test checks that every matrix the engines
+and the GL lift build into a module, an iso or a GL pair is normal.
 """
 
 import dataclasses
@@ -31,11 +33,12 @@ from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
                           conjugation_witness_oracle)
 from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
-from srpb.errors import InputError, InternalCheckError, PreconditionError
-from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary
+from srpb.errors import (AllStrategiesFailed, InputError, InternalCheckError,
+                         PreconditionError)
+from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary, lift_gl
 from helpers import (complexes_on, conjugated_idempotent, corpus_complexes, corpus_squares,
                      hollow_triangle, make_rng, random_elementary_product,
-                     random_gl_with_units)
+                     random_gl_with_units, stabilize)
 
 FIELDS = [QQ, GF(5)]
 
@@ -583,3 +586,73 @@ def test_lawless_stabilized_iso_is_refused():
     zero = PolyMatrix.zeros(ctx, 3, 3)
     with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
         cancel_witness(p, p, ModIso(src, src, zero, zero))
+
+
+# -- every value the engines build is normal over its ring ------------------------
+
+def is_normal(ring, m) -> bool:
+    """No term of m is divisible by a generator of the ring's ideal (exponent test)."""
+    return not any(all(a >= b for a, b in zip(exps, g))
+                   for f in m.entries for exps, _ in f.terms for g in ring.generators)
+
+
+def record_normality(monkeypatch):
+    """Wrap the construction of ProjModule, ModIso and GLMat (``_set``, which both
+    GLMat paths use): log each kind built, and fail where a matrix is not normal."""
+    built = []
+
+    def log(kind, ring, *ms):
+        built.append(kind)
+        for m in ms:
+            assert is_normal(ring, m), f"{kind} built with {m!r}, not normal over {ring}"
+
+    module_init, iso_init, gl_set = ProjModule.__init__, ModIso.__init__, GLMat._set
+
+    def module(self, ring, matrix):
+        module_init(self, ring, matrix)
+        log("ProjModule", ring, matrix)
+
+    def iso(self, source, target, fwd, bwd):
+        iso_init(self, source, target, fwd, bwd)
+        log("ModIso", source.ring, fwd, bwd)
+
+    def gl(self, ring, mat, inv):
+        gl_set(self, ring, mat, inv)
+        log("GLMat", ring, mat, inv)
+
+    monkeypatch.setattr(ProjModule, "__init__", module)
+    monkeypatch.setattr(ModIso, "__init__", iso)
+    monkeypatch.setattr(GLMat, "_set", gl)
+    return built
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_engine_values_are_normal_by_construction(field, monkeypatch):
+    """Every module, iso and GL pair that the engines and the GL lift build is
+    normal over its ring, though normal form runs only where data enters."""
+    rng = make_rng(f"by-construction-normal-{field.char}")
+    built = record_normality(monkeypatch)
+    for _, sq in corpus_squares(field):
+        ring = sq.a
+        e, g = conjugated_idempotent(ring, rng)
+        p = ProjModule.make(ring, e)
+        extend_witness(p, oracle=conjugation_witness_oracle(g))
+        cancel_witness(p, p, stabilize(ModIso.identity(p)))
+        h = random_gl_with_units(ring, p.size, rng)
+        q = ProjModule.make(ring, conjugate(ring, h, e))
+        phi = ModIso.make(p, q, ring.mat_mul(ring.mat_mul(q.matrix, h.mat), p.matrix),
+                          ring.mat_mul(ring.mat_mul(p.matrix, h.inv), q.matrix))
+        cancel_witness(p, q, stabilize(phi))
+        free = QuotientRing.make(field, ring.nvars, ())
+        try:
+            lift_gl(random_gl_with_units(ring, 2, rng), RingHom.quotient_map(free, ring))
+        except AllStrategiesFailed:
+            pass
+    # w^T v has the term x0*x1, which is 0 over Q[x0,x1]/(x0*x1)
+    xy = QuotientRing.make(field, 2, ((1, 1),))
+    ctx = xy.context
+    v, w = ([[ctx.one(), ctx.variable(k)]] for k in (0, 1))
+    rows = [(UmRow.make(xy, PolyMatrix.from_rows(ctx, v), PolyMatrix.from_rows(ctx, w)), None)]
+    for row, oracle in rows + list(liftable_rows(field, rng, count=2)):
+        umrow_lift(row, oracle=oracle)
+    assert {"ProjModule", "ModIso", "GLMat"} <= set(built) and len(built) > 300

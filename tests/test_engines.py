@@ -11,7 +11,7 @@ from srpb.engines import (always_fail_oracle, chain_oracles,
                           conjugation_witness_oracle, stable_adapter)
 from srpb.errors import PreconditionError
 from helpers import (conjugated_idempotent, hollow_triangle, make_rng,
-                     random_elementary_product, two_points)
+                     random_elementary_product, stabilize, two_points)
 
 
 def xy_ring(field=QQ):
@@ -20,14 +20,6 @@ def xy_ring(field=QQ):
 
 def free_ring(field=QQ, n=2):
     return QuotientRing.make(field, n, ())
-
-
-def stabilize(iso: ModIso) -> ModIso:
-    ring = iso.ring
-    one = PolyMatrix.identity(ring.context, 1)
-    src = ProjModule.make(ring, iso.source.matrix.direct_sum(one))
-    tgt = ProjModule.make(ring, iso.target.matrix.direct_sum(one))
-    return ModIso.make(src, tgt, iso.fwd.direct_sum(one), iso.bwd.direct_sum(one))
 
 
 # -- extension engine -------------------------------------------------------------

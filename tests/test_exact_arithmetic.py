@@ -95,6 +95,19 @@ def test_constants_and_integers_are_ints():
     assert f.terms == (((1,), 1), ((0,), 2)) and all(type(c) is int for _, c in f.terms)
 
 
+def test_monomial_coefficients_are_reduced_like_constants():
+    f5 = PolyRing(GF(5), 1)
+    assert f5.monomial((1,), 7) == f5.monomial((1,), 2)
+    assert f5.monomial((1,), 7).terms == (((1,), 2),)
+    assert f5.monomial((1,), 5).is_zero() and f5.monomial((1,), -5).is_zero()
+    assert f5.monomial((1,), Fraction(1, 2)) == f5.monomial((1,), 3)
+    q = PolyRing(QQ, 1)
+    assert type(q.monomial((1,), Fraction(2)).terms[0][1]) is int
+    assert q.monomial((1,), Fraction(4, 2)) == q.monomial((1,), 2)
+    assert q.monomial((1,), Fraction(1, 2)).terms == (((1,), Fraction(1, 2)),)
+    assert q.monomial((1,), 0).is_zero() and q.monomial((1,)) == q.variable(0)
+
+
 # -- what the parser, mat_mul and the engines produce ----------------------------------
 
 LITERALS = ("1", "2", "-3", "4/2", "6/3", "1/2", "-1/2", "3/4", "10/5")

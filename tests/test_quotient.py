@@ -4,7 +4,7 @@ import pytest
 
 from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   SimplicialComplex, build_fiber_square, complex_of_ring,
-                  fiber_check, glue_element, sr_quotient)
+                  fiber_check, glue_element, glue_matrix, sr_quotient)
 from srpb.quotient import augmentation_hom, constants_inclusion
 from srpb.errors import GlueError, HomError, PreconditionError
 from helpers import (complexes_on, corpus_complexes, corpus_squares, hollow_triangle,
@@ -158,6 +158,20 @@ def test_glue_element_roundtrip():
             f = random_poly(sq.a, rng, max_deg=3, terms=4)
             m = glue_element(sq, sq.i1(f), sq.i2(f))
             assert m == sq.a.normal_form(f)
+
+
+def test_glue_reads_its_data_over_the_corners():
+    """x0 is 0 over the deletion corner of the hollow triangle (apex 0), so the
+    glue of (x0, 0) is 0: its images are 0 over both corners, as the data's are."""
+    sq = build_fiber_square(QQ, hollow_triangle())
+    assert sq.apex == 0
+    ctx = sq.a.context
+    x0, zero = ctx.variable(0), ctx.zero()
+    glued = glue_element(sq, x0, zero)
+    assert glued.is_zero()
+    assert sq.i1(glued) == sq.a1.normal_form(x0) and sq.i2(glued) == zero
+    row = PolyMatrix(ctx, 1, 2, (zero, ctx.one()))
+    assert glue_matrix(sq, PolyMatrix(ctx, 1, 2, (x0, ctx.one())), row) == row
 
 
 def test_glue_incompatible_rejected():
