@@ -22,9 +22,9 @@ from .lifting import (DEFAULT_STRATEGIES, det_unit_inverse, lift_gl,
                       whitehead_lift)
 from .matrix import PolyMatrix
 from .poly import Polynomial, PolyRing, format_polynomial
-from .projmod import (ModIso, ProjModule, UmElement, UmRow, base_change,
-                      glue_iso_traced, kernel_module, milnor_patch, module_rank,
-                      pair_aut, pair_um, section_aut_lifter, section_um_lifter)
+from .projmod import (ModIso, ProjModule, UmRow, base_change, glue_iso_traced,
+                      kernel_module, milnor_patch, module_rank, pair_aut,
+                      section_aut_lifter)
 from .quotient import (FiberSquare, GLMat, QuotientRing, RingHom,
                        build_fiber_square, complex_of_ring, fiber_check,
                        glue_element, glue_matrix, hom_check, sr_quotient,

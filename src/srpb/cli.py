@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("extend", help="extension witness engine")
     ex.add_argument("--module", required=True, help="idempotent matrix file")
-    ex.add_argument("--oracle", default="builtin", choices=["builtin"])
     ex.add_argument("--out", required=True, help="certificate output path")
     ex.set_defaults(run=_run_extend)
 
@@ -219,7 +218,7 @@ def _run_patch(args) -> int:
 def _run_extend(args) -> int:
     ring, mat = files.load_matrix(args.module)
     module = ProjModule.make(ring, mat)
-    result = extend_witness(module, oracle=None)
+    result = extend_witness(module)
     files.save_cert(args.out, result.certificate)
     if result.ok:
         _emit({"extended": True, "rank": module_rank(module)})
@@ -232,7 +231,7 @@ def _run_extend(args) -> int:
 def _run_umrow_lift(args) -> int:
     row = files.load_umrow(args.row)
     target = files.load_ring(args.to_ring) if args.to_ring else None
-    result = umrow_lift(row, oracle=None, target=target)
+    result = umrow_lift(row, target=target)
     if args.cert:
         files.save_cert(args.cert, result.certificate)
     if not result.ok:

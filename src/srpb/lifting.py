@@ -43,10 +43,10 @@ def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
     checks det * det^-1 == 1) times the adjugate; adj(m) * m == m * adj(m)
     == det * I makes it one by algebra, so the pair is a GL element by
     construction, and verifier rule ``gl-lift`` re-checks recorded lifts.
+    Normal form over a monomial ideal is a ring map, so m need not be normal.
     """
     if not m.is_square:
         raise PreconditionError("inverse of a non-square matrix")
-    m = ring.nf_matrix(m)
     d = ring.normal_form(m.det())
     q = unit_inverse(d, ring)
     if q is None:
@@ -139,18 +139,17 @@ def _lift_elementary(sigma: GLMat, pi: RingHom) -> GLMat:
             for row in work:
                 row[k], row[pj] = row[pj], row[k]
             right_up.append(GLMat.permutation(up, perm))
+        # each elementary is normal over down, so over up, and lifts as the same pair
         for i in range(n):
             if i != k and not work[i][k].is_zero():
-                f = down.normal_form(-(work[i][k] * pinv))
-                e = GLMat.elementary(down, n, i, k, f)
+                e = GLMat.elementary(down, n, i, k, -(work[i][k] * pinv))
                 work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-                left_up.append(GLMat.elementary(up, n, i, k, f))
+                left_up.append(GLMat._known_pair(up, e.mat, e.inv))
         for j in range(n):
             if j != k and not work[k][j].is_zero():
-                f = down.normal_form(-(work[k][j] * pinv))
-                e = GLMat.elementary(down, n, k, j, f)
+                e = GLMat.elementary(down, n, k, j, -(work[k][j] * pinv))
                 work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
-                right_up.append(GLMat.elementary(up, n, k, j, f))
+                right_up.append(GLMat._known_pair(up, e.mat, e.inv))
 
     units, inverses = [], []
     for k in range(n):

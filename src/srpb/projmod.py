@@ -186,37 +186,6 @@ def kernel_module(u: UmRow) -> ProjModule:
     return ProjModule(ring, PolyMatrix.identity(ring.context, u.width) - e)
 
 
-# -- unimodular elements of a projective module -------------------------------
-
-@dataclass(frozen=True)
-class UmElement:
-    """Column u in im(E) with a functional row c: c * u == 1, c == c * E."""
-
-    module: ProjModule
-    u: PolyMatrix
-    c: PolyMatrix
-
-    @staticmethod
-    def make(module: ProjModule, u: PolyMatrix, c: PolyMatrix) -> "UmElement":
-        ring = module.ring
-        u = ring.nf_matrix(u)
-        c = ring.nf_matrix(c)
-        if u.cols != 1 or c.rows != 1 or u.rows != module.size or c.cols != module.size:
-            raise ShapeError("unimodular element shapes do not match the module")
-        if ring.mat_mul(module.matrix, u) != u:
-            raise PreconditionError("element does not lie in the module")
-        if ring.mat_mul(c, module.matrix) != c:
-            raise PreconditionError("functional does not factor through the module")
-        if ring.mat_mul(c, u)[0, 0] != ring.context.one():
-            raise PreconditionError("functional does not evaluate to 1")
-        return UmElement(module, u, c)
-
-    def apply_hom(self, h: RingHom) -> "UmElement":
-        """The element pushed along a ring map, which keeps its three identities."""
-        return UmElement(base_change(self.module, h),
-                         h.apply_matrix(self.u), h.apply_matrix(self.c))
-
-
 # -- Milnor patching -----------------------------------------------------------
 
 def milnor_patch(square: FiberSquare, rank: int, sigma: GLMat) -> ProjModule:
@@ -292,41 +261,14 @@ def _check_lifter_output(square, alpha2: ModIso, alpha0: ModIso, q2: ProjModule)
 
 def pair_aut(square: FiberSquare, p: ProjModule, alpha1: ModIso,
              aut_lifter: Callable[[ModIso], ModIso]) -> ModIso:
-    """Extend an automorphism of P_1 to P across the square."""
-    if p.ring != square.a:
-        raise ContextError("module must live over the square's total ring")
-    p1 = base_change(p, square.i1)
-    if alpha1.source.matrix != p1.matrix or alpha1.target.matrix != p1.matrix:
-        raise PreconditionError("alpha1 is not an automorphism of the i1 base change")
-    alpha0 = alpha1.apply_hom(square.j1)
-    alpha2 = aut_lifter(alpha0)
-    p2 = base_change(p, square.i2)
-    _check_lifter_output(square, alpha2, alpha0, p2)
-    fwd = glue_matrix(square, alpha1.fwd, alpha2.fwd)
-    bwd = glue_matrix(square, alpha1.bwd, alpha2.bwd)
-    return ModIso.make(p, p, fwd, bwd)
+    """Extend an automorphism of P_1 to P across the square.
 
-
-def pair_um(square: FiberSquare, p: ProjModule, u1: UmElement,
-            um_lifter: Callable[[UmElement], UmElement]) -> UmElement:
-    """Extend a unimodular element of P_1 to P across the square."""
-    if p.ring != square.a:
-        raise ContextError("module must live over the square's total ring")
-    p1 = base_change(p, square.i1)
-    if u1.module.matrix != p1.matrix:
-        raise PreconditionError("u1 does not live in the i1 base change")
-    u0 = u1.apply_hom(square.j1)
-    u2 = um_lifter(u0)
-    p2 = base_change(p, square.i2)
-    if u2.module.matrix != p2.matrix or u2.module.ring != square.a2:
-        raise LifterError("lifter output does not live in P_2")
-    down_u = square.j2.apply_matrix(u2.u)
-    down_c = square.j2.apply_matrix(u2.c)
-    if down_u != u0.u or down_c != u0.c:
-        raise LifterError("lifter output does not reduce to the pushed element")
-    u = glue_matrix(square, u1.u, u2.u)
-    c = glue_matrix(square, u1.c, u2.c)
-    return UmElement.make(p, u, c)
+    Gluing alpha1^-1 against the identity of P_2 leaves the mismatch
+    j1(alpha1) for the lifter; the glued iso is the inverse of the pair
+    (alpha1, its lift).
+    """
+    id2 = ModIso.identity(base_change(p, square.i2))
+    return glue_iso_traced(square, p, p, alpha1.inverse(), id2, aut_lifter)[0].inverse()
 
 
 # -- default lifters through the section ---------------------------------------
@@ -348,22 +290,5 @@ def section_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso]
         if lifted_e != q2.matrix:
             raise LifterError("Q_2 is not the section image of its reduction")
         return alpha0.apply_hom(square.section)
-
-    return lifter
-
-
-def section_um_lifter(square: FiberSquare, p2: ProjModule) -> Callable[[UmElement], UmElement]:
-    """Constant lift of overlap unimodular elements through the section.
-
-    Sound whenever P_2's idempotent is the section image of its reduction;
-    raises LifterError when P_2 has a term in the apex variable.
-    """
-    def lifter(u0: UmElement) -> UmElement:
-        if u0.module.ring != square.a0:
-            raise LifterError("expected an element over the overlap ring")
-        lifted_e = square.section.apply_matrix(u0.module.matrix)
-        if lifted_e != p2.matrix:
-            raise LifterError("P_2 is not the section image of its reduction")
-        return u0.apply_hom(square.section)
 
     return lifter

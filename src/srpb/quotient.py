@@ -325,21 +325,6 @@ def hom_check(h: RingHom) -> RingHom:
     return h
 
 
-def augmentation_hom(r: QuotientRing) -> RingHom:
-    """Every variable to zero, landing in the constants-only presentation."""
-    return RingHom(r, constants_ring(r), (1 << r.nvars) - 1)
-
-
-def constants_ring(r: QuotientRing) -> QuotientRing:
-    gens = [tuple(1 if j == i else 0 for j in range(r.nvars)) for i in range(r.nvars)]
-    return QuotientRing(r.context, _minimalize(gens))
-
-
-def constants_inclusion(r: QuotientRing) -> RingHom:
-    """The constants presentation mapped into r (variables to zero)."""
-    return RingHom(constants_ring(r), r, (1 << r.nvars) - 1)
-
-
 @dataclass(frozen=True)
 class FiberSquare:
     """Cartesian square of Stanley-Reisner rings at an apex vertex.

@@ -5,7 +5,7 @@ from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   whitehead_lift)
 from srpb.errors import AllStrategiesFailed, NonUnitError
 from helpers import (hollow_triangle, make_rng, random_elementary_product,
-                     random_gl_with_units, two_points)
+                     random_gl_with_units, random_poly, two_points)
 
 
 def xy_ring(field=QQ):
@@ -35,6 +35,24 @@ def test_det_unit_inverse_non_unit():
     m = PolyMatrix(ctx, 1, 1, (ctx.variable(0),))
     with pytest.raises(NonUnitError):
         det_unit_inverse(m, r)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)))
+@pytest.mark.parametrize("gens", (((1, 1, 1),), ((2, 0, 0), (1, 2, 0), (0, 1, 1))))
+def test_det_unit_inverse_of_raw_input_matches_its_normal_form(field, gens):
+    # normal form over a monomial ideal is a ring map, so det and adjugate of
+    # m and of nf(m) agree modulo the ideal
+    r = QuotientRing.make(field, 3, gens)
+    ctx = r.context
+    rng = make_rng(f"det-raw-{field.char}-{len(gens)}")
+    for _ in range(4):
+        g = random_gl_with_units(r, 3, rng)
+        noise = PolyMatrix.from_rows(ctx, [
+            [ctx.monomial(rng.choice(gens)) * random_poly(ctx, rng, nonzero=True)
+             for _ in range(3)] for _ in range(3)])
+        m = g.mat + noise
+        assert m != r.nf_matrix(m)
+        assert det_unit_inverse(m, r) == det_unit_inverse(r.nf_matrix(m), r) == g.inv
 
 
 def test_whitehead_identity_and_constant():

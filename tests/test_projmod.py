@@ -1,14 +1,13 @@
 import pytest
 
 from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
-                  UmRow, base_change, build_fiber_square, kernel_module,
-                  milnor_patch, module_rank, pair_aut, pair_um,
-                  section_aut_lifter, section_um_lifter, unimodular_cert)
-from srpb.projmod import UmElement, glue_iso_traced
-from srpb.quotient import augmentation_hom
+                  RingHom, UmRow, base_change, build_fiber_square, kernel_module,
+                  milnor_patch, module_rank, pair_aut, section_aut_lifter,
+                  unimodular_cert)
+from srpb.projmod import glue_iso_traced
 from srpb.errors import LifterError, PreconditionError
-from helpers import (conjugated_idempotent, corpus_squares, hollow_triangle,
-                     make_rng, random_gl_with_units, two_points)
+from helpers import (conjugated_idempotent, corpus_squares, make_rng,
+                     random_gl_with_units, two_points)
 
 
 def xy_ring(field=QQ):
@@ -46,7 +45,9 @@ def test_base_change_constant_and_section_roundtrip():
     rng = make_rng("bc")
     e, _ = conjugated_idempotent(sq.a, rng, size=2, rank=1)
     p = ProjModule.make(sq.a, e)
-    aug = augmentation_hom(sq.a)
+    n = sq.a.nvars
+    aug = RingHom.quotient_map(sq.a, QuotientRing.make(
+        QQ, n, [tuple(int(i == j) for j in range(n)) for i in range(n)]))
     p0 = base_change(p, aug)
     assert p0.matrix.is_constant()
     # constant presentations are unchanged by any hom
@@ -187,19 +188,6 @@ def test_pair_aut_unitriangular_over_deletion_side():
     assert sq.i1.apply_matrix(aut.fwd) == alpha1.fwd
     # restriction to the cone side is the constant lift of alpha1 at the overlap
     assert sq.i2.apply_matrix(aut.fwd) == sq.section.apply_matrix(sq.j1.apply_matrix(alpha1.fwd))
-
-
-def test_pair_um_roundtrip():
-    sq = build_fiber_square(QQ, hollow_triangle())
-    p = ProjModule.free(sq.a, 2)
-    ctx = sq.a.context
-    u = PolyMatrix.from_scalars(ctx, [[1], [0]])
-    c = PolyMatrix.from_scalars(ctx, [[1, 0]])
-    elem = UmElement.make(p, u, c)
-    u1 = elem.apply_hom(sq.i1)
-    glued = pair_um(sq, p, u1, section_um_lifter(sq, base_change(p, sq.i2)))
-    assert sq.i1.apply_matrix(glued.u) == u1.u
-    assert sq.a.mat_mul(glued.c, glued.u)[0, 0] == ctx.one()
 
 
 def test_section_lifter_rejects_non_section_modules():

@@ -5,7 +5,6 @@ import pytest
 from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   SimplicialComplex, build_fiber_square, complex_of_ring,
                   fiber_check, glue_element, glue_matrix, sr_quotient)
-from srpb.quotient import augmentation_hom, constants_inclusion
 from srpb.errors import GlueError, HomError, PreconditionError
 from helpers import (complexes_on, corpus_complexes, corpus_squares, hollow_triangle,
                      make_rng, random_elementary_product, random_gl_with_units,
@@ -179,15 +178,6 @@ def test_glue_incompatible_rejected():
     one = sq.a1.context.one()
     with pytest.raises(GlueError):
         glue_element(sq, one, sq.a2.context.zero())
-
-
-def test_augmentation_and_constants():
-    r = xy_ring()
-    aug = augmentation_hom(r)
-    f = r.context.variable(0) + r.context.constant(3)
-    assert aug(f) == aug.target.context.constant(3)
-    inc = constants_inclusion(r)
-    assert inc(aug(f)) == r.context.constant(3)
 
 
 def test_glmat_verifies():
