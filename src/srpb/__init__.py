@@ -10,10 +10,10 @@ from .engines import (HypothesisProfile, Obligation, UmLiftResult,
                       always_fail_oracle, cancel_witness, chain_oracles,
                       conjugation_witness_oracle, extend_witness,
                       stable_adapter, umrow_lift)
-from .errors import (AllStrategiesFailed, ContextError, ExprError, GlueError,
-                     HomError, InputError, InternalCheckError, LifterError,
-                     NonUnitError, PreconditionError, RankError, ShapeError,
-                     SrpbError, UnsupportedRingError)
+from .errors import (AllStrategiesFailed, ContextError, ExprError, HomError,
+                     InputError, InternalCheckError, LifterError, NonUnitError,
+                     PreconditionError, RankError, ShapeError, SrpbError,
+                     UnsupportedRingError)
 from .expr import parse_expression
 from .fields import GF, QQ, Field
 from .groebner import (GroebnerBasis, MembershipCertificate, buchberger, member,
@@ -27,8 +27,7 @@ from .projmod import (ModIso, ProjModule, UmRow, base_change, glue_iso_traced,
                       section_aut_lifter)
 from .quotient import (FiberSquare, GLMat, QuotientRing, RingHom,
                        build_fiber_square, complex_of_ring, fiber_check,
-                       glue_element, glue_matrix, hom_check, sr_quotient,
-                       unit_inverse)
+                       hom_check, sr_quotient, unit_inverse)
 from .simplicial import (ApexDecomposition, SimplicialComplex,
                          apex_decomposition, cone, deletion, link,
                          minimal_nonfaces, sr_ideal, star)

@@ -30,8 +30,8 @@ from .errors import (AllStrategiesFailed, InternalCheckError, LifterError,
                      PreconditionError)
 from .lifting import lift_gl
 from .matrix import PolyMatrix, scalar_inverse
-from .projmod import (ModIso, ProjModule, UmRow, base_change, glue_iso_traced,
-                      kernel_module, module_rank, section_aut_lifter)
+from .projmod import (ModIso, ProjModule, UmRow, base_change, checked_lifter,
+                      glue_iso_traced, kernel_module, module_rank, section_aut_lifter)
 from .quotient import FiberSquare, GLMat, QuotientRing, RingHom, _square, complex_of_ring
 from .smith import smith_normal_form
 
@@ -379,9 +379,11 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
 
     ``stab`` must connect p + free(1) to q + free(1); it is checked once, here,
     and recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
-    automorphism lifter; the default, ``extension_aut_lifter``, lifts through
-    the section and falls back to Q_2's extension witness.  A node whose
-    lifter fails surfaces as an obligation of kind "cancel".
+    automorphism lifter, each output of which is checked once by
+    ``ModIso.make``; the default, ``extension_aut_lifter``, is lawful by
+    construction: it lifts through the section and falls back to Q_2's
+    extension witness.  A node whose lifter fails surfaces as an obligation
+    of kind "cancel".
     """
     if p.ring != q.ring:
         raise PreconditionError("modules over different rings")
@@ -394,7 +396,8 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
             or stab.target.matrix != q.matrix.direct_sum(one)):
         raise PreconditionError("stabilized iso does not connect P+free and Q+free")
     stab = ModIso.make(stab.source, stab.target, stab.fwd, stab.bwd)
-    task = _Task("cancel", "cancel", _cancel_base, aut_lifter_factory or extension_aut_lifter)
+    checked = aut_lifter_factory and (lambda sq, q2: checked_lifter(aut_lifter_factory(sq, q2)))
+    task = _Task("cancel", "cancel", _cancel_base, checked or extension_aut_lifter)
     return _solve(task, p, q, stab)
 
 

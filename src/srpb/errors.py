@@ -52,10 +52,6 @@ class LifterError(SrpbError):
     """A caller-supplied lifter broke its contract."""
 
 
-class GlueError(SrpbError):
-    """Patch data is incompatible over the overlap ring."""
-
-
 class InternalCheckError(SrpbError):
     """A runtime self-check failed; indicates a bug, not bad input."""
 

@@ -12,8 +12,8 @@ so that every claim in this module is an exact matrix identity a verifier
 can re-check without trusting the construction that produced it.
 
 ``make`` checks these laws where data enters (caller matrices, oracle and
-lifter outputs, each glued result); ``inverse``, ``compose`` and
-``apply_hom`` along a ring map keep them by algebra and skip the check.
+caller lifter outputs); ``inverse``, ``compose``, ``apply_hom`` along a ring
+map and the glue of lawful patch isos keep them by algebra, unchecked.
 Every fiber square is split, so ``milnor_patch`` of free data is the free
 module I_r (+) 0 in closed form, with no glue and no product.
 """
@@ -26,7 +26,7 @@ from typing import Callable
 from .errors import (ContextError, LifterError, PreconditionError, RankError,
                      ShapeError)
 from .matrix import PolyMatrix, scalar_rank
-from .quotient import (FiberSquare, GLMat, QuotientRing, RingHom, glue_matrix)
+from .quotient import FiberSquare, GLMat, QuotientRing, RingHom
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,12 @@ def glue_iso_traced(square: FiberSquare, p: ProjModule, q: ProjModule,
     """Patch isos P_i ~ Q_i into (P ~ Q, its GlueTrace), fixing the overlap mismatch.
 
     The mismatch j2(phi2) o j1(phi1)^-1 in Aut(Q_0) is lifted to Aut(Q_2)
-    by the caller-supplied lifter, phi2 is corrected by its inverse, and the
-    corrected pair is glued entrywise.
+    by the lifter, phi2 is corrected by its inverse to phi2', and each glued
+    entry is f1 + f2 - j1(f1).  With phi1, phi2 and the lifter's outputs
+    lawful (checked where they enter) and j2(phi2') == j1(phi1) (the lifter
+    check), the glue restricts to phi1 and phi2', and (i1, i2), injective on
+    the cartesian square's a, carries its corner laws to theirs; verifier
+    rules ``restriction``, ``mod-iso-laws`` and ``compose`` re-check them.
     """
     _check_glue_inputs(square, p, q, phi1, phi2)
     j1, j2 = square.j1, square.j2
@@ -232,9 +236,8 @@ def glue_iso_traced(square: FiberSquare, p: ProjModule, q: ProjModule,
     alpha2 = aut_lifter(mismatch)
     _check_lifter_output(square, alpha2, mismatch, phi2.target)
     phi2_fixed = alpha2.inverse().compose(phi2)
-    fwd = glue_matrix(square, phi1.fwd, phi2_fixed.fwd)
-    bwd = glue_matrix(square, phi1.bwd, phi2_fixed.bwd)
-    iso = ModIso.make(p, q, fwd, bwd)
+    iso = ModIso(p, q, phi1.fwd + phi2_fixed.fwd - phi1_0.fwd,
+                 phi1.bwd + phi2_fixed.bwd - phi1_0.bwd)
     return iso, GlueTrace(mismatch, alpha2, phi2_fixed)
 
 
@@ -259,16 +262,28 @@ def _check_lifter_output(square, alpha2: ModIso, alpha0: ModIso, q2: ProjModule)
         raise LifterError("lifter output does not reduce to the requested automorphism")
 
 
+def checked_lifter(lifter: Callable[[ModIso], ModIso]) -> Callable[[ModIso], ModIso]:
+    """A caller's lifter whose every output is checked once by ``ModIso.make``."""
+    def checked(alpha0: ModIso) -> ModIso:
+        alpha2 = lifter(alpha0)
+        return ModIso.make(alpha2.source, alpha2.target, alpha2.fwd, alpha2.bwd)
+
+    return checked
+
+
 def pair_aut(square: FiberSquare, p: ProjModule, alpha1: ModIso,
              aut_lifter: Callable[[ModIso], ModIso]) -> ModIso:
     """Extend an automorphism of P_1 to P across the square.
 
     Gluing alpha1^-1 against the identity of P_2 leaves the mismatch
     j1(alpha1) for the lifter; the glued iso is the inverse of the pair
-    (alpha1, its lift).
+    (alpha1, its lift).  alpha1 and the lifter's outputs are caller data, so
+    each is checked once here.
     """
+    alpha1 = ModIso.make(alpha1.source, alpha1.target, alpha1.fwd, alpha1.bwd)
     id2 = ModIso.identity(base_change(p, square.i2))
-    return glue_iso_traced(square, p, p, alpha1.inverse(), id2, aut_lifter)[0].inverse()
+    glued = glue_iso_traced(square, p, p, alpha1.inverse(), id2, checked_lifter(aut_lifter))
+    return glued[0].inverse()
 
 
 # -- default lifters through the section ---------------------------------------

@@ -20,13 +20,13 @@ Each identity is checked once, where its data enters (``hom_check`` in
 checked ones, such as the square's homs, are built by construction, and the
 verifier re-checks what a certificate records.  Normal form, too, runs only
 where data enters (the ``make`` constructors, ``GLMat(...)``, ``RingHom.make``'s
-images, ``unit_inverse``, ``det_unit_inverse``, ``GLMat.elementary``,
-``glue_element``, the verifier's parsed matrices) and on products formed in
-the free context (``det``, ``adjugate``, Buchberger cofactors).  The surviving
-monomials are a basis, so ``mat_mul``, ``mul``, ring maps, sums of normal
-values and constants (``make`` refuses the generator 1) are normal by
-construction, and a value normal over a square's corner, whose ideal is
-larger, is normal over its total ring.
+images, ``unit_inverse``, ``det_unit_inverse``, ``GLMat.elementary``, the
+verifier's parsed matrices) and on products formed in the free context
+(``det``, ``adjugate``, Buchberger cofactors).  The surviving monomials are
+a basis, so ``mat_mul``, ``mul``, ring maps, sums of normal values and
+constants (``make`` refuses the generator 1) are normal by construction, and
+a value normal over a square's corner, such as a glued iso's, is normal over
+its total ring, whose ideal is smaller.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .errors import (ContextError, GlueError, HomError, InputError,
-                     InternalCheckError, PreconditionError, ShapeError)
+from .errors import (ContextError, HomError, InputError, InternalCheckError,
+                     PreconditionError, ShapeError)
 from .fields import Field
 from .matrix import PolyMatrix
 from .poly import (Polynomial, PolyRing, _format_monomial, _from_dict, exp_divides,
@@ -192,6 +193,7 @@ class QuotientRing:
 
 # a unit inverse whose partial sum outgrows this many terms is refused
 UNIT_INVERSE_MAX_TERMS = 256
+FIBER_CHECK_MAX_MONOMIALS = 100_000  # monomials one fiber_check tests, under a second
 
 
 def unit_inverse(f: Polynomial, ring: QuotientRing) -> Optional[Polynomial]:
@@ -412,9 +414,15 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
     survives in a0; and a survivor of a2 alone involves the apex.  The first
     two give, by inclusion-exclusion, |B(a)| = |B(a1)| + |B(a2)| - |B(a0)|
     with the pairing (m  ->  (image in a1, image in a2)) bijective onto
-    compatible pairs.
+    compatible pairs.  A negative degree, or one with more than
+    ``FIBER_CHECK_MAX_MONOMIALS`` monomials (C(n + degree, n)), is an InputError.
     """
     n = square.a.nvars
+    if degree < 0:
+        raise InputError(f"fiber check degree {degree} is negative")
+    if comb(n + degree, n) > FIBER_CHECK_MAX_MONOMIALS:
+        raise InputError(f"fiber check degree {degree} spans more than "
+                         f"{FIBER_CHECK_MAX_MONOMIALS} monomials in {n} variables")
     apex = square.apex
     a, a1, a2, a0 = square.a, square.a1, square.a2, square.a0
     c = c1 = c2 = c0 = 0
@@ -437,29 +445,6 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
             return FiberReport(False, degree, c, c1, c2, c0,
                                failure=f"apex-free monomial {exps} missing from a0")
     return FiberReport(True, degree, c, c1, c2, c0)
-
-
-# -- gluing -------------------------------------------------------------------
-
-def glue_element(square: FiberSquare, f1: Polynomial, f2: Polynomial) -> Polynomial:
-    """The unique element of a restricting to f1 over a1 and f2 over a2, with
-    f1 and f2 read as elements of a1 and a2 (their normal forms there); the
-    precondition j1(f1) == j2(f2) over a0 is checked (GlueError)."""
-    f1, f2 = square.a1.normal_form(f1), square.a2.normal_form(f2)
-    g1 = square.j1(f1)
-    g2 = square.j2(f2)
-    if g1 != g2:
-        raise GlueError(f"incompatible patch data: j1 gives {g1}, j2 gives {g2}")
-    # normal over corners, so over a; the square is cartesian, so this
-    # restricts to f1 and f2 (verifier rule ``restriction``)
-    return f1 + f2 - g1
-
-
-def glue_matrix(square: FiberSquare, m1: PolyMatrix, m2: PolyMatrix) -> PolyMatrix:
-    if (m1.rows, m1.cols) != (m2.rows, m2.cols):
-        raise GlueError("glue of matrices with different shapes")
-    entries = [glue_element(square, a, b) for a, b in zip(m1.entries, m2.entries)]
-    return PolyMatrix(square.a.context, m1.rows, m1.cols, entries)
 
 
 # -- verified invertible matrices over a quotient -----------------------------

@@ -2,7 +2,8 @@
 
 Inverses, composites and hom images of module isomorphisms, hom images of
 GL pairs, permutation, determinant-adjugate and
-unit-diagonal pairs, the Whitehead lift, the Milnor patch, the section
+unit-diagonal pairs, the Whitehead lift, the Milnor patch, the glued iso of
+two patch isos, the section
 lifter, kernel modules, the five homs of a fiber square, the Smith
 transforms, the constant, Smith, oracle and point-normalized base-case
 witnesses, and the row lift's comparison pair and lifted row all skip the
@@ -12,8 +13,9 @@ on each output over Q and F_5, with plain products (``nf(a * b)``, not
 ``sr_quotient`` against the constructions they no longer go through
 (``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
 over each node's own ring.  Caller data (oracle
-witnesses, the stabilized iso of a cancellation) is checked once where it
-enters, and three tests feed it lawless values.  Normal form likewise runs
+witnesses, the stabilized iso of a cancellation, a caller lifter's outputs)
+is checked once where it enters, and four tests feed it lawless values.
+Normal form likewise runs
 only where data enters: the last test checks that every matrix the engines
 and the GL lift build into a module, an iso or a GL pair is normal.
 """
@@ -23,14 +25,14 @@ import dataclasses
 import pytest
 
 from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
-                  QuotientRing, RingHom, UmRow, build_fiber_square,
-                  cancel_witness, extend_witness, glue_matrix, hom_check,
+                  QuotientRing, RingHom, UmRow, base_change, build_fiber_square,
+                  cancel_witness, extend_witness, glue_iso_traced, hom_check,
                   kernel_module, milnor_patch, section_aut_lifter,
                   smith_normal_form, sr_quotient, umrow_lift, verify_payload,
                   whitehead_lift)
 from srpb import certs, engines
 from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
-                          conjugation_witness_oracle)
+                          conjugation_witness_oracle, extension_aut_lifter)
 from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import (AllStrategiesFailed, InputError, InternalCheckError,
@@ -112,7 +114,7 @@ def test_iso_inverse_compose_and_hom_image_keep_the_corner_laws(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_um_element_hom_image_and_kernel_module(field):
+def test_kernel_module_is_the_idempotent_kernel_of_the_row(field):
     rng = make_rng(f"by-construction-um-{field.char}")
     sq = build_fiber_square(field, hollow_triangle())
     ring, ctx = sq.a, sq.a.context
@@ -128,7 +130,7 @@ def test_um_element_hom_image_and_kernel_module(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_section_lifters_return_lawful_values(field):
+def test_section_aut_lifter_returns_lawful_values(field):
     rng = make_rng(f"by-construction-lift-{field.char}")
     sq = build_fiber_square(field, hollow_triangle())
     a0, ctx = sq.a0, sq.a0.context
@@ -306,11 +308,13 @@ def reference_whitehead(sq, sigma):
 
 
 def reference_patch(sq, sigma):
-    """Glue I_r (+) 0 with U (I_r (+) 0) U^-1, checked as a module."""
+    """Glue I_r (+) 0 with U (I_r (+) 0) U^-1 entrywise as f1 + f2 - j1(f1),
+    checked as a module."""
     u, uinv = reference_whitehead(sq, sigma)
     c = corner(sq.a.context, sigma.size, 2 * sigma.size)
-    glued = glue_matrix(sq, sq.a1.nf_matrix(c), prod(sq.a2, u, c, uinv))
-    return ProjModule.make(sq.a, glued)
+    f1, f2 = sq.a1.nf_matrix(c), prod(sq.a2, u, c, uinv)
+    assert sq.j1.apply_matrix(f1) == sq.j2.apply_matrix(f2)
+    return ProjModule.make(sq.a, f1 + f2 - sq.j1.apply_matrix(f1))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -328,6 +332,49 @@ def test_whitehead_lift_is_the_section_image_and_patch_is_free(field):
             p = milnor_patch(sq, rank, sigma)
             assert p == reference_patch(sq, sigma), name
             assert p.rank() == rank
+
+
+def corner_aut(ring, g, a, rank, size):
+    """The automorphism (g (A (+) 0) g^-1, g (A^-1 (+) 0) g^-1) of g (I_r (+) 0) g^-1."""
+    zeros = PolyMatrix.zeros(ring.context, size - rank, size - rank)
+    p = ProjModule(ring, conjugate(ring, g, corner(ring.context, rank, size)))
+    return ModIso(p, p, conjugate(ring, g, a.mat.direct_sum(zeros)),
+                  conjugate(ring, g, a.inv.direct_sum(zeros)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_glued_iso_is_lawful_and_restricts_to_its_patches(field):
+    """The glue of random lawful patch isos, built with no check, passes
+    ``ModIso.make`` and restricts to phi1 under i1 and to phi2' under i2."""
+    rng = make_rng(f"by-construction-glue-{field.char}")
+    for name, sq in corpus_squares(field):
+        a, ctx = sq.a, sq.a.context
+        # Q has no apex term, so Q_2 is the section image of its reduction
+        kill_apex = RingHom.make(a, a, [ctx.zero() if v == sq.apex else ctx.variable(v)
+                                        for v in range(a.nvars)])
+        for _ in range(3):
+            size = rng.randint(2, 3)
+            rank = rng.randint(1, size - 1)
+            g = random_elementary_product(a, size, rng)
+            h = random_gl_with_units(a, size, rng).apply_hom(kill_apex)
+            p = ProjModule.make(a, conjugate(a, g, corner(ctx, rank, size)))
+            q = ProjModule.make(a, conjugate(a, h, corner(ctx, rank, size)))
+            # conjugation by h g^-1 carries P to Q
+            phi = ModIso.make(p, q, prod(a, q.matrix, h.mat, g.inv, p.matrix),
+                              prod(a, p.matrix, g.mat, h.inv, q.matrix))
+            patches = []
+            for i in (sq.i1, sq.i2):
+                twist = random_gl_with_units(i.target, rank, rng)
+                patches.append(phi.apply_hom(i).compose(
+                    corner_aut(i.target, g.apply_hom(i), twist, rank, size)))
+            phi1, phi2 = patches
+            q2 = base_change(q, sq.i2)
+            iso, trace = glue_iso_traced(sq, p, q, phi1, phi2, section_aut_lifter(sq, q2))
+            assert ModIso.make(p, q, iso.fwd, iso.bwd) == iso, name
+            assert_iso_laws(iso)
+            for m, m1, m2 in ((iso.fwd, phi1.fwd, trace.phi2_fixed.fwd),
+                              (iso.bwd, phi1.bwd, trace.phi2_fixed.bwd)):
+                assert sq.i1.apply_matrix(m) == m1 and sq.i2.apply_matrix(m) == m2, name
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -550,6 +597,35 @@ def test_oracle_witness_with_wrong_endpoints_is_refused():
     with pytest.raises(PreconditionError,
                        match="oracle witness does not run from the module to its augmentation"):
         extend_witness(p, oracle=wrong_ends)
+
+
+def test_lawless_caller_lifter_is_refused():
+    """A caller lifter's output that reduces to the mismatch but breaks a
+    corner law is refused where it enters, before any glue or certificate."""
+    ring = QuotientRing.make(QQ, 2, ((1, 1),))
+    ctx = ring.context
+    g = GLMat.elementary(ring, 2, 0, 1, ctx.variable(0) + ctx.variable(1))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+    stab = stabilize(ModIso.identity(p))
+
+    def factory(lawless):
+        def make_lifter(square, q2):
+            lawful = extension_aut_lifter(square, q2)
+
+            def lifter(alpha0):
+                alpha2 = lawful(alpha0)
+                if not lawless:
+                    return alpha2
+                # x_apex Q_2 dies under j2, so this still reduces to alpha0
+                apex = q2.matrix.scale(ctx.variable(square.apex))
+                return ModIso(alpha2.source, alpha2.target, alpha2.fwd + apex, alpha2.bwd)
+            return lifter
+        return make_lifter
+
+    res = cancel_witness(p, p, stab, aut_lifter_factory=factory(False))
+    assert res.ok and verify_payload(res.certificate).ok
+    with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
+        cancel_witness(p, p, stab, aut_lifter_factory=factory(True))
 
 
 def test_lawless_stabilized_iso_is_refused():

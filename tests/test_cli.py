@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -216,8 +217,6 @@ def test_bad_gens_file_is_input_error(tmp_path, capsys, payload):
 
 def test_gl_lift_whose_unit_inverse_outgrows_the_cap_is_input_error(tmp_path, capsys):
     # 1 + x0 is a unit mod x0^3000, but its inverse has 3000 terms
-    import time
-
     def ring(power):
         return {"field": "Q", "vars": 1, "ideal": [f"x0^{power}"]}
 
@@ -242,6 +241,25 @@ def test_square_check_counts_and_exit(workdir, capsys):
     assert (out["counts"]["a"], out["counts"]["a1"], out["counts"]["a2"],
             out["counts"]["a0"]) == (7, 4, 4, 1)
     assert run(["square", "check", "--complex", workdir / "simplex.cplx"]) == 2
+
+
+def test_square_check_negative_degree_is_input_error(workdir, capsys):
+    # no monomials to test would read as a vacuous "ok": true
+    assert run(["square", "check", "--complex", workdir / "hollow.cplx",
+                "--degree", -3]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "degree -3 is negative" in err
+
+
+def test_square_check_degree_past_the_monomial_bound_is_input_error(workdir, capsys):
+    # C(1000003, 3) monomials over the hollow triangle's three variables
+    start = time.perf_counter()
+    code = run(["square", "check", "--complex", workdir / "hollow.cplx",
+                "--degree", 1000000])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "more than 100000 monomials in 3 variables" in err
 
 
 def test_square_build_writes_file(workdir, capsys, tmp_path):

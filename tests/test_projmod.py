@@ -190,6 +190,26 @@ def test_pair_aut_unitriangular_over_deletion_side():
     assert sq.i2.apply_matrix(aut.fwd) == sq.section.apply_matrix(sq.j1.apply_matrix(alpha1.fwd))
 
 
+def test_pair_aut_refuses_lawless_caller_data():
+    sq = build_fiber_square(QQ, two_points())
+    p = ProjModule.free(sq.a, 2)
+    p1 = base_change(p, sq.i1)
+    lifter = section_aut_lifter(sq, base_change(p, sq.i2))
+    ctx = sq.a.context
+    double = sq.a1.nf_matrix(PolyMatrix.from_scalars(ctx, [[2, 0], [0, 1]]))
+    with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
+        pair_aut(sq, p, ModIso(p1, p1, double, p1.matrix), lifter)
+
+    def lawless(alpha0):
+        # x_apex I dies under j2, so this still reduces to alpha0
+        alpha2 = lifter(alpha0)
+        apex = PolyMatrix.identity(ctx, 2).scale(ctx.variable(sq.apex))
+        return ModIso(alpha2.source, alpha2.target, alpha2.fwd + apex, alpha2.bwd)
+
+    with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
+        pair_aut(sq, p, ModIso.identity(p1), lawless)
+
+
 def test_section_lifter_rejects_non_section_modules():
     sq = build_fiber_square(QQ, two_points())
     ctx = sq.a.context

@@ -4,8 +4,9 @@ import pytest
 
 from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   SimplicialComplex, build_fiber_square, complex_of_ring,
-                  fiber_check, glue_element, glue_matrix, sr_quotient)
-from srpb.errors import GlueError, HomError, PreconditionError
+                  fiber_check, sr_quotient)
+from srpb import quotient
+from srpb.errors import HomError, InputError, PreconditionError
 from helpers import (complexes_on, corpus_complexes, corpus_squares, hollow_triangle,
                      make_rng, random_elementary_product, random_gl_with_units,
                      random_poly, two_points)
@@ -122,6 +123,16 @@ def test_fiber_check_degree_zero():
         assert rep.counts() == (1, 1, 1, 1)
 
 
+def test_fiber_check_bounds_its_degree(monkeypatch):
+    sq = build_fiber_square(QQ, two_points())  # two variables: C(2 + d, 2) monomials
+    with pytest.raises(InputError, match="degree -1 is negative"):
+        fiber_check(sq, -1)
+    monkeypatch.setattr(quotient, "FIBER_CHECK_MAX_MONOMIALS", 10)
+    assert fiber_check(sq, 3).counts() == (7, 4, 4, 1)  # 10 monomials
+    with pytest.raises(InputError, match="more than 10 monomials in 2 variables"):
+        fiber_check(sq, 4)  # 15 monomials
+
+
 def test_fiber_check_corpus_degree_4():
     rng = make_rng("fiber-corpus")
     complexes = [c for c in corpus_complexes(max_exhaustive=3, sample5=10, sample6=10)
@@ -148,36 +159,6 @@ def test_fiber_check_exhaustive_and_broken_squares(field):
         rep = fiber_check(dataclasses.replace(sq, a1=sq.a2, a2=sq.a1))
         assert not rep.ok and rep.failure.startswith("apex-free monomial (")
         assert rep.failure.endswith(" missing from a0")
-
-
-def test_glue_element_roundtrip():
-    rng = make_rng("glue")
-    for _, sq in corpus_squares():
-        for _ in range(10):
-            f = random_poly(sq.a, rng, max_deg=3, terms=4)
-            m = glue_element(sq, sq.i1(f), sq.i2(f))
-            assert m == sq.a.normal_form(f)
-
-
-def test_glue_reads_its_data_over_the_corners():
-    """x0 is 0 over the deletion corner of the hollow triangle (apex 0), so the
-    glue of (x0, 0) is 0: its images are 0 over both corners, as the data's are."""
-    sq = build_fiber_square(QQ, hollow_triangle())
-    assert sq.apex == 0
-    ctx = sq.a.context
-    x0, zero = ctx.variable(0), ctx.zero()
-    glued = glue_element(sq, x0, zero)
-    assert glued.is_zero()
-    assert sq.i1(glued) == sq.a1.normal_form(x0) and sq.i2(glued) == zero
-    row = PolyMatrix(ctx, 1, 2, (zero, ctx.one()))
-    assert glue_matrix(sq, PolyMatrix(ctx, 1, 2, (x0, ctx.one())), row) == row
-
-
-def test_glue_incompatible_rejected():
-    sq = build_fiber_square(QQ, two_points())
-    one = sq.a1.context.one()
-    with pytest.raises(GlueError):
-        glue_element(sq, one, sq.a2.context.zero())
 
 
 def test_glmat_verifies():
