@@ -11,8 +11,10 @@ the entry point, and each split hands its deletion and cone parts down.
 Extension base cases are discharged by a built-in oracle chain (constant
 presentations, then univariate freeness via Smith normal form) followed by
 an optional caller oracle; anything else surfaces as an Obligation rather
-than a guess.  Row lifting extends the row's kernel module and lifts the
-comparison matrix that the witness yields.
+than a guess.  The built-in base isos come from splittings E == B R with
+R B == I_r (``_split_iso``), so they are lawful by algebra once the entry
+point has checked its modules idempotent.  Row lifting extends the row's
+kernel module and lifts the comparison matrix that the witness yields.
 
 Every step deposits its matrices into a certificate payload that the
 independent verifier re-checks with plain normal-form arithmetic; the
@@ -29,7 +31,7 @@ from . import certs
 from .errors import (AllStrategiesFailed, InternalCheckError, LifterError,
                      PreconditionError)
 from .lifting import lift_gl
-from .matrix import PolyMatrix, scalar_inverse
+from .matrix import PolyMatrix, constant_splitting
 from .projmod import (ModIso, ProjModule, UmRow, base_change, checked_lifter,
                       glue_iso_traced, kernel_module, module_rank, section_aut_lifter)
 from .quotient import FiberSquare, GLMat, QuotientRing, RingHom, _square, complex_of_ring
@@ -159,8 +161,8 @@ def chain_oracles(*oracles: Optional[ExtendOracle]) -> ExtendOracle:
 # -- base cases -----------------------------------------------------------------
 
 def _point_normalize(iso: ModIso) -> ModIso:
-    """Compose with the inverse of the iso's augmentation (a ring-hom image of
-    a checked iso, so lawful) so that fwd(0) is the target."""
+    """Compose an oracle witness with the inverse of its augmentation (a
+    ring-hom image of a checked iso, so lawful) so that fwd(0) is the target."""
     ring = iso.ring
     theta = iso.fwd.augmentation()
     theta_back = iso.bwd.augmentation()
@@ -178,7 +180,7 @@ def _extend_base(oracle: Optional[ExtendOracle]):
         if p.matrix.is_constant():
             return "constant", ModIso(p, q, p.matrix, p.matrix)
         if len(p.ring.free_variables()) <= 1:
-            return "smith", _point_normalize(_smith_freeness_iso(p))
+            return "smith", _smith_freeness_iso(p)
         iso = oracle(p) if oracle is not None else None
         if iso is None:
             return None
@@ -190,39 +192,28 @@ def _extend_base(oracle: Optional[ExtendOracle]):
     return base
 
 
-def _smith_freeness_iso(p: ProjModule) -> ModIso:
-    """Change of basis to a constant idempotent over a univariate base.  Once
-    g^-1 E g == C is checked, (g0 C g^-1, g C g0^-1) is lawful by algebra."""
+def _split_iso(p: ProjModule, q: ProjModule, split_p: tuple, split_q: tuple) -> ModIso:
+    """The iso (B_q R_p, B_p R_q) from splittings E_p == B_p R_p and
+    E_q == B_q R_q with R B == I_r on both sides, lawful by algebra."""
     ring = p.ring
-    ctx = ring.context
-    e = p.matrix
-    n = e.rows
-    eye = PolyMatrix.identity(ctx, n)
-    dec1 = smith_normal_form(eye - e)   # kernel of I - E  =  im(E)
-    dec0 = smith_normal_form(e)         # kernel of E      =  im(I - E)
-    cols = []
-    for dec in (dec1, dec0):
-        for j in range(n):
-            if dec.d[j, j].is_zero():
-                cols.append(dec.v.col(j))
-    if len(cols) != n:
-        raise InternalCheckError("kernel bases do not span the free module")
-    g = PolyMatrix(ctx, n, n, [cols[j][i] for i in range(n) for j in range(n)])
-    det = g.det()
-    if not det.is_constant() or det.is_zero():
-        raise InternalCheckError("basis matrix determinant is not a unit")
-    inv_scalar = ctx.constant(ctx.field.inv(det.constant_term()))
-    ginv = g.adjugate().scale(inv_scalar)
-    s = len([j for j in range(n) if dec1.d[j, j].is_zero()])
-    corner = PolyMatrix.identity(ctx, s).direct_sum(PolyMatrix.zeros(ctx, n - s, n - s))
-    if ring.mat_mul(ring.mat_mul(ginv, e), g) != corner:
-        raise InternalCheckError("basis change does not diagonalize the idempotent")
-    g0 = g.augmentation()
-    g0inv = scalar_inverse(g0)
-    target = ProjModule(ring, p.augmented_matrix())
-    fwd = ring.mat_mul(ring.mat_mul(g0, corner), ginv)
-    bwd = ring.mat_mul(ring.mat_mul(g, corner), g0inv)
-    return ModIso(p, target, fwd, bwd)
+    (bp, rp), (bq, rq) = split_p, split_q
+    return ModIso(p, q, ring.mat_mul(bq, rp), ring.mat_mul(bp, rq))
+
+
+def _smith_freeness_iso(p: ProjModule) -> ModIso:
+    """Iso of P with P(0) over a univariate base, from one Smith form
+    U (I - E) V == D.  The columns B of V with d_jj == 0 are a basis of
+    ker(I - E) == im E, as k[t] is a domain, and R, the matching rows of
+    V^-1 times E, gives R B == I_s and B R == E; so does (B(0), R(0)) for
+    E(0), and fwd(0) == E(0) needs no point normalization."""
+    ring, ctx, e, n = p.ring, p.ring.context, p.matrix, p.size
+    dec = smith_normal_form(PolyMatrix.identity(ctx, n) - e)
+    kernel = [j for j in range(n) if dec.d[j, j].is_zero()]
+    b = PolyMatrix(ctx, n, len(kernel), [dec.v[i, j] for i in range(n) for j in kernel])
+    r = ring.mat_mul(PolyMatrix(ctx, len(kernel), n,
+                                [x for j in kernel for x in dec.v_inv.row(j)]), e)
+    q = ProjModule(ring, p.augmented_matrix())
+    return _split_iso(p, q, (b, r), (b.augmentation(), r.augmentation()))
 
 
 def _cancel_base(p: ProjModule, q: ProjModule):
@@ -238,26 +229,8 @@ def _cancel_base(p: ProjModule, q: ProjModule):
 
 
 def _constant_pair_iso(p: ProjModule, q: ProjModule) -> ModIso:
-    """Explicit iso between equal-rank constant idempotents over a field."""
-    from .matrix import column_space_basis, kernel_basis
-
-    ring = p.ring
-    ctx = ring.context
-
-    def basis_matrix(e: PolyMatrix) -> PolyMatrix:
-        cols = column_space_basis(e) + kernel_basis(e)
-        n = e.rows
-        if len(cols) != n:
-            raise InternalCheckError("constant idempotent bases do not span")
-        return PolyMatrix.from_scalars(ctx, [[cols[j][i] for j in range(n)] for i in range(n)])
-
-    gp = basis_matrix(p.matrix)
-    gq = basis_matrix(q.matrix)
-    h = gq * scalar_inverse(gp)
-    hinv = gp * scalar_inverse(gq)
-    fwd = ring.mat_mul(ring.mat_mul(q.matrix, h), p.matrix)
-    bwd = ring.mat_mul(ring.mat_mul(p.matrix, hinv), q.matrix)
-    return ModIso.make(p, q, fwd, bwd)
+    """Iso between equal-rank constant idempotents, split by row reduction."""
+    return _split_iso(p, q, constant_splitting(p.matrix), constant_splitting(q.matrix))
 
 
 # -- the patching recursion ---------------------------------------------------------
@@ -338,10 +311,12 @@ def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> Patc
 
     Returns the final isomorphism from p to the base change of its
     augmentation together with a certificate tree; undischarged base cases
-    are collected as obligations and leave the tree partial.
+    are collected as obligations and leave the tree partial.  p is checked
+    once, here, by ``ProjModule.make``.
     """
     if not p.ring.is_square_free():
         raise PreconditionError("extension engine needs a square-free presentation")
+    p = ProjModule.make(p.ring, p.matrix)
     q = ProjModule(p.ring, p.augmented_matrix())
     kind = getattr(oracle, "obligation_kind", "extend")
     return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
@@ -377,8 +352,9 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
                    aut_lifter_factory=None) -> PatchResult:
     """Witness p isomorphic to q given a stabilized isomorphism, or obligations.
 
-    ``stab`` must connect p + free(1) to q + free(1); it is checked once, here,
-    and recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
+    p and q are checked once, here, by ``ProjModule.make``.  ``stab`` must
+    connect p + free(1) to q + free(1); it is checked once, here, and
+    recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
     automorphism lifter, each output of which is checked once by
     ``ModIso.make``; the default, ``extension_aut_lifter``, is lawful by
     construction: it lifts through the section and falls back to Q_2's
@@ -389,6 +365,7 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
         raise PreconditionError("modules over different rings")
     if not p.ring.is_square_free():
         raise PreconditionError("cancellation engine needs a square-free presentation")
+    p, q = ProjModule.make(p.ring, p.matrix), ProjModule.make(q.ring, q.matrix)
     if module_rank(p) != module_rank(q):
         raise PreconditionError("modules of different ranks cannot be matched")
     one = PolyMatrix.identity(p.ring.context, 1)

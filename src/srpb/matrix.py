@@ -1,6 +1,6 @@
 """Matrices over a polynomial context: exact products, determinants,
-adjugates, block constructions, and field linear algebra for constant
-matrices (Gaussian elimination over the coefficient field)."""
+adjugates, block constructions, and, for constant matrices, the rank and a
+splitting m == B * R by row reduction over the coefficient field."""
 
 from __future__ import annotations
 
@@ -271,39 +271,13 @@ def scalar_rank(m: PolyMatrix) -> int:
     return len(pivots)
 
 
-def scalar_inverse(m: PolyMatrix) -> PolyMatrix:
-    """Inverse of a constant square matrix via Gauss-Jordan."""
-    if not m.is_square:
-        raise ShapeError("inverse of a non-square matrix")
-    fld = m.ring.field
-    n = m.rows
-    rows = constant_rows(m)
-    aug = [rows[i] + [fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
-    pivots, red = _row_reduce(aug, fld)
-    if pivots[:n] != list(range(n)):
-        raise ShapeError("constant matrix is singular")
-    inv = [r[n:] for r in red]
-    return PolyMatrix.from_scalars(m.ring, inv)
-
-
-def column_space_basis(m: PolyMatrix) -> list:
-    """Columns of m forming a basis of its column space (as scalar columns)."""
-    pivots, _ = _row_reduce(constant_rows(m), m.ring.field)
-    cols = constant_rows(m.transpose())
-    return [cols[c] for c in pivots]
-
-
-def kernel_basis(m: PolyMatrix) -> list:
-    """Basis of the right kernel of a constant matrix (as scalar columns)."""
-    fld = m.ring.field
-    pivots, red = _row_reduce(constant_rows(m), fld)
-    nc = m.cols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [fld.zero] * nc
-        vec[fc] = fld.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = fld.neg(red[r][fc])
-        basis.append(vec)
-    return basis
+def constant_splitting(m: PolyMatrix) -> tuple:
+    """(B, R) with m == B * R: the pivot columns of a constant m and the
+    nonzero rows of its reduced row echelon form.  R * B == I_r exactly when
+    m is idempotent, r its rank."""
+    ring = m.ring
+    pivots, red = _row_reduce(constant_rows(m), ring.field)
+    b = PolyMatrix(ring, m.rows, len(pivots), [m[i, c] for i in range(m.rows) for c in pivots])
+    r = PolyMatrix(ring, len(pivots), m.cols,
+                   [ring.constant(x) for row in red[:len(pivots)] for x in row])
+    return b, r

@@ -6,7 +6,8 @@ zero) with each entry dividing the next, and explicit inverses of U and V.
 The transforms are accumulated from elementary row/column operations,
 each applied to M, U and U^-1 (or M, V and V^-1) together, so these laws
 hold by construction and are not re-checked; det U and det V are nonzero
-field constants.  ``engines._smith_freeness_iso`` checks what it builds.
+field constants.  ``engines._smith_freeness_iso`` reads a basis of im E from
+V and its left inverse from V^-1, and the verifier re-checks the iso.
 """
 
 from __future__ import annotations

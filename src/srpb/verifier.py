@@ -31,7 +31,7 @@ from . import certs
 from .errors import ContextError, HomError, SrpbError
 from .matrix import PolyMatrix, scalar_rank
 from .poly import Polynomial, PolyRing, format_polynomial
-from .quotient import QuotientRing, RingHom, image_mask
+from .quotient import QuotientRing, RingHom, hom_check, image_mask
 
 # Apex splits happen only at x0..x63 (a vertex no generator names is a cone
 # point), so certificates nest under 70 levels, far from the recursion limit.
@@ -252,15 +252,13 @@ def _check_hom_defined(report, where, h: Optional[RingHom], label: str) -> None:
     if h is None:
         report.add(where, "hom-defined", False, f"{label}: a variable maps to neither itself nor 0")
         return
-    bad = None
-    for g in h.source.generators:
-        image = h(h.source.context.monomial(g))
-        if not image.is_zero():
-            bad = (g, image)
-            break
-    ok = bad is None
-    detail = "" if ok else f"{label}: generator {bad[0]} maps to {format_polynomial(bad[1])}"
-    report.add(where, "hom-defined", ok, detail)
+    try:
+        hom_check(h)
+    except HomError as exc:
+        report.add(where, "hom-defined", False,
+                   f"{label}: generator {exc.generator} maps to {format_polynomial(exc.image)}")
+    else:
+        report.add(where, "hom-defined", True)
 
 
 # -- square ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ GL pairs, permutation, determinant-adjugate and
 unit-diagonal pairs, the Whitehead lift, the Milnor patch, the glued iso of
 two patch isos, the section
 lifter, kernel modules, the five homs of a fiber square, the Smith
-transforms, the constant, Smith, oracle and point-normalized base-case
+transforms, the splittings E == B R behind the constant and Smith base
+cases, the constant, Smith, oracle and point-normalized base-case
 witnesses, and the row lift's comparison pair and lifted row all skip the
 checks their constructors would run.  These tests recompute the identities
 on each output over Q and F_5, with plain products (``nf(a * b)``, not
@@ -14,7 +15,8 @@ on each output over Q and F_5, with plain products (``nf(a * b)``, not
 (``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
 over each node's own ring.  Caller data (oracle
 witnesses, the stabilized iso of a cancellation, a caller lifter's outputs)
-is checked once where it enters, and four tests feed it lawless values.
+is checked once where it enters, and four tests feed it lawless values; a
+fifth feeds both engines a module that is not idempotent.
 Normal form likewise runs
 only where data enters: the last test checks that every matrix the engines
 and the GL lift build into a module, an iso or a GL pair is normal.
@@ -31,8 +33,10 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
                   smith_normal_form, sr_quotient, umrow_lift, verify_payload,
                   whitehead_lift)
 from srpb import certs, engines
-from srpb.engines import (_extend_base, _point_normalize, _smith_freeness_iso,
-                          conjugation_witness_oracle, extension_aut_lifter)
+from srpb.engines import (_constant_pair_iso, _extend_base, _point_normalize,
+                          _smith_freeness_iso, conjugation_witness_oracle,
+                          extension_aut_lifter)
+from srpb.matrix import constant_splitting
 from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import (AllStrategiesFailed, InputError, InternalCheckError,
@@ -479,9 +483,7 @@ def test_base_case_witnesses_keep_the_corner_laws(field):
             raw = _smith_freeness_iso(p)
             assert raw.source == p and raw.target == q
             assert_iso_laws(raw)
-            norm = _point_normalize(raw)
-            assert_iso_laws(norm)
-            assert norm.fwd.augmentation() == q.matrix
+            assert raw.fwd.augmentation() == q.matrix  # no point normalization needed
             method, iso = base(p, q)
             assert method == ("constant" if e.is_constant() else "smith")
             assert_iso_laws(iso)
@@ -516,6 +518,72 @@ def test_oracle_witness_point_normalized_keeps_the_corner_laws(field):
             assert_iso_laws(norm)
             assert norm.fwd.augmentation() == q.matrix
             assert _extend_base(lambda _: w)(p, q) == ("oracle", norm)
+
+
+def record_splittings(monkeypatch):
+    """Log the (p, q, split_p, split_q) of every ``engines._split_iso`` call."""
+    calls = []
+    split_iso = engines._split_iso
+
+    def record(p, q, split_p, split_q):
+        calls.append((p, q, split_p, split_q))
+        return split_iso(p, q, split_p, split_q)
+
+    monkeypatch.setattr(engines, "_split_iso", record)
+    return calls
+
+
+def assert_splitting(ring, e, b, r):
+    """E == B R and R B == I_r, with plain products."""
+    assert (b.rows, b.cols, r.rows, r.cols) == (e.rows, r.rows, b.cols, e.cols)
+    assert prod(ring, b, r) == e
+    assert prod(ring, r, b) == PolyMatrix.identity(ring.context, b.cols)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_smith_splitting_is_a_basis_of_the_image(field, monkeypatch):
+    rng = make_rng(f"by-construction-smith-splitting-{field.char}")
+    calls = record_splittings(monkeypatch)
+    for ring in univariate_rings(field):
+        ctx = ring.context
+        modules = [PolyMatrix.zeros(ctx, 3, 3), PolyMatrix.identity(ctx, 3)]
+        modules += [conjugated_idempotent(ring, rng, elementaries=3)[0] for _ in range(6)]
+        for e in modules:
+            p = ProjModule.make(ring, e)
+            calls.clear()
+            iso = _smith_freeness_iso(p)
+            [(src, tgt, (b, r), (b0, r0))] = calls
+            assert src == p and tgt == ProjModule(ring, e.augmentation())
+            assert prod(ring, PolyMatrix.identity(ctx, e.rows) - e, b).is_zero()
+            assert_splitting(ring, e, b, r)
+            assert (b0, r0) == (b.augmentation(), r.augmentation())
+            assert b.cols == p.rank()
+            assert ModIso.make(iso.source, iso.target, iso.fwd, iso.bwd) == iso
+            assert iso.fwd.augmentation() == tgt.matrix
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_constant_splitting_and_pair_iso(field):
+    rng = make_rng(f"by-construction-constant-splitting-{field.char}")
+    ring = QuotientRing.make(field, 2, ())
+    distinct = 0
+    for size in (2, 3):
+        for rank in range(size + 1):
+            modules = []
+            for _ in range(4):
+                e, _ = conjugated_idempotent(ring, rng, size=size, rank=rank, max_deg=0)
+                assert e.is_constant()
+                b, r = constant_splitting(e)
+                assert_splitting(ring, e, b, r)
+                assert b.cols == rank
+                modules.append(ProjModule.make(ring, e))
+            p = modules[0]
+            q = next((m for m in modules if m != p), p)
+            distinct += q != p
+            iso = _constant_pair_iso(p, q)
+            assert (iso.source, iso.target) == (p, q)
+            assert ModIso.make(p, q, iso.fwd, iso.bwd) == iso
+    assert distinct >= 2
 
 
 def liftable_rows(field, rng, count=4):
@@ -638,6 +706,22 @@ def test_lawless_stabilized_iso_is_refused():
     zero = PolyMatrix.zeros(ctx, 3, 3)
     with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
         cancel_witness(p, p, ModIso(src, src, zero, zero))
+
+
+def test_non_idempotent_module_is_refused_by_the_splitting_engines():
+    """Splittings are lawful only for idempotents, so both engines check
+    their modules at entry."""
+    ring = QuotientRing.make(QQ, 1, ())
+    ctx = ring.context
+    t = ctx.variable(0)
+    bad = ProjModule(ring, PolyMatrix.from_rows(ctx, [[ctx.one(), t], [ctx.zero(), ctx.one() + t]]))
+    good = ProjModule.free(ring, 1, 2)
+    with pytest.raises(PreconditionError, match="not idempotent"):
+        extend_witness(bad)
+    stab = stabilize(ModIso.identity(good))
+    for p, q in ((bad, good), (good, bad)):
+        with pytest.raises(PreconditionError, match="not idempotent"):
+            cancel_witness(p, q, stab)
 
 
 # -- every value the engines build is normal over its ring ------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from srpb import QQ, PolyMatrix, PolyRing
 from srpb.errors import ShapeError
-from srpb.matrix import kernel_basis, scalar_inverse, scalar_rank
+from srpb.matrix import constant_splitting, scalar_rank
 from helpers import make_rng, random_poly
 
 
@@ -79,9 +79,18 @@ def test_scalar_linear_algebra():
     ctx = ctx2()
     m = PolyMatrix.from_scalars(ctx, [[1, 2], [3, 4]])
     assert scalar_rank(m) == 2
-    inv = scalar_inverse(m)
-    assert m * inv == PolyMatrix.identity(ctx, 2)
+    assert constant_splitting(m) == (m, PolyMatrix.identity(ctx, 2))
     sing = PolyMatrix.from_scalars(ctx, [[1, 2], [2, 4]])
     assert scalar_rank(sing) == 1
-    ker = kernel_basis(sing)
-    assert len(ker) == 1
+    b, r = constant_splitting(sing)
+    assert b == PolyMatrix.from_scalars(ctx, [[1], [2]])
+    assert r == PolyMatrix.from_scalars(ctx, [[1, 2]])
+    assert r * b != PolyMatrix.identity(ctx, 1)  # sing is not idempotent
+    b, r = constant_splitting(PolyMatrix.zeros(ctx, 2, 2))
+    assert (b.rows, b.cols, r.rows, r.cols) == (2, 0, 0, 2)
+    rng = make_rng("splitting")
+    for _ in range(20):
+        m = PolyMatrix.from_scalars(ctx, [[rng.randint(-2, 2) for _ in range(3)]
+                                          for _ in range(3)])
+        b, r = constant_splitting(m)
+        assert b * r == m and b.cols == r.rows == scalar_rank(m)

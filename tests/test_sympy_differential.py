@@ -2,10 +2,11 @@
 
 The engines and the verifier share ``Polynomial`` arithmetic, monomial
 normal forms, ``QuotientRing.mat_mul``, determinants, adjugates and unit
-inverses.  These tests compare them on seeded inputs over Q and F_5 with
-sympy's ``Poly``, ``Matrix`` and ``groebner``, an independent
-implementation: the coefficients and, under grevlex, the order of the
-terms.  The normal form is sympy's reduction by the ideal's Groebner basis,
+inverses, and the engines' univariate base case rests on Smith normal
+form.  These tests compare them on seeded inputs over Q and F_5 with
+sympy's ``Poly``, ``Matrix``, ``groebner`` and ``invariant_factors``, an
+independent implementation: the coefficients and, under grevlex, the order
+of the terms.  The normal form is sympy's reduction by the ideal's Groebner basis,
 which for a monomial ideal is its generators.
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from srpb import GF, QQ, PolyMatrix, PolyRing, QuotientRing
+from srpb import GF, QQ, PolyMatrix, PolyRing, QuotientRing, smith_normal_form
 from helpers import make_rng
 
 sympy = pytest.importorskip("sympy")
@@ -195,3 +196,38 @@ def test_unit_inverse_matches_sympy(field):
         assert sympy_normal_form(sinv, ring) == sinv
         assert sympy_normal_form(sf * sinv - 1, ring).is_zero
     assert units < 40 and deep >= 10  # non-units, and units with a nilpotent part
+
+
+def random_univariate(ctx, rng, var, max_deg=2, terms=3):
+    """A sum of random terms in x_var alone."""
+    d = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = tuple(rng.randint(0, max_deg) if i == var else 0 for i in range(ctx.nvars))
+        d[exps] = ctx.field.from_fraction(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+    return ctx.from_terms(d)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_smith_invariant_factors_match_sympy(field):
+    """The diagonal of the Smith form is sympy's invariant factors over k[x1], made monic."""
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = make_rng(f"sympy-smith-{field.char}")
+    ctx = PolyRing(field, NVARS)
+    domain = (sympy.QQ if field.char == 0 else sympy.GF(field.char))[SYMBOLS[1]]
+    deficient = 0
+    for _ in range(30):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        entries = [[random_univariate(ctx, rng, 1) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 1 / 3:  # a dependent row
+            f = random_univariate(ctx, rng, 1)
+            entries[-1] = [f * a for a in entries[0]]
+        m = PolyMatrix.from_rows(ctx, entries)
+        diag = smith_normal_form(m).diagonal()
+        want = invariant_factors(to_sympy_matrix(m), domain=domain)
+        assert len(diag) == len(want)
+        for ours, theirs in zip(diag, want):
+            theirs = expanded(theirs, field)
+            assert ours.terms == terms_of(theirs if theirs.is_zero else theirs.monic(), field)
+        deficient += any(f.is_zero() for f in diag)
+    assert deficient >= 3
