@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import certs
-from .errors import (AllStrategiesFailed, InternalCheckError, LifterError,
-                     PreconditionError)
+from .errors import AllStrategiesFailed, LifterError, PreconditionError
 from .lifting import lift_gl
 from .matrix import PolyMatrix, constant_splitting
 from .projmod import (ModIso, ProjModule, UmRow, base_change, checked_lifter,
@@ -245,29 +244,25 @@ class _Task:
     lifter_factory: Callable  # (square, q2) -> lifter of overlap automorphisms
 
 
-def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None):
+def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None,
+           cplx=None):
     """Witness p isomorphic to q, or obligations, with its certificate.
 
-    The ring's complex is recovered (and round-trip checked) here, once; each
-    split hands a square corner down with the part of the complex it presents.
+    The ring's complex, unless given, is recovered (and round-trip checked)
+    here, once; each split hands a square corner down with the part of the
+    complex it presents.
     """
-    # Each apex split strictly lowers the number of used vertices that are
-    # not cone points: the deletion loses the apex and keeps the old cone
-    # points, and the cone part makes the apex a cone point and keeps the old
-    # ones.  A non-simplex has at least two such vertices, so no split lies
-    # deeper than ambient - 2 and no leaf deeper than ambient - 1.
-    cplx = complex_of_ring(p.ring)
-    iso, node, obligations = _patch(task, p, q, cplx, cplx.ambient)
+    # Each apex split strictly lowers the number of used vertices that are not
+    # cone points, so the recursion is no deeper than the ambient vertex count.
+    iso, node, obligations = _patch(task, p, q, cplx or complex_of_ring(p.ring))
     profile = HypothesisProfile(p.ring.field.char, module_rank(p))
     cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations],
                            stab=stab)
     return PatchResult(iso, cert, tuple(obligations))
 
 
-def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx, budget: int):
+def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx):
     """(iso p -> q or None, node, obligations); cplx is the complex of p's ring."""
-    if budget <= 0:
-        raise InternalCheckError("decomposition recursion exceeded its depth budget")
     ring = p.ring
     # an extension's q is the augmentation of p, so only cancellation records it
     other = q.matrix if task.name == "cancel" else None
@@ -285,9 +280,9 @@ def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx, budget: int):
     square = _square(ring, cplx)
     q2 = base_change(q, square.i2)
     iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1),
-                              square.split.deletion_part, budget - 1)
+                              square.split.deletion_part)
     iso2, node2, ob2 = _patch(task, base_change(p, square.i2), q2,
-                              square.split.cone_part(), budget - 1)
+                              square.split.cone_part())
     obligations = ob1 + ob2
     if not obligations:
         try:
@@ -316,19 +311,26 @@ def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> Patc
     """
     if not p.ring.is_square_free():
         raise PreconditionError("extension engine needs a square-free presentation")
-    p = ProjModule.make(p.ring, p.matrix)
+    return _extend(ProjModule.make(p.ring, p.matrix), oracle)
+
+
+def _extend(p: ProjModule, oracle: Optional[ExtendOracle] = None, cplx=None) -> PatchResult:
+    """``extend_witness`` of an idempotent over a square-free ring, unchecked;
+    cplx, when given, is the complex of p's ring."""
     q = ProjModule(p.ring, p.augmented_matrix())
     kind = getattr(oracle, "obligation_kind", "extend")
-    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
+    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q,
+                  cplx=cplx)
 
 
 def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso], ModIso]:
     """Lift of overlap automorphisms through the section, conjugated by Q_2's
     extension witness where Q_2 is not the section image of its reduction.
 
-    With psi: Q_2 -> Q_2(0) from ``extend_witness(q2)``, phi = section(j2(psi))^-1
+    With psi: Q_2 -> Q_2(0) from the extension engine, phi = section(j2(psi))^-1
     o psi runs Q_2 -> section(Q_0) with j2(phi) == id, so phi^-1 o
-    section(alpha0) o phi is an automorphism of Q_2 over alpha0.  When Q_2 has
+    section(alpha0) o phi is an automorphism of Q_2 over alpha0, lawful by
+    algebra.  Q_2, a checked module's base change, is not checked again.  When Q_2 has
     no extension witness the ``LifterError`` stands, and the node stays an
     obligation.
     """
@@ -338,7 +340,7 @@ def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIs
         try:
             return through_section(alpha0)
         except LifterError:
-            ext = extend_witness(q2)
+            ext = _extend(q2, cplx=square.split.cone_part())
             if not ext.ok:
                 raise
         psi = ext.iso
@@ -356,7 +358,7 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
     connect p + free(1) to q + free(1); it is checked once, here, and
     recorded.  ``aut_lifter_factory(square, q2)`` supplies the overlap
     automorphism lifter, each output of which is checked once by
-    ``ModIso.make``; the default, ``extension_aut_lifter``, is lawful by
+    ``checked_lifter``; the default, ``extension_aut_lifter``, is lawful by
     construction: it lifts through the section and falls back to Q_2's
     extension witness.  A node whose lifter fails surfaces as an obligation
     of kind "cancel".
@@ -373,7 +375,8 @@ def cancel_witness(p: ProjModule, q: ProjModule, stab: ModIso,
             or stab.target.matrix != q.matrix.direct_sum(one)):
         raise PreconditionError("stabilized iso does not connect P+free and Q+free")
     stab = ModIso.make(stab.source, stab.target, stab.fwd, stab.bwd)
-    checked = aut_lifter_factory and (lambda sq, q2: checked_lifter(aut_lifter_factory(sq, q2)))
+    checked = aut_lifter_factory and (
+        lambda sq, q2: checked_lifter(aut_lifter_factory(sq, q2), sq, q2))
     task = _Task("cancel", "cancel", _cancel_base, checked or extension_aut_lifter)
     return _solve(task, p, q, stab)
 
@@ -384,9 +387,10 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
                target: Optional[QuotientRing] = None) -> UmLiftResult:
     """Lift a unimodular row along R/I -> R/J for square-free monomial J.
 
-    Builds the kernel module, extends it from the base via the extension
-    engine, realizes the comparison matrix from the witness pair and lifts it
-    through the GL strategy stack.  The comparison pair and the lifted row are
+    The row is checked once, here, by ``UmRow.make``.  Builds the kernel
+    module, extends it from the base via the extension engine, realizes the
+    comparison matrix from the witness pair and lifts it through the GL
+    strategy stack.  The comparison pair and the lifted row are
     lawful by algebra (``GLMat._known_pair``); the verifier re-checks both.
     """
     ring = row.ring
@@ -398,8 +402,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
         if ring.survives(g):
             raise PreconditionError("target ideal is not contained in the row's ideal")
 
-    kernel = kernel_module(row)
-    ext = extend_witness(kernel, oracle)
+    row = UmRow.make(ring, row.v, row.w)
+    ext = _extend(kernel_module(row), oracle)
     profile = HypothesisProfile(ring.field.char, row.width)
     if not ext.ok:
         cert = certs.umrow_node(ring, target, row, ext.certificate,

@@ -35,6 +35,10 @@ from .simplicial import SimplicialComplex
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "descent")
 
+# det and adjugate expand minors, 2^n work: a dense 9 x 9 lift with linear
+# entries over Q[x0, x1]/(x0 x1) takes 0.7 s on a 2-CPU box, and 10 x 10 2.0 s.
+MAX_LIFT_SIZE = 9
+
 
 def det_unit_inverse(m: PolyMatrix, ring: QuotientRing) -> PolyMatrix:
     """Exact inverse of m over the quotient; raises NonUnitError otherwise.
@@ -213,8 +217,12 @@ def lift_gl(sigma: GLMat, pi: RingHom,
 
     Raises AllStrategiesFailed with per-strategy diagnostics when the stack
     is exhausted; a returned lift always satisfies pi(lift) == sigma and
-    lift * lift^-1 == I exactly.
+    lift * lift^-1 == I exactly.  A sigma larger than MAX_LIFT_SIZE is an
+    InputError.
     """
+    if sigma.size > MAX_LIFT_SIZE:
+        raise InputError(f"lifting a {sigma.size} x {sigma.size} matrix: "
+                         f"the limit is MAX_LIFT_SIZE = {MAX_LIFT_SIZE}")
     _require_compatible(sigma, pi)
     return _lift(sigma, pi, strategies, None)
 

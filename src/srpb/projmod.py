@@ -220,53 +220,43 @@ def glue_iso_traced(square: FiberSquare, p: ProjModule, q: ProjModule,
                     aut_lifter: Callable[[ModIso], ModIso]):
     """Patch isos P_i ~ Q_i into (P ~ Q, its GlueTrace), fixing the overlap mismatch.
 
+    Precondition, not checked here: phi1 and phi2 are lawful isos between the
+    i1 and the i2 base changes of p and q, and the lifter returns lawful
+    automorphisms of Q_2 over the automorphism of Q_0 it is given.
+
     The mismatch j2(phi2) o j1(phi1)^-1 in Aut(Q_0) is lifted to Aut(Q_2)
     by the lifter, phi2 is corrected by its inverse to phi2', and each glued
-    entry is f1 + f2 - j1(f1).  With phi1, phi2 and the lifter's outputs
-    lawful (checked where they enter) and j2(phi2') == j1(phi1) (the lifter
-    check), the glue restricts to phi1 and phi2', and (i1, i2), injective on
-    the cartesian square's a, carries its corner laws to theirs; verifier
-    rules ``restriction``, ``mod-iso-laws`` and ``compose`` re-check them.
+    entry is f1 + f2 - j1(f1).  As j2(phi2') == j1(phi1), the glue restricts
+    to phi1 and phi2', and (i1, i2), injective on the cartesian square's a,
+    carries its corner laws to theirs; verifier rules ``restriction``,
+    ``mod-iso-laws`` and ``compose`` re-check them.
     """
-    _check_glue_inputs(square, p, q, phi1, phi2)
     j1, j2 = square.j1, square.j2
     phi1_0 = phi1.apply_hom(j1)
     phi2_0 = phi2.apply_hom(j2)
     mismatch = phi2_0.compose(phi1_0.inverse())  # Aut(Q_0)
     alpha2 = aut_lifter(mismatch)
-    _check_lifter_output(square, alpha2, mismatch, phi2.target)
     phi2_fixed = alpha2.inverse().compose(phi2)
     iso = ModIso(p, q, phi1.fwd + phi2_fixed.fwd - phi1_0.fwd,
                  phi1.bwd + phi2_fixed.bwd - phi1_0.bwd)
     return iso, GlueTrace(mismatch, alpha2, phi2_fixed)
 
 
-def _check_glue_inputs(square, p, q, phi1, phi2) -> None:
-    if p.ring != square.a or q.ring != square.a:
-        raise ContextError("modules must live over the square's total ring")
-    if phi1.source.matrix != square.i1.apply_matrix(p.matrix) or \
-       phi1.target.matrix != square.i1.apply_matrix(q.matrix):
-        raise PreconditionError("phi1 does not connect the i1 base changes")
-    if phi2.source.matrix != square.i2.apply_matrix(p.matrix) or \
-       phi2.target.matrix != square.i2.apply_matrix(q.matrix):
-        raise PreconditionError("phi2 does not connect the i2 base changes")
-
-
-def _check_lifter_output(square, alpha2: ModIso, alpha0: ModIso, q2: ProjModule) -> None:
-    if alpha2.ring != square.a2:
-        raise LifterError("lifter output lives over the wrong ring")
-    if alpha2.source.matrix != q2.matrix or alpha2.target.matrix != q2.matrix:
-        raise LifterError("lifter output is not an automorphism of Q_2")
-    down = alpha2.apply_hom(square.j2)
-    if down.fwd != alpha0.fwd or down.bwd != alpha0.bwd:
-        raise LifterError("lifter output does not reduce to the requested automorphism")
-
-
-def checked_lifter(lifter: Callable[[ModIso], ModIso]) -> Callable[[ModIso], ModIso]:
-    """A caller's lifter whose every output is checked once by ``ModIso.make``."""
+def checked_lifter(lifter: Callable[[ModIso], ModIso], square: FiberSquare,
+                   q2: ProjModule) -> Callable[[ModIso], ModIso]:
+    """A caller's lifter whose every output is checked once: its corner laws,
+    then (``LifterError``) that it is an automorphism of Q_2 over alpha0."""
     def checked(alpha0: ModIso) -> ModIso:
         alpha2 = lifter(alpha0)
-        return ModIso.make(alpha2.source, alpha2.target, alpha2.fwd, alpha2.bwd)
+        alpha2 = ModIso.make(alpha2.source, alpha2.target, alpha2.fwd, alpha2.bwd)
+        if alpha2.ring != square.a2:
+            raise LifterError("lifter output lives over the wrong ring")
+        if alpha2.source.matrix != q2.matrix or alpha2.target.matrix != q2.matrix:
+            raise LifterError("lifter output is not an automorphism of Q_2")
+        down = alpha2.apply_hom(square.j2)
+        if down.fwd != alpha0.fwd or down.bwd != alpha0.bwd:
+            raise LifterError("lifter output does not reduce to the requested automorphism")
+        return alpha2
 
     return checked
 
@@ -277,12 +267,18 @@ def pair_aut(square: FiberSquare, p: ProjModule, alpha1: ModIso,
 
     Gluing alpha1^-1 against the identity of P_2 leaves the mismatch
     j1(alpha1) for the lifter; the glued iso is the inverse of the pair
-    (alpha1, its lift).  alpha1 and the lifter's outputs are caller data, so
-    each is checked once here.
+    (alpha1, its lift).  alpha1, an automorphism of P_1, and the lifter's
+    outputs are caller data, so each is checked once here.
     """
     alpha1 = ModIso.make(alpha1.source, alpha1.target, alpha1.fwd, alpha1.bwd)
-    id2 = ModIso.identity(base_change(p, square.i2))
-    glued = glue_iso_traced(square, p, p, alpha1.inverse(), id2, checked_lifter(aut_lifter))
+    if p.ring != square.a:
+        raise ContextError("modules must live over the square's total ring")
+    p1 = square.i1.apply_matrix(p.matrix)
+    if alpha1.source.matrix != p1 or alpha1.target.matrix != p1:
+        raise PreconditionError("phi1 does not connect the i1 base changes")
+    p2 = base_change(p, square.i2)
+    glued = glue_iso_traced(square, p, p, alpha1.inverse(), ModIso.identity(p2),
+                            checked_lifter(aut_lifter, square, p2))
     return glued[0].inverse()
 
 
@@ -294,7 +290,8 @@ def section_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso]
     Sound whenever Q_2's idempotent is the section image of its reduction,
     that is, when it has no term in the apex variable; otherwise raises
     LifterError.  That holds when Q is constant, as the extension engine's
-    augmentation is.  The cancellation engine's default,
+    augmentation is.  The output, a ring-map image of a lawful automorphism,
+    is lawful, and j2 o section == id reduces it to alpha0.  The cancellation engine's default,
     ``engines.extension_aut_lifter``, tries this first and conjugates by Q_2's
     extension witness where it raises.
     """

@@ -366,8 +366,8 @@ def _square(a: QuotientRing, c: SimplicialComplex) -> FiberSquare:
 
     Each hom kills the ghost vertices of its target (its degree-one
     generators; the link's include the apex) and, for the section, the apex.
-    ``apex_decomposition`` checked that the deletion and cone parts are
-    subcomplexes meeting in the link, which avoids the apex; so each hom
+    The deletion and cone parts are subcomplexes meeting in the link, which
+    avoids the apex (by construction, ``ApexDecomposition``); so each hom
     kills its source ideal, the square commutes and j2 o section == id.  The
     verifier re-checks recorded squares (``hom-defined``, ``square-commutes``).
     """

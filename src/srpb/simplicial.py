@@ -219,7 +219,9 @@ class ApexDecomposition:
 
     ``deletion_part`` and ``link_part`` satisfy, with C the cone over the
     link at the apex:  faces(c) = faces(deletion_part) | faces(C)  and
-    faces(deletion_part) & faces(C) = faces(link_part).
+    faces(deletion_part) & faces(C) = faces(link_part).  Both hold by
+    construction: D's faces are those of c avoiding the apex, C's those in a
+    facet of c through it, and a face of both is a face of the link.
     """
 
     apex: int
@@ -243,28 +245,4 @@ def apex_decomposition(c: SimplicialComplex) -> ApexDecomposition:
                  if any(not fm >> v & 1 for fm in c.facet_masks)), None)
     if apex is None:
         raise PreconditionError("no admissible apex found (complex is a cone over every vertex)")
-    d = deletion(c, apex)
-    l = link(c, apex)
-    split = ApexDecomposition(apex, d, l)
-    _check_split(c, split)
-    return split
-
-
-def _within(masks, facet_masks) -> bool:
-    """Every mask in masks lies inside one of facet_masks."""
-    return all(any(m & f == m for f in facet_masks) for m in masks)
-
-
-def _check_split(c: SimplicialComplex, s: ApexDecomposition) -> None:
-    # The identities are checked on facets: the faces of a complex are the
-    # subsets of its facets, and faces(D) & faces(C) is generated by the
-    # pairwise intersections of the facets of D and C.
-    cone_facets = s.cone_part().facet_masks
-    del_facets = s.deletion_part.facet_masks
-    link_facets = s.link_part.facet_masks
-    if not (_within(del_facets + cone_facets, c.facet_masks)
-            and _within(c.facet_masks, del_facets + cone_facets)):
-        raise PreconditionError("decomposition does not cover the complex")
-    if not (_within(link_facets, del_facets) and _within(link_facets, cone_facets)
-            and _within([d & k for d in del_facets for k in cone_facets], link_facets)):
-        raise PreconditionError("decomposition overlap is not the link")
+    return ApexDecomposition(apex, deletion(c, apex), link(c, apex))

@@ -3,8 +3,8 @@
 Inverses, composites and hom images of module isomorphisms, hom images of
 GL pairs, permutation, determinant-adjugate and
 unit-diagonal pairs, the Whitehead lift, the Milnor patch, the glued iso of
-two patch isos, the section
-lifter, kernel modules, the five homs of a fiber square, the Smith
+two patch isos, the section and extension-witness
+lifters, kernel modules, the five homs of a fiber square, the Smith
 transforms, the splittings E == B R behind the constant and Smith base
 cases, the constant, Smith, oracle and point-normalized base-case
 witnesses, and the row lift's comparison pair and lifted row all skip the
@@ -15,8 +15,8 @@ on each output over Q and F_5, with plain products (``nf(a * b)``, not
 (``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
 over each node's own ring.  Caller data (oracle
 witnesses, the stabilized iso of a cancellation, a caller lifter's outputs)
-is checked once where it enters, and four tests feed it lawless values; a
-fifth feeds both engines a module that is not idempotent.
+is checked once where it enters, and five tests feed it lawless values; a
+sixth feeds both engines a module that is not idempotent.
 Normal form likewise runs
 only where data enters: the last test checks that every matrix the engines
 and the GL lift build into a module, an iso or a GL pair is normal.
@@ -40,7 +40,7 @@ from srpb.matrix import constant_splitting
 from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import (AllStrategiesFailed, InputError, InternalCheckError,
-                         PreconditionError)
+                         LifterError, PreconditionError)
 from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary, lift_gl
 from helpers import (complexes_on, conjugated_idempotent, corpus_complexes, corpus_squares,
                      hollow_triangle, make_rng, random_elementary_product,
@@ -133,24 +133,64 @@ def test_kernel_module_is_the_idempotent_kernel_of_the_row(field):
         assert k.rank() == 2
 
 
+def overlap_automorphism(sq, q0, g0, rng):
+    """alpha0 in Aut(Q_0) for Q_0 == g0 (I_2 (+) 0) g0^-1: conjugation by g0 of
+    a twist h (+) I_1, which commutes with the corner."""
+    a0, ctx = sq.a0, sq.a0.context
+    h = random_gl_with_units(a0, 2, rng)
+    twist = GLMat._known_pair(a0, h.mat.direct_sum(PolyMatrix.identity(ctx, 1)),
+                              h.inv.direct_sum(PolyMatrix.identity(ctx, 1)))
+    return ModIso.make(q0, q0, prod(a0, q0.matrix, g0.mat, twist.mat, g0.inv),
+                       prod(a0, g0.mat, twist.inv, g0.inv, q0.matrix))
+
+
+def assert_lifts_lawfully(sq, q2, alpha0, alpha2):
+    """alpha2 is an automorphism of Q_2 over a2, passes its own ``ModIso.make``
+    and reduces to alpha0 under j2: what ``checked_lifter`` asks of a caller."""
+    assert alpha2.ring == sq.a2
+    assert alpha2.source == q2 and alpha2.target == q2
+    assert alpha2 == ModIso.make(alpha2.source, alpha2.target, alpha2.fwd, alpha2.bwd)
+    assert_iso_laws(alpha2)
+    assert sq.j2.apply_matrix(alpha2.fwd) == alpha0.fwd
+    assert sq.j2.apply_matrix(alpha2.bwd) == alpha0.bwd
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_section_aut_lifter_returns_lawful_values(field):
     rng = make_rng(f"by-construction-lift-{field.char}")
-    sq = build_fiber_square(field, hollow_triangle())
-    a0, ctx = sq.a0, sq.a0.context
-    for _ in range(4):
-        g = random_gl_with_units(a0, 3, rng)
-        p0 = ProjModule.make(a0, conjugate(a0, g, corner(ctx, 2, 3)))
-        q2 = ProjModule.make(sq.a2, sq.section.apply_matrix(p0.matrix))
-        h = random_gl_with_units(a0, 2, rng)
-        twist = GLMat._known_pair(a0, h.mat.direct_sum(PolyMatrix.identity(ctx, 1)),
-                                  h.inv.direct_sum(PolyMatrix.identity(ctx, 1)))
-        alpha0 = ModIso.make(p0, p0, prod(a0, p0.matrix, g.mat, twist.mat, g.inv),
-                             prod(a0, g.mat, twist.inv, g.inv, p0.matrix))
-        alpha2 = section_aut_lifter(sq, q2)(alpha0)
-        assert alpha2.source == q2 and alpha2.target == q2
-        assert_iso_laws(alpha2)
-        assert sq.j2.apply_matrix(alpha2.fwd) == alpha0.fwd
+    for _, sq in corpus_squares(field):
+        a0, ctx = sq.a0, sq.a0.context
+        for _ in range(3):
+            g = random_gl_with_units(a0, 3, rng)
+            p0 = ProjModule.make(a0, conjugate(a0, g, corner(ctx, 2, 3)))
+            q2 = ProjModule.make(sq.a2, sq.section.apply_matrix(p0.matrix))
+            alpha0 = overlap_automorphism(sq, p0, g, rng)
+            assert_lifts_lawfully(sq, q2, alpha0, section_aut_lifter(sq, q2)(alpha0))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_extension_aut_lifter_returns_lawful_values(field):
+    """A Q_2 with apex terms is no section image, so the lifter conjugates by
+    Q_2's extension witness; where Q_2 has none it raises LifterError."""
+    rng = make_rng(f"by-construction-ext-lift-{field.char}")
+    lifted = 0
+    for _, sq in corpus_squares(field):
+        a2, ctx = sq.a2, sq.a2.context
+        for _ in range(4):
+            bend = GLMat.elementary(a2, 3, 2, 0, a2.normal_form(ctx.variable(sq.apex)))
+            g2 = bend * random_elementary_product(a2, 3, rng)
+            q2 = ProjModule.make(a2, conjugate(a2, g2, corner(ctx, 2, 3)))
+            if sq.section.apply_matrix(sq.j2.apply_matrix(q2.matrix)) == q2.matrix:
+                continue  # the random factor cancelled the apex terms
+            g0 = g2.apply_hom(sq.j2)
+            alpha0 = overlap_automorphism(sq, base_change(q2, sq.j2), g0, rng)
+            try:
+                alpha2 = extension_aut_lifter(sq, q2)(alpha0)
+            except LifterError:
+                continue
+            assert_lifts_lawfully(sq, q2, alpha0, alpha2)
+            lifted += 1
+    assert lifted >= 2
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -694,6 +734,34 @@ def test_lawless_caller_lifter_is_refused():
     assert res.ok and verify_payload(res.certificate).ok
     with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
         cancel_witness(p, p, stab, aut_lifter_factory=factory(True))
+
+
+def test_caller_lifter_off_the_square_leaves_a_cancel_obligation():
+    """A lawful caller lifter output over the wrong ring, or one that does not
+    reduce to the requested automorphism, is refused by ``checked_lifter``
+    with a LifterError, and the node stays a "cancel" obligation."""
+    ring = QuotientRing.make(QQ, 2, ((1, 1),))
+    ctx = ring.context
+    g = GLMat.elementary(ring, 2, 0, 1, ctx.variable(0) + ctx.variable(1))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+    stab = stabilize(ModIso.identity(p))
+
+    def over_the_overlap(square, q2):
+        return lambda alpha0: alpha0
+
+    def negated(square, q2):
+        lawful = extension_aut_lifter(square, q2)
+
+        def lifter(alpha0):
+            # -alpha2 keeps every corner law but reduces to -alpha0
+            alpha2 = lawful(alpha0)
+            return ModIso(alpha2.source, alpha2.target, -alpha2.fwd, -alpha2.bwd)
+        return lifter
+
+    for factory in (over_the_overlap, negated):
+        res = cancel_witness(p, p, stab, aut_lifter_factory=factory)
+        assert not res.ok and res.iso is None
+        assert [ob.kind for ob in res.obligations] == ["cancel"]
 
 
 def test_lawless_stabilized_iso_is_refused():

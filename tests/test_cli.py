@@ -7,6 +7,7 @@ from srpb import (QQ, GLMat, PolyMatrix, QuotientRing, SimplicialComplex,
                   sr_quotient)
 from srpb import certs, files
 from srpb.cli import main
+from srpb.lifting import MAX_LIFT_SIZE
 from srpb.quotient import build_fiber_square
 from helpers import hollow_triangle, make_rng, random_elementary_product, two_points
 
@@ -232,6 +233,22 @@ def test_gl_lift_whose_unit_inverse_outgrows_the_cap_is_input_error(tmp_path, ca
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "more than 256 terms" in capsys.readouterr().err
+
+
+def test_gl_lift_past_the_size_bound_is_input_error(workdir, capsys, tmp_path):
+    # the all-ones upper triangle U has U^-1 == I - (superdiagonal)
+    ring = sr_quotient(QQ, two_points())
+    n = MAX_LIFT_SIZE + 1
+    u = PolyMatrix.from_scalars(ring.context, [[int(j >= i) for j in range(n)] for i in range(n)])
+    u_inv = PolyMatrix.from_scalars(ring.context, [[(i == j) - (j == i + 1) for j in range(n)]
+                                                   for i in range(n)])
+    files.save_glmat(str(tmp_path / "sigma.glm"), GLMat(ring, u, u_inv))
+    start = time.perf_counter()
+    code = run(["gl", "lift", "--sigma", tmp_path / "sigma.glm",
+                "--to-ring", workdir / "free2.ring", "--out", tmp_path / "delta.glm"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "MAX_LIFT_SIZE" in capsys.readouterr().err
 
 
 def test_square_check_counts_and_exit(workdir, capsys):

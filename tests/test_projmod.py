@@ -5,7 +5,7 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
                   milnor_patch, module_rank, pair_aut, section_aut_lifter,
                   unimodular_cert)
 from srpb.projmod import glue_iso_traced
-from srpb.errors import LifterError, PreconditionError
+from srpb.errors import ContextError, LifterError, PreconditionError
 from helpers import (conjugated_idempotent, corpus_squares, make_rng,
                      random_gl_with_units, two_points)
 
@@ -199,6 +199,11 @@ def test_pair_aut_refuses_lawless_caller_data():
     double = sq.a1.nf_matrix(PolyMatrix.from_scalars(ctx, [[2, 0], [0, 1]]))
     with pytest.raises(PreconditionError, match=r"bwd \* fwd is not the source idempotent"):
         pair_aut(sq, p, ModIso(p1, p1, double, p1.matrix), lifter)
+    # a lawful automorphism, but of a module other than the i1 base change of p
+    with pytest.raises(PreconditionError, match="phi1 does not connect the i1 base changes"):
+        pair_aut(sq, p, ModIso.identity(ProjModule.free(sq.a1, 1, 2)), lifter)
+    with pytest.raises(ContextError):
+        pair_aut(sq, p1, ModIso.identity(p1), lifter)
 
     def lawless(alpha0):
         # x_apex I dies under j2, so this still reduces to alpha0
