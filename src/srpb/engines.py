@@ -6,8 +6,9 @@ Extension and cancellation are one patching recursion over a pair of modules
 deletion side and the cone side, solve both (recursively, down to simplex
 base cases), fix the overlap mismatch with a lifter through the section, and
 glue.  Extension is the case where q is the augmentation of p; cancellation
-takes q from the caller.  The complex is recovered from the ring once, at
-the entry point, and each split hands its deletion and cone parts down.
+takes q from the caller.  Each node reads its ring's cached complex and
+square (``QuotientRing.sr_complex``, ``.square``), built once per ring object;
+a square's corners hold their deletion and cone parts as their complexes.
 Extension base cases are discharged by a built-in oracle chain (constant
 presentations, then univariate freeness via Smith normal form) followed by
 an optional caller oracle; anything else surfaces as an Obligation rather
@@ -33,7 +34,7 @@ from .lifting import lift_gl
 from .matrix import PolyMatrix, constant_splitting
 from .projmod import (ModIso, ProjModule, UmRow, base_change, checked_lifter,
                       glue_iso_traced, kernel_module, module_rank, section_aut_lifter)
-from .quotient import FiberSquare, GLMat, QuotientRing, RingHom, _square, complex_of_ring
+from .quotient import FiberSquare, GLMat, QuotientRing, RingHom
 from .smith import smith_normal_form
 
 ExtendOracle = Callable[[ProjModule], Optional[ModIso]]
@@ -244,29 +245,29 @@ class _Task:
     lifter_factory: Callable  # (square, q2) -> lifter of overlap automorphisms
 
 
-def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None,
-           cplx=None):
+def _solve(task: _Task, p: ProjModule, q: ProjModule, stab: Optional[ModIso] = None):
     """Witness p isomorphic to q, or obligations, with its certificate.
 
-    The ring's complex, unless given, is recovered (and round-trip checked)
-    here, once; each split hands a square corner down with the part of the
-    complex it presents.
+    The root ring recovers (and round-trip checks) its complex once per ring
+    object; each split hands a square corner down, which holds the part of
+    the complex it presents, and a second solve over a live ring reuses its
+    split tree of squares.
     """
     # Each apex split strictly lowers the number of used vertices that are not
     # cone points, so the recursion is no deeper than the ambient vertex count.
-    iso, node, obligations = _patch(task, p, q, cplx or complex_of_ring(p.ring))
+    iso, node, obligations = _patch(task, p, q)
     profile = HypothesisProfile(p.ring.field.char, module_rank(p))
     cert = certs.wrap_root(node, profile.payload(), [o.payload() for o in obligations],
                            stab=stab)
     return PatchResult(iso, cert, tuple(obligations))
 
 
-def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx):
-    """(iso p -> q or None, node, obligations); cplx is the complex of p's ring."""
+def _patch(task: _Task, p: ProjModule, q: ProjModule):
+    """(iso p -> q or None, node, obligations)."""
     ring = p.ring
     # an extension's q is the augmentation of p, so only cancellation records it
     other = q.matrix if task.name == "cancel" else None
-    if cplx.is_simplex() or (p.matrix.is_constant() and q.matrix.is_constant()):
+    if ring.sr_complex.is_simplex() or (p.matrix.is_constant() and q.matrix.is_constant()):
         got = task.base(p, q)
         if got is None:
             ob = Obligation(task.obligation_kind, ring, p.matrix)
@@ -277,12 +278,10 @@ def _patch(task: _Task, p: ProjModule, q: ProjModule, cplx):
                                target=q.matrix, iso=iso)
         return iso, node, []
 
-    square = _square(ring, cplx)
+    square = ring.square
     q2 = base_change(q, square.i2)
-    iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1),
-                              square.split.deletion_part)
-    iso2, node2, ob2 = _patch(task, base_change(p, square.i2), q2,
-                              square.split.cone_part())
+    iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1))
+    iso2, node2, ob2 = _patch(task, base_change(p, square.i2), q2)
     obligations = ob1 + ob2
     if not obligations:
         try:
@@ -314,13 +313,11 @@ def extend_witness(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> Patc
     return _extend(ProjModule.make(p.ring, p.matrix), oracle)
 
 
-def _extend(p: ProjModule, oracle: Optional[ExtendOracle] = None, cplx=None) -> PatchResult:
-    """``extend_witness`` of an idempotent over a square-free ring, unchecked;
-    cplx, when given, is the complex of p's ring."""
+def _extend(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> PatchResult:
+    """``extend_witness`` of an idempotent over a square-free ring, unchecked."""
     q = ProjModule(p.ring, p.augmented_matrix())
     kind = getattr(oracle, "obligation_kind", "extend")
-    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q,
-                  cplx=cplx)
+    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
 
 
 def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso], ModIso]:
@@ -340,7 +337,7 @@ def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIs
         try:
             return through_section(alpha0)
         except LifterError:
-            ext = _extend(q2, cplx=square.split.cone_part())
+            ext = _extend(q2)
             if not ext.ok:
                 raise
         psi = ext.iso

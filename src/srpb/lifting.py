@@ -10,11 +10,11 @@ The stack of strategies, tried in order:
               units, then lift each factor (elementary lifts are always
               invertible, diagonal units lift entrywise when they stay
               units upstairs);
-  descent     for square-free J, recurse through the fiber square of the
-              quotient's complex (recovered once per lift and carried
-              down the recursion): lift the deletion image first, then
-              absorb the remaining cone-side factor, which is congruent to
-              the identity modulo the apex variable.
+  descent     for square-free J, recurse through the quotient's fiber
+              square (``QuotientRing.square``, built once per ring
+              object): lift the deletion image first, then absorb the
+              remaining cone-side factor, which is congruent to the
+              identity modulo the apex variable.
 
 Unit inverses use the closed form ``quotient.unit_inverse``, not Buchberger.
 A lift through the section of a split surjection is ``whitehead_lift``.
@@ -24,14 +24,12 @@ AllStrategiesFailed with one diagnostic per attempted strategy.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (AllStrategiesFailed, ContextError, InputError,
                      InternalCheckError, NonUnitError, PreconditionError)
 from .matrix import PolyMatrix
-from .quotient import (GLMat, QuotientRing, RingHom, _square, complex_of_ring,
-                       unit_inverse)
-from .simplicial import SimplicialComplex
+from .quotient import GLMat, QuotientRing, RingHom, unit_inverse
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "descent")
 
@@ -178,8 +176,7 @@ def _lift_elementary(sigma: GLMat, pi: RingHom) -> GLMat:
     return lhs.inverse() * d_up * rhs.inverse()
 
 
-def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
-                  cplx: Optional[SimplicialComplex]) -> GLMat:
+def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat:
     """Lift the deletion image, then read the cone-side residue upstairs.
 
     pi1(delta1) == i1(sigma) gives gamma = pi(delta1)^-1 sigma with i1(gamma)
@@ -190,15 +187,13 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
     up = pi.source
     if not down.is_square_free():
         raise _StrategyFailure("quotient ideal is not square-free")
-    if cplx is None:
-        cplx = complex_of_ring(down)
-    if cplx.is_simplex():
+    if down.sr_complex.is_simplex():
         raise _StrategyFailure("simplex quotient: nothing to descend through")
-    square = _square(down, cplx)
+    square = down.square
 
     sigma1 = sigma.apply_hom(square.i1)
     pi1 = RingHom.quotient_map(up, square.a1)
-    delta1 = _lift(sigma1, pi1, strategies, square.split.deletion_part)
+    delta1 = _lift(sigma1, pi1, strategies)
 
     gamma = delta1.apply_hom(pi).inverse() * sigma
     gamma2 = gamma.apply_hom(square.i2)
@@ -224,17 +219,16 @@ def lift_gl(sigma: GLMat, pi: RingHom,
         raise InputError(f"lifting a {sigma.size} x {sigma.size} matrix: "
                          f"the limit is MAX_LIFT_SIZE = {MAX_LIFT_SIZE}")
     _require_compatible(sigma, pi)
-    return _lift(sigma, pi, strategies, None)
+    return _lift(sigma, pi, strategies)
 
 
-def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str],
-          cplx: Optional[SimplicialComplex]) -> GLMat:
-    """The strategy loop of ``lift_gl``; cplx is the complex of sigma's ring, if known."""
+def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat:
+    """The strategy loop of ``lift_gl``."""
     diagnostics = {}
     for name in strategies:
         try:
             if name == "descent":
-                delta = _lift_descent(sigma, pi, strategies, cplx)
+                delta = _lift_descent(sigma, pi, strategies)
             else:
                 fn = _STRATEGY_TABLE.get(name)
                 if fn is None:

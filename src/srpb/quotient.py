@@ -12,7 +12,11 @@ and sends each variable to itself or to 0, so a ``RingHom`` is a kill mask
 and a term filter: it keeps, in order, the terms that meet no killed
 variable and survive in the target, so it neither substitutes nor re-sorts.
 The fiber square built from an apex decomposition is the workhorse for all
-patching constructions.  Stanley-Reisner quotients are sorted antichains by
+patching constructions.  A ring recovers its complex and builds its square
+once per ring object (``sr_complex``, ``square``); the square's corners are
+read from the ring's ideal and hold their parts of the split as their
+complexes, so a live ring keeps its split tree, and nothing is cached
+process-wide.  Stanley-Reisner quotients are sorted antichains by
 construction (``sr_quotient``); ``QuotientRing.make`` minimalizes caller generators.
 
 Each identity is checked once, where its data enters (``hom_check`` in
@@ -181,6 +185,28 @@ class QuotientRing:
     def generator_polys(self) -> tuple:
         return tuple(self.context.monomial(g) for g in self.generators)
 
+    @cached_property
+    def sr_complex(self) -> SimplicialComplex:
+        """The complex this ring presents, recovered once per ring object and
+        round-trip checked; a square's corners and a ``build_fiber_square``
+        ring hold theirs from construction."""
+        if not self.is_square_free():
+            raise PreconditionError("ideal is not square-free; no underlying complex")
+        # a vertex set is a face iff its complement meets every generator support
+        full = (1 << self.nvars) - 1
+        facets = [bit_indices(full & ~t) for t in minimal_transversals(self.generator_masks)]
+        c = SimplicialComplex.from_facets(self.nvars, facets)
+        if _sr_ring(self.context, c) != self:
+            raise InternalCheckError("complex reconstruction does not round-trip")
+        return c
+
+    @cached_property
+    def square(self) -> "FiberSquare":
+        """The patching square of ``sr_complex`` over this ring object, built
+        once (``_square``); its corners cache their own, so a live ring keeps
+        its split tree."""
+        return _square(self)
+
     def free_variables(self) -> tuple:
         """Variables that appear in no generator at all."""
         used = set()
@@ -234,16 +260,14 @@ def _sr_ring(ctx: PolyRing, c: SimplicialComplex) -> QuotientRing:
 
 
 def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
-    """Recover the complex whose Stanley-Reisner ideal presents r."""
-    if not r.is_square_free():
-        raise PreconditionError("ideal is not square-free; no underlying complex")
-    # a vertex set is a face iff its complement meets every generator support
-    full = (1 << r.nvars) - 1
-    facets = [bit_indices(full & ~t) for t in minimal_transversals(r.generator_masks)]
-    c = SimplicialComplex.from_facets(r.nvars, facets)
-    if _sr_ring(r.context, c) != r:
-        raise InternalCheckError("complex reconstruction does not round-trip")
-    return c
+    """The complex whose Stanley-Reisner ideal presents r (``r.sr_complex``)."""
+    return r.sr_complex
+
+
+def _presenting(r: QuotientRing, c: SimplicialComplex) -> QuotientRing:
+    """r, recorded as presenting c, which it does by construction."""
+    r.__dict__["sr_complex"] = c
+    return r
 
 
 @dataclass(frozen=True)
@@ -353,31 +377,59 @@ class FiberSquare:
 
 
 def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
-    """The patching square of a non-simplex complex over its Stanley-Reisner
-    ring.  The engines take the node-ring path, ``_square(ring, c)``, whose
-    total ring is the recursion node's own ring."""
+    """The patching square of a non-simplex complex over a fresh
+    Stanley-Reisner ring, which presents c by construction: that ring's
+    ``square``.  The engines read ``ring.square`` of each node's own ring."""
     if c.is_simplex():
         raise PreconditionError("fiber square needs a non-simplex complex")
-    return _square(sr_quotient(field_, c), c)
+    return _presenting(sr_quotient(field_, c), c).square
 
 
-def _square(a: QuotientRing, c: SimplicialComplex) -> FiberSquare:
-    """The patching square of c over a, which presents c; homs built by construction.
+def _minimal_masks(masks) -> list:
+    """The inclusion-minimal members of a family of vertex masks."""
+    out: list = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(g & m == g for g in out):
+            out.append(m)
+    return out
 
-    Each hom kills the ghost vertices of its target (its degree-one
-    generators; the link's include the apex) and, for the section, the apex.
-    The deletion and cone parts are subcomplexes meeting in the link, which
-    avoids the apex (by construction, ``ApexDecomposition``); so each hom
-    kills its source ideal, the square commutes and j2 o section == id.  The
-    verifier re-checks recorded squares (``hom-defined``, ``square-commutes``).
+
+def _corner(ctx: PolyRing, masks, part: SimplicialComplex) -> QuotientRing:
+    """The ring over ctx with these minimal square-free generator masks,
+    sorted by ``_generator_key``, which presents part."""
+    gens = sorted((tuple(m >> v & 1 for v in range(ctx.nvars)) for m in masks),
+                  key=_generator_key)
+    return _presenting(QuotientRing(ctx, tuple(gens)), part)
+
+
+def _square(a: QuotientRing) -> FiberSquare:
+    """The patching square of a's complex over a; corners read from a's ideal
+    I, homs built by construction.
+
+    With x the apex, the deletion ring is min(I + (x)), the cone ring
+    min(I : x) (each generator with its apex bit dropped) and the link ring
+    min((I : x) + (x)): a non-face of the deletion contains x or a minimal
+    non-face of c avoiding x; F is a non-face of the cone iff F + x is one of
+    c; a non-face of the link is either.  Each corner is stored with its
+    part of the split as its complex.  Each hom kills the ghost vertices of
+    its target (its degree-one generators; the link's include the apex) and,
+    for the section, the apex.  The deletion and cone parts are subcomplexes
+    meeting in the link, which avoids the apex (by construction,
+    ``ApexDecomposition``); so each hom kills its source ideal, the square
+    commutes and j2 o section == id.  The verifier re-checks recorded
+    squares (``hom-defined``, ``square-commutes``).
     """
+    c = a.sr_complex
     split = apex_decomposition(c)
+    bit = 1 << split.apex
+    colon = _minimal_masks(g & ~bit for g in a.generator_masks)
+    masks = ([bit] + [g for g in a.generator_masks if not g & bit], colon, [bit] + colon)
     parts = (split.deletion_part, split.cone_part(), split.link_part)
-    a1, a2, a0 = (_sr_ring(a.context, part) for part in parts)
+    a1, a2, a0 = (_corner(a.context, m, part) for m, part in zip(masks, parts))
     g1, g2, g0 = (((1 << c.ambient) - 1) & ~part.used_mask for part in parts)
     return FiberSquare(a, a1, a2, a0, RingHom(a, a1, g1), RingHom(a, a2, g2),
                        RingHom(a1, a0, g0), RingHom(a2, a0, g0),
-                       RingHom(a0, a2, g2 | 1 << split.apex), split.apex, c, split)
+                       RingHom(a0, a2, g2 | bit), split.apex, c, split)
 
 
 @dataclass(frozen=True)

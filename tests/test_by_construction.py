@@ -13,7 +13,8 @@ on each output over Q and F_5, with plain products (``nf(a * b)``, not
 ``QuotientRing.mat_mul``), and compare the square homs, the patch and
 ``sr_quotient`` against the constructions they no longer go through
 (``RingHom.make``, ``QuotientRing.make``); the engines' squares are built
-over each node's own ring.  Caller data (oracle
+over each node's own ring, once per ring object, whose corners hold their
+parts of the split as their complexes.  Caller data (oracle
 witnesses, the stabilized iso of a cancellation, a caller lifter's outputs)
 is checked once where it enters, and five tests feed it lawless values; a
 sixth feeds both engines a module that is not idempotent.
@@ -23,13 +24,15 @@ and the GL lift build into a module, an iso or a GL pair is normal.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
                   QuotientRing, RingHom, UmRow, base_change, build_fiber_square,
-                  cancel_witness, extend_witness, glue_iso_traced, hom_check,
-                  kernel_module, milnor_patch, section_aut_lifter,
+                  cancel_witness, complex_of_ring, extend_witness, glue_iso_traced,
+                  hom_check, kernel_module, milnor_patch, section_aut_lifter,
                   smith_normal_form, sr_quotient, umrow_lift, verify_payload,
                   whitehead_lift)
 from srpb import certs, engines
@@ -333,6 +336,90 @@ def test_engine_squares_are_built_over_the_node_ring(monkeypatch):
         assert rings[-1] is ring  # the root node is finished last
         assert all(any(r is c for c in corners) for r in rings[:-1])
         assert verify_payload(res.certificate).ok  # which parses rings with make
+
+
+def test_ring_cache_holds_one_square_and_one_complex():
+    for field in FIELDS:
+        for name, sq in corpus_squares(field):
+            ring = sq.a
+            assert ring.square is sq and ring.square is ring.square, name
+            assert ring.sr_complex is ring.sr_complex is sq.complex, name
+            # the cache is no field: a fresh equal ring is equal and hashes alike
+            fresh = sr_quotient(field, sq.complex)
+            assert fresh == ring and hash(fresh) == hash(ring), name
+
+
+def test_ring_cache_serves_a_second_extend_without_a_split(monkeypatch):
+    """A second ``extend_witness`` over the same ring object reuses its split
+    tree of squares and writes the same bytes; an equal fresh ring, which
+    shares no cache, splits again to the same bytes."""
+    from srpb import quotient
+
+    rng = make_rng("ring-cache-extend")
+    ring = QuotientRing.make(QQ, 4, ((1, 0, 1, 0), (0, 1, 0, 1)))  # the four-cycle
+    ctx = ring.context
+    x0, x1, x2, x3 = (ctx.variable(v) for v in range(4))
+    g = (GLMat.elementary(ring, 2, 0, 1, x0 + x2) * GLMat.elementary(ring, 2, 1, 0, x1 + x3)
+         * random_elementary_product(ring, 2, rng))
+    p = ProjModule.make(ring, conjugate(ring, g, corner(ctx, 1, 2)))
+    oracle = conjugation_witness_oracle(g)
+    first = certs.dump_canonical(extend_witness(p, oracle=oracle).certificate)
+
+    splits = []
+    decompose = quotient.apex_decomposition
+
+    def counting_decomposition(c):
+        splits.append(c)
+        return decompose(c)
+
+    monkeypatch.setattr(quotient, "apex_decomposition", counting_decomposition)
+    second = extend_witness(p, oracle=oracle)
+    assert not splits
+    assert certs.dump_canonical(second.certificate) == first
+    fresh = QuotientRing.make(QQ, 4, ring.generators)
+    third = extend_witness(ProjModule.make(fresh, p.matrix), oracle=oracle)
+    assert len(splits) >= 3
+    assert certs.dump_canonical(third.certificate) == first
+
+
+def test_ring_cache_corners_hold_their_split_parts(monkeypatch):
+    """Each corner presents its part of the split by construction and holds
+    it: ``complex_of_ring`` reads it back with no transversal search, and a
+    recovery from the corner's generators alone finds the same complex."""
+    from srpb import quotient
+
+    searches = []
+    search = quotient.minimal_transversals
+
+    def counting_search(edges):
+        searches.append(edges)
+        return search(edges)
+
+    squares = [sq for field in FIELDS for _, sq in corpus_squares(field)]
+    squares += [build_fiber_square(QQ, c) for c in exhaustive_complexes(4)
+                if not c.is_simplex()]
+    for sq in squares:
+        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+        with monkeypatch.context() as m:
+            m.setattr(quotient, "minimal_transversals", counting_search)
+            for corner_ring, part in zip((sq.a1, sq.a2, sq.a0), parts):
+                assert complex_of_ring(corner_ring) is part
+            assert not searches
+        for corner_ring, part in zip((sq.a1, sq.a2, sq.a0), parts):
+            recovered = QuotientRing(corner_ring.context, corner_ring.generators)
+            assert complex_of_ring(recovered) == part
+
+
+def test_ring_cache_dies_with_its_ring():
+    """Squares are cached on their ring object, not process-wide: once the
+    last reference to a ``build_fiber_square`` ring is gone, so is its
+    square, with the corner squares below it."""
+    sq = build_fiber_square(QQ, hollow_triangle())
+    below = sq.a2.square  # the cone side of the hollow triangle splits again
+    refs = [weakref.ref(sq), weakref.ref(below), weakref.ref(sq.a)]
+    del sq, below
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def reference_whitehead(sq, sigma):
