@@ -5,8 +5,13 @@ of the input generators, so ideal-membership answers come with certificates
 that are re-verified by plain polynomial arithmetic before being returned.
 Instances here are tiny (a few variables, low degree), so the classic
 algorithm with the normal selection strategy is used without modular or
-signature-based acceleration.  It backs ``member`` and ``unimodular_cert``;
-units of a monomial quotient have a closed form (``quotient.unit_inverse``).
+signature-based acceleration, under a work budget: one basis, and one
+reduction of a target against it, may each spend at most
+``BUCHBERGER_MAX_TERM_OPS`` operations, one per term of the polynomials
+and cofactors each step multiplies or adds to and one per pair each pair
+selection scans, before an InputError.  It backs ``member`` and
+``unimodular_cert``; units of a monomial quotient have a closed form
+(``quotient.unit_inverse``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,25 @@ from .poly import Polynomial, exp_div, exp_divides, exp_lcm, grevlex
 from .quotient import QuotientRing
 # kept here: bench/tracing.py finds its groebner.unit_inverse layer in this module
 from .quotient import unit_inverse
+
+# the largest basis of the test suite spends 34,736; cyclic-5 over F_32003
+# runs out after about a second on a 2-CPU box
+BUCHBERGER_MAX_TERM_OPS = 1_000_000
+
+
+class _Budget:
+    """Term operations left to one basis or one reduction of a target."""
+
+    def __init__(self):
+        self.left = BUCHBERGER_MAX_TERM_OPS
+
+    def spend(self, *polys: Polynomial, ops: int = 0) -> None:
+        """Charge one operation per term of each polynomial a step multiplies
+        or adds to, and ``ops`` more."""
+        self.left -= ops + sum(len(p.terms) for p in polys)
+        if self.left < 0:
+            raise InputError(f"Groebner basis work needs more than "
+                             f"{BUCHBERGER_MAX_TERM_OPS} term operations")
 
 
 @dataclass(frozen=True)
@@ -48,12 +72,14 @@ class GroebnerBasis:
     def polys(self) -> tuple:
         return tuple(g for g, _ in self.basis)
 
-    def reduce(self, f: Polynomial) -> tuple:
+    def reduce(self, f: Polynomial, budget: Optional[_Budget] = None) -> tuple:
         """Full normal form of f plus cofactors over the inputs.
 
         Returns (r, cofs) with f == sum(cofs[i] * inputs[i]) + r and no term
-        of r divisible by any basis leading monomial.
+        of r divisible by any basis leading monomial; each reduction step
+        is charged to the budget, a fresh one by default.
         """
+        budget = budget or _Budget()
         ring = f.ring
         fld = ring.field
         cofs = [ring.zero()] * len(self.inputs)
@@ -64,6 +90,7 @@ class GroebnerBasis:
             (le, lc), reduced = p.leading(), False
             for (ge, gc), g, row in items:
                 if exp_divides(ge, le):
+                    budget.spend(p, g, *row, *cofs)
                     q = ring.monomial(exp_div(le, ge), fld.div(lc, gc))
                     p = p - q * g
                     for i, c in enumerate(row):
@@ -72,6 +99,7 @@ class GroebnerBasis:
                     reduced = True
                     break
             if not reduced:
+                budget.spend(p, r)
                 t = Polynomial(ring, (p.terms[0],))
                 r = r + t
                 p = p - t
@@ -83,7 +111,8 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
 
     Pairs are processed by lowest lcm total degree, ties by index; the final
     basis is minimalized, tail-reduced and made monic, with cofactors carried
-    through every reduction.
+    through every reduction.  The S-polynomials and every reduction,
+    including the final tail reduction and self-check, share one budget.
     """
     gens = [g for g in gens]
     if not gens:
@@ -93,11 +122,10 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         if g.ring != ring:
             raise ContextError("generators over different contexts")
     fld = ring.field
+    budget = _Budget()
 
-    unit_rows = []
-    for i in range(len(gens)):
-        unit_rows.append(tuple(ring.one() if j == i else ring.zero()
-                               for j in range(len(gens))))
+    unit_rows = [tuple(ring.one() if j == i else ring.zero() for j in range(len(gens)))
+                 for i in range(len(gens))]
     work = []  # list of [poly, cofactor tuple]
     for g, row in zip(gens, unit_rows):
         if not g.is_zero():
@@ -107,15 +135,14 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     if not work:
         raise InputError("all generators are zero")
 
-    gb = GroebnerBasis(gens, work)
-
     def spair_degree(i: int, j: int) -> int:
         return sum(exp_lcm(work[i][0].leading()[0], work[j][0].leading()[0]))
 
-    pairs = {(i, j) for i in range(len(work)) for j in range(i)}
+    pairs = {(i, j): spair_degree(i, j) for i in range(len(work)) for j in range(i)}
     while pairs:
-        i, j = min(pairs, key=lambda ij: (spair_degree(ij[0], ij[1]), ij))
-        pairs.discard((i, j))
+        budget.spend(ops=len(pairs))  # the scan for the next pair
+        i, j = min(pairs, key=lambda ij: (pairs[ij], ij))
+        del pairs[i, j]
         gi, rowi = work[i]
         gj, rowj = work[j]
         ei, ci = gi.leading()
@@ -125,10 +152,11 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         lcm = exp_lcm(ei, ej)
         mi = ring.monomial(exp_div(lcm, ei), fld.inv(ci))
         mj = ring.monomial(exp_div(lcm, ej), fld.inv(cj))
+        budget.spend(gi, gj, *rowi, *rowj)
         s = mi * gi - mj * gj
         srow = tuple(mi * a - mj * b for a, b in zip(rowi, rowj))
         gb = GroebnerBasis(gens, work)
-        r, cofs = gb.reduce(s)
+        r, cofs = gb.reduce(s, budget)
         if r.is_zero():
             continue
         total = tuple(a + b for a, b in zip(srow, tuple(-c for c in cofs)))
@@ -136,15 +164,15 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         inv = fld.inv(lc)
         work.append((r.scale(inv), tuple(c.scale(inv) for c in total)))
         k = len(work) - 1
-        pairs.update((k, t) for t in range(k))
+        pairs.update(((k, t), spair_degree(k, t)) for t in range(k))
 
-    reduced = _minimalize_and_reduce(gens, work)
+    reduced = _minimalize_and_reduce(gens, work, budget)
     out = GroebnerBasis(gens, reduced)
-    _self_check(out)
+    _self_check(out, budget)
     return out
 
 
-def _minimalize_and_reduce(gens, work) -> list:
+def _minimalize_and_reduce(gens, work, budget: _Budget) -> list:
     ring = gens[0].ring
     # minimal: drop elements whose leading monomial another one divides
     keep = []
@@ -168,7 +196,7 @@ def _minimalize_and_reduce(gens, work) -> list:
             out.append((g, row))
             continue
         partial = GroebnerBasis(gens, others)
-        r, cofs = partial.reduce(g)
+        r, cofs = partial.reduce(g, budget)
         if r.is_zero():
             continue
         total = tuple(a - b for a, b in zip(row, cofs))
@@ -179,7 +207,7 @@ def _minimalize_and_reduce(gens, work) -> list:
     return out
 
 
-def _self_check(gb: GroebnerBasis) -> None:
+def _self_check(gb: GroebnerBasis, budget: _Budget) -> None:
     ring = gb.ring
     fld = ring.field
     for g, row in gb.basis:
@@ -197,7 +225,7 @@ def _self_check(gb: GroebnerBasis) -> None:
             mi = ring.monomial(exp_div(lcm, ei), fld.inv(polys[i].leading()[1]))
             mj = ring.monomial(exp_div(lcm, ej), fld.inv(polys[j].leading()[1]))
             s = mi * polys[i] - mj * polys[j]
-            r, _ = gb.reduce(s)
+            r, _ = gb.reduce(s, budget)
             if not r.is_zero():
                 raise InternalCheckError("groebner: S-polynomial does not reduce to zero")
 

@@ -6,10 +6,11 @@ The stack of strategies, tried in order:
   entrywise   lift each entry by reinterpreting its normal form in R and
               accept when the determinant is a unit of R;
   elementary  Gaussian-eliminate over R/J with unit pivots (full pivoting),
-              factor into permutations, elementaries and a diagonal of
-              units, then lift each factor (elementary lifts are always
-              invertible, diagonal units lift entrywise when they stay
-              units upstairs);
+              in place on a ``matrix.RowColWorker`` whose transforms U, V
+              and their inverses are tracked over R: each swap and
+              elementary operation is normal over R/J, so over R, and
+              lifts as itself; U sigma V == D, a diagonal of units, lifts
+              to U^-1 D V^-1 when D's entries stay units upstairs;
   descent     for square-free J, recurse through the quotient's fiber
               square (``QuotientRing.square``, built once per ring
               object): lift the deletion image first, then absorb the
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from .errors import (AllStrategiesFailed, ContextError, InputError,
                      InternalCheckError, NonUnitError, PreconditionError)
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, RowColWorker
 from .quotient import GLMat, QuotientRing, RingHom, unit_inverse
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "descent")
@@ -103,77 +104,43 @@ def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 
 
-def _lift_entries(sigma: GLMat, pi: RingHom) -> GLMat:
+def _lift_entries(sigma: GLMat, pi: RingHom, _strategies: Sequence[str]) -> GLMat:
     return _gl_upstairs(sigma.mat, pi.source, "entrywise lift")
 
 
-def _lift_elementary(sigma: GLMat, pi: RingHom) -> GLMat:
-    up = pi.source
-    down = sigma.ring
-    ctx = down.context
-    n = sigma.size
-    work = sigma.mat.to_lists()
-    left_up: list = []   # lifts over `up` of the ops applied on the left, in order
-    right_up: list = []  # and of those applied on the right
-
+def _lift_elementary(sigma: GLMat, pi: RingHom, _strategies: Sequence[str] = ()) -> GLMat:
+    up, down, n = pi.source, sigma.ring, sigma.size
+    w = RowColWorker(sigma.mat, down.mul, up.mul)
     for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, n):
-                invp = unit_inverse(work[i][j], down)
-                if invp is not None:
-                    pivot = (i, j, invp)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j, inv) for i in range(k, n) for j in range(k, n)
+                      if (inv := unit_inverse(w.m[i][j], down)) is not None), None)
         if pivot is None:
             raise _StrategyFailure(f"no unit pivot available at elimination step {k}")
-        # the swaps below move the pivot to (k, k) unchanged, so pinv stays its inverse
+        # the swaps move the pivot to (k, k) unchanged, so pinv stays its inverse
         pi_, pj, pinv = pivot
-        if pi_ != k:
-            perm = list(range(n))
-            perm[k], perm[pi_] = pi_, k
-            work[k], work[pi_] = work[pi_], work[k]
-            left_up.append(GLMat.permutation(up, perm))
-        if pj != k:
-            perm = list(range(n))
-            perm[k], perm[pj] = pj, k
-            for row in work:
-                row[k], row[pj] = row[pj], row[k]
-            right_up.append(GLMat.permutation(up, perm))
-        # each elementary is normal over down, so over up, and lifts as the same pair
+        w.swap_rows(k, pi_)
+        w.swap_cols(k, pj)
         for i in range(n):
-            if i != k and not work[i][k].is_zero():
-                e = GLMat.elementary(down, n, i, k, -(work[i][k] * pinv))
-                work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-                left_up.append(GLMat._known_pair(up, e.mat, e.inv))
+            if i != k and not w.m[i][k].is_zero():
+                w.add_row(i, k, -down.mul(w.m[i][k], pinv))
         for j in range(n):
-            if j != k and not work[k][j].is_zero():
-                e = GLMat.elementary(down, n, k, j, -(work[k][j] * pinv))
-                work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
-                right_up.append(GLMat._known_pair(up, e.mat, e.inv))
+            if j != k and not w.m[k][j].is_zero():
+                w.add_col(j, k, -down.mul(w.m[k][j], pinv))
 
-    units, inverses = [], []
-    for k in range(n):
-        d = work[k][k]
+    units = [w.m[k][k] for k in range(n)]
+    inverses = []
+    for d in units:
         dinv = unit_inverse(d, up)
         if dinv is None:
             raise _StrategyFailure(f"diagonal unit {d} does not lift to a unit upstairs")
-        units.append(d)
         inverses.append(dinv)
-    # unit_inverse has checked each d * d^-1 == 1
-    d_up = GLMat._known_pair(up, PolyMatrix.diagonal(up.context, units),
-                             PolyMatrix.diagonal(up.context, inverses))
-
-    # L * sigma * R == D with L, R the accumulated ops, so sigma lifts to
-    # L_up^-1 * D_up * R_up^-1
-    lhs = GLMat.identity(up, n)
-    for g in left_up:
-        lhs = g * lhs
-    rhs = GLMat.identity(up, n)
-    for g in right_up:
-        rhs = rhs * g
-    return lhs.inverse() * d_up * rhs.inverse()
+    # U * sigma * V == D over down, so sigma lifts to U^-1 D V^-1, with
+    # inverse V D^-1 U (unit_inverse has checked each d * d^-1 == 1)
+    u, u_inv, v, v_inv = w.transforms()
+    ctx = up.context
+    return GLMat._known_pair(
+        up, up.mat_mul(up.mat_mul(u_inv, PolyMatrix.diagonal(ctx, units)), v_inv),
+        up.mat_mul(v, up.mat_mul(PolyMatrix.diagonal(ctx, inverses), u)))
 
 
 def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat:
@@ -203,6 +170,7 @@ def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat
 _STRATEGY_TABLE = {
     "entrywise": _lift_entries,
     "elementary": _lift_elementary,
+    "descent": _lift_descent,
 }
 
 
@@ -227,13 +195,10 @@ def _lift(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat:
     diagnostics = {}
     for name in strategies:
         try:
-            if name == "descent":
-                delta = _lift_descent(sigma, pi, strategies)
-            else:
-                fn = _STRATEGY_TABLE.get(name)
-                if fn is None:
-                    raise InputError(f"unknown lift strategy {name!r}")
-                delta = fn(sigma, pi)
+            fn = _STRATEGY_TABLE.get(name)
+            if fn is None:
+                raise InputError(f"unknown lift strategy {name!r}")
+            delta = fn(sigma, pi, strategies)
         except _StrategyFailure as sf:
             diagnostics[name] = sf.detail
             continue

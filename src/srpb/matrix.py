@@ -1,9 +1,11 @@
 """Matrices over a polynomial context: exact products, determinants,
-adjugates, block constructions, and, for constant matrices, the rank and a
-splitting m == B * R by row reduction over the coefficient field."""
+adjugates, block constructions, an in-place row and column operation
+tracker, and, for constant matrices, the rank and a splitting m == B * R by
+row reduction over the coefficient field."""
 
 from __future__ import annotations
 
+from operator import mul as _mul
 from typing import Callable, List, Sequence
 
 from .errors import ContextError, ShapeError
@@ -206,6 +208,75 @@ class PolyMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(p) for p in self.row(i)) for i in range(self.rows))
         return f"PolyMatrix[{self.rows}x{self.cols}: {body}]"
+
+
+class RowColWorker:
+    """Row and column operations applied in place to a matrix m and tracked.
+
+    Starting from identities, U, U^-1, V and V^-1 absorb every operation
+    together with m, so U * m0 * V == m and the inverse laws hold by
+    construction.  ``mul`` multiplies entries of m and ``tmul`` entries of
+    the transforms: plain products over the free context for Smith normal
+    form, and for the elementary GL lift the normal-form products of the
+    quotient m lives in and of the ring upstairs that the transforms lift
+    to (an operation normal over a quotient is normal over that ring).
+    """
+
+    def __init__(self, m: PolyMatrix, mul: Callable = _mul, tmul: Callable = _mul):
+        self.ring: PolyRing = m.ring
+        self.mul, self.tmul = mul, tmul
+        self.m = m.to_lists()
+        self.rows = m.rows
+        self.cols = m.cols
+        self.u, self.u_inv = (PolyMatrix.identity(m.ring, m.rows).to_lists() for _ in range(2))
+        self.v, self.v_inv = (PolyMatrix.identity(m.ring, m.cols).to_lists() for _ in range(2))
+
+    # row ops act on m and u on the left; u_inv absorbs the inverse on its columns
+    def swap_rows(self, i, j):
+        if i == j:
+            return
+        self.m[i], self.m[j] = self.m[j], self.m[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for row in self.u_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(self, i, j, q: Polynomial):
+        # row_i += q * row_j
+        mul, tmul = self.mul, self.tmul
+        self.m[i] = [a + mul(q, b) for a, b in zip(self.m[i], self.m[j])]
+        self.u[i] = [a + tmul(q, b) for a, b in zip(self.u[i], self.u[j])]
+        for row in self.u_inv:
+            row[j] = row[j] - tmul(q, row[i])
+
+    def scale_row(self, i, c):
+        inv = self.ring.field.inv(c)
+        self.m[i] = [a.scale(c) for a in self.m[i]]
+        self.u[i] = [a.scale(c) for a in self.u[i]]
+        for row in self.u_inv:
+            row[i] = row[i].scale(inv)
+
+    def swap_cols(self, i, j):
+        if i == j:
+            return
+        for row in self.m:
+            row[i], row[j] = row[j], row[i]
+        for row in self.v:
+            row[i], row[j] = row[j], row[i]
+        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
+
+    def add_col(self, i, j, q: Polynomial):
+        # col_i += q * col_j
+        mul, tmul = self.mul, self.tmul
+        for row in self.m:
+            row[i] = row[i] + mul(q, row[j])
+        for row in self.v:
+            row[i] = row[i] + tmul(q, row[j])
+        self.v_inv[j] = [a - tmul(q, b) for a, b in zip(self.v_inv[j], self.v_inv[i])]
+
+    def transforms(self) -> tuple:
+        """(U, U^-1, V, V^-1) as matrices."""
+        return tuple(PolyMatrix.from_rows(self.ring, t)
+                     for t in (self.u, self.u_inv, self.v, self.v_inv))
 
 
 def _det_sub(m: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> Polynomial:

@@ -526,9 +526,10 @@ class GLMat:
         """A normal-form pair that is inverse by algebra, built unverified.
 
         Products, swaps, direct sums and ring-map images of verified
-        pairs ((AB)(B^-1 A^-1) = I), permutation matrices with their
-        transposes, I + fE_ij with I - fE_ij for i != j, diagonals of
-        checked unit pairs, m with det(m)^-1 adj(m)
+        pairs ((AB)(B^-1 A^-1) = I), I + fE_ij with I - fE_ij for i != j,
+        diagonals of checked unit pairs, U^-1 D V^-1 with V D^-1 U for
+        transforms U, V tracked with their inverses and such a diagonal D
+        (``lifting._lift_elementary``), m with det(m)^-1 adj(m)
         (``lifting.det_unit_inverse``), and (bwd + w^T v(0), fwd + w(0)^T v)
         for an iso from K = I - w^T v to K(0) (``engines.umrow_lift``: the
         corner laws and v w^T == 1 leave K + w^T v == I); the verifier still
@@ -563,16 +564,6 @@ class GLMat:
         minv[i][j] = -m[i][j]
         return GLMat._known_pair(ring, PolyMatrix.from_rows(ctx, m),
                                  PolyMatrix.from_rows(ctx, minv))
-
-    @staticmethod
-    def permutation(ring: QuotientRing, perm: Sequence[int]) -> "GLMat":
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise InputError(f"{list(perm)} is not a permutation of 0..{n - 1}")
-        ctx = ring.context
-        m = [[ctx.one() if perm[a] == b else ctx.zero() for b in range(n)] for a in range(n)]
-        pm = PolyMatrix.from_rows(ctx, m)
-        return GLMat._known_pair(ring, pm, pm.transpose())
 
     @staticmethod
     def diagonal(ring: QuotientRing, entries: Sequence[tuple]) -> "GLMat":

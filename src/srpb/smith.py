@@ -3,11 +3,13 @@
 Works on any PolyMatrix whose entries involve at most one variable of the
 ambient context.  Returns U, D, V with U*M*V = D, the diagonal monic (or
 zero) with each entry dividing the next, and explicit inverses of U and V.
-The transforms are accumulated from elementary row/column operations,
-each applied to M, U and U^-1 (or M, V and V^-1) together, so these laws
-hold by construction and are not re-checked; det U and det V are nonzero
-field constants.  ``engines._smith_freeness_iso`` reads a basis of im E from
-V and its left inverse from V^-1, and the verifier re-checks the iso.
+The transforms are accumulated from elementary row/column operations by
+``matrix.RowColWorker``, with plain free-context products for both M and
+the transforms; each operation is applied to M, U and U^-1 (or M, V and
+V^-1) together, so these laws hold by construction and are not re-checked;
+det U and det V are nonzero field constants.
+``engines._smith_freeness_iso`` reads a basis of im E from V and its left
+inverse from V^-1, and the verifier re-checks the iso.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedRingError
-from .matrix import PolyMatrix
-from .poly import Polynomial, PolyRing
+from .matrix import PolyMatrix, RowColWorker
+from .poly import Polynomial
 
 
 def single_variable(m: PolyMatrix) -> int:
@@ -84,66 +86,10 @@ class SmithDecomposition:
         return [self.d[i, i] for i in range(n)]
 
 
-class _Worker:
-    """Mutable row/column operation tracker for the elimination loop."""
-
-    def __init__(self, m: PolyMatrix):
-        self.ring: PolyRing = m.ring
-        self.m = m.to_lists()
-        self.rows = m.rows
-        self.cols = m.cols
-        eye_r = PolyMatrix.identity(self.ring, self.rows).to_lists()
-        eye_c = PolyMatrix.identity(self.ring, self.cols).to_lists()
-        self.u = [row[:] for row in eye_r]
-        self.u_inv = [row[:] for row in eye_r]
-        self.v = [row[:] for row in eye_c]
-        self.v_inv = [row[:] for row in eye_c]
-
-    # row ops act on m and u on the left; u_inv absorbs the inverse on its columns
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.m[i], self.m[j] = self.m[j], self.m[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.u_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(self, i, j, q: Polynomial):
-        # row_i += q * row_j
-        self.m[i] = [a + q * b for a, b in zip(self.m[i], self.m[j])]
-        self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
-        for row in self.u_inv:
-            row[j] = row[j] - q * row[i]
-
-    def scale_row(self, i, c):
-        inv = self.ring.field.inv(c)
-        self.m[i] = [a.scale(c) for a in self.m[i]]
-        self.u[i] = [a.scale(c) for a in self.u[i]]
-        for row in self.u_inv:
-            row[i] = row[i].scale(inv)
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.m:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
-
-    def add_col(self, i, j, q: Polynomial):
-        # col_i += q * col_j
-        for row in self.m:
-            row[i] = row[i] + q * row[j]
-        for row in self.v:
-            row[i] = row[i] + q * row[j]
-        self.v_inv[j] = [a - q * b for a, b in zip(self.v_inv[j], self.v_inv[i])]
-
-
 def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     """Diagonalize a univariate matrix by exact Euclidean elimination."""
     var = single_variable(m)
-    w = _Worker(m)
+    w = RowColWorker(m)
     n = min(w.rows, w.cols)
 
     for t in range(n):
@@ -193,10 +139,6 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
         if not d.is_zero():
             w.scale_row(t, w.ring.field.inv(uni_coeff(d, var, uni_degree(d, var))))
 
-    u = PolyMatrix.from_rows(w.ring, w.u)
-    u_inv = PolyMatrix.from_rows(w.ring, w.u_inv)
-    v = PolyMatrix.from_rows(w.ring, w.v)
-    v_inv = PolyMatrix.from_rows(w.ring, w.v_inv)
-    d = PolyMatrix.from_rows(w.ring, w.m)
-    return SmithDecomposition(u, u_inv, d, v, v_inv, var)
+    u, u_inv, v, v_inv = w.transforms()
+    return SmithDecomposition(u, u_inv, PolyMatrix.from_rows(w.ring, w.m), v, v_inv, var)
 

@@ -80,6 +80,70 @@ def random_gl_with_units(ring, size, rng, count=4, max_deg=2):
     return g
 
 
+def permutation_pair(ring, perm):
+    """The permutation matrix whose row a is e_perm[a], with its transpose as
+    inverse, checked."""
+    ctx, n = ring.context, len(perm)
+    m = PolyMatrix.from_rows(ctx, [[ctx.one() if perm[a] == b else ctx.zero()
+                                    for b in range(n)] for a in range(n)])
+    return GLMat(ring, m, m.transpose())
+
+
+def reference_elementary_lift(sigma, pi):
+    """The elementary GL lift factor by factor: each swap and elementary
+    operation of the full-pivoting elimination over sigma's ring is a GL
+    pair, applied by a full product and lifted as itself, and the lift is
+    the product of the saved factors' inverses around the diagonal.  Returns
+    the lift, or the failure detail when there is none."""
+    from srpb.quotient import unit_inverse
+
+    up, down, n = pi.source, sigma.ring, sigma.size
+    ctx = down.context
+    work = sigma.mat.to_lists()
+    left_up, right_up = [], []
+    for k in range(n):
+        pivot = next(((i, j, inv) for i in range(k, n) for j in range(k, n)
+                      if (inv := unit_inverse(work[i][j], down)) is not None), None)
+        if pivot is None:
+            return f"no unit pivot available at elimination step {k}"
+        pi_, pj, pinv = pivot
+        if pi_ != k:
+            perm = list(range(n))
+            perm[k], perm[pi_] = pi_, k
+            work[k], work[pi_] = work[pi_], work[k]
+            left_up.append(permutation_pair(up, perm))
+        if pj != k:
+            perm = list(range(n))
+            perm[k], perm[pj] = pj, k
+            for row in work:
+                row[k], row[pj] = row[pj], row[k]
+            right_up.append(permutation_pair(up, perm))
+        for i in range(n):
+            if i != k and not work[i][k].is_zero():
+                e = GLMat.elementary(down, n, i, k, -(work[i][k] * pinv))
+                work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
+                left_up.append(GLMat(up, e.mat, e.inv))
+        for j in range(n):
+            if j != k and not work[k][j].is_zero():
+                e = GLMat.elementary(down, n, k, j, -(work[k][j] * pinv))
+                work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
+                right_up.append(GLMat(up, e.mat, e.inv))
+    pairs = []
+    for k in range(n):
+        d = work[k][k]
+        dinv = unit_inverse(d, up)
+        if dinv is None:
+            return f"diagonal unit {d} does not lift to a unit upstairs"
+        pairs.append((d, dinv))
+    # L * sigma * R == D, so sigma lifts to L^-1 * D * R^-1
+    lhs = rhs = GLMat.identity(up, n)
+    for g in left_up:
+        lhs = g * lhs
+    for g in right_up:
+        rhs = rhs * g
+    return lhs.inverse() * GLMat.diagonal(up, pairs) * rhs.inverse()
+
+
 def stabilize(iso):
     """The iso (+) the identity of a free rank-one module, as a cancellation takes it."""
     ring = iso.ring

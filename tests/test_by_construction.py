@@ -1,8 +1,10 @@
 """Values derived from checked values are built without re-checking them.
 
 Inverses, composites and hom images of module isomorphisms, hom images of
-GL pairs, permutation, determinant-adjugate and
-unit-diagonal pairs, the Whitehead lift, the Milnor patch, the glued iso of
+GL pairs, determinant-adjugate and unit-diagonal pairs, the elementary lift
+(also compared, lift for lift and failure for failure, with the
+factor-by-factor reference ``helpers.reference_elementary_lift``), the
+Whitehead lift, the Milnor patch, the glued iso of
 two patch isos, the section and extension-witness
 lifters, kernel modules, the five homs of a fiber square, the Smith
 transforms, the splittings E == B R behind the constant and Smith base
@@ -42,12 +44,12 @@ from srpb.engines import (_constant_pair_iso, _extend_base, _point_normalize,
 from srpb.matrix import constant_splitting
 from srpb.simplicial import sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
-from srpb.errors import (AllStrategiesFailed, InputError, InternalCheckError,
-                         LifterError, PreconditionError)
+from srpb.errors import (AllStrategiesFailed, InternalCheckError, LifterError,
+                         PreconditionError)
 from srpb.lifting import _StrategyFailure, _gl_upstairs, _lift_elementary, lift_gl
 from helpers import (complexes_on, conjugated_idempotent, corpus_complexes, corpus_squares,
                      hollow_triangle, make_rng, random_elementary_product,
-                     random_gl_with_units, stabilize)
+                     random_gl_with_units, reference_elementary_lift, stabilize)
 
 FIELDS = [QQ, GF(5)]
 
@@ -158,6 +160,7 @@ def assert_lifts_lawfully(sq, q2, alpha0, alpha2):
     assert sq.j2.apply_matrix(alpha2.bwd) == alpha0.bwd
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_section_aut_lifter_returns_lawful_values(field):
     rng = make_rng(f"by-construction-lift-{field.char}")
@@ -171,6 +174,7 @@ def test_section_aut_lifter_returns_lawful_values(field):
             assert_lifts_lawfully(sq, q2, alpha0, section_aut_lifter(sq, q2)(alpha0))
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_extension_aut_lifter_returns_lawful_values(field):
     """A Q_2 with apex terms is no section image, so the lifter conjugates by
@@ -208,14 +212,11 @@ def test_gl_pairs_built_by_construction_are_inverse(field):
         g = random_gl_with_units(sq.a, 3, rng)
         for h in square_homs(sq)[:2] + (sq.j2.compose(sq.i2),):
             assert_gl_pair(g.apply_hom(h))
-        assert_gl_pair(GLMat.permutation(sq.a, rng.sample(range(4), 4)))
         assert_gl_pair(_gl_upstairs(random_gl_with_units(sq.a, 3, rng).mat, sq.a, "test"))
         # a determinant with a nilpotent tail
         u = random_gl_with_units(nil, 3, rng) * tilt
         assert not nil.normal_form(u.mat.det()).is_constant()
         assert_gl_pair(_gl_upstairs(u.mat, nil, "test"))
-    with pytest.raises(InputError, match="not a permutation"):
-        GLMat.permutation(sq.a, [0, 0, 2])
 
 
 def reference_square_check(sq):
@@ -286,6 +287,7 @@ def test_mask_built_square_homs_match_hom_make(field):
     assert checked > 7000
 
 
+@pytest.mark.seeded
 def test_engine_squares_are_built_over_the_node_ring(monkeypatch):
     """Each decompose node's square has the node's ring object as its total
     ring, every other node's ring is a corner object of its parent's square,
@@ -338,6 +340,7 @@ def test_engine_squares_are_built_over_the_node_ring(monkeypatch):
         assert verify_payload(res.certificate).ok  # which parses rings with make
 
 
+@pytest.mark.seeded
 def test_ring_cache_holds_one_square_and_one_complex():
     for field in FIELDS:
         for name, sq in corpus_squares(field):
@@ -349,6 +352,7 @@ def test_ring_cache_holds_one_square_and_one_complex():
             assert fresh == ring and hash(fresh) == hash(ring), name
 
 
+@pytest.mark.seeded
 def test_ring_cache_serves_a_second_extend_without_a_split(monkeypatch):
     """A second ``extend_witness`` over the same ring object reuses its split
     tree of squares and writes the same bytes; an equal fresh ring, which
@@ -382,6 +386,7 @@ def test_ring_cache_serves_a_second_extend_without_a_split(monkeypatch):
     assert certs.dump_canonical(third.certificate) == first
 
 
+@pytest.mark.seeded
 def test_ring_cache_corners_hold_their_split_parts(monkeypatch):
     """Each corner presents its part of the split by construction and holds
     it: ``complex_of_ring`` reads it back with no transversal search, and a
@@ -410,6 +415,7 @@ def test_ring_cache_corners_hold_their_split_parts(monkeypatch):
             assert complex_of_ring(recovered) == part
 
 
+@pytest.mark.seeded
 def test_ring_cache_dies_with_its_ring():
     """Squares are cached on their ring object, not process-wide: once the
     last reference to a ``build_fiber_square`` ring is gone, so is its
@@ -473,6 +479,7 @@ def corner_aut(ring, g, a, rank, size):
                   conjugate(ring, g, a.inv.direct_sum(zeros)))
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_glued_iso_is_lawful_and_restricts_to_its_patches(field):
     """The glue of random lawful patch isos, built with no check, passes
@@ -529,6 +536,30 @@ def test_elementary_lift_diagonal_is_inverse(field):
         assert pi.apply_matrix(delta.mat) == sigma.mat
         lifted += 1
     assert lifted >= 5
+
+
+@pytest.mark.seeded
+@pytest.mark.parametrize("field", FIELDS)
+def test_elementary_lift_matches_the_factor_by_factor_reference(field):
+    rng = make_rng(f"by-construction-elementary-reference-{field.char}")
+    xy = QuotientRing.make(field, 2, ((1, 1),))
+    rings = (xy, sr_quotient(field, hollow_triangle()))
+    outcomes = {"lift": 0, "failure": 0}
+    for down in rings:
+        up = QuotientRing.make(field, down.nvars, ())
+        pi = RingHom.quotient_map(up, down)
+        for t in range(100):
+            sigma = random_gl_with_units(up, 2 + t % 3, rng, count=6).apply_hom(pi)
+            expected = reference_elementary_lift(sigma, pi)
+            try:
+                delta = _lift_elementary(sigma, pi)
+            except _StrategyFailure as sf:
+                assert sf.detail == expected
+                outcomes["failure"] += 1
+                continue
+            assert (delta.mat, delta.inv) == (expected.mat, expected.inv)
+            outcomes["lift"] += 1
+    assert outcomes["lift"] >= 100 and outcomes["failure"] >= 1, outcomes
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -667,6 +698,7 @@ def assert_splitting(ring, e, b, r):
     assert prod(ring, r, b) == PolyMatrix.identity(ring.context, b.cols)
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_smith_splitting_is_a_basis_of_the_image(field, monkeypatch):
     rng = make_rng(f"by-construction-smith-splitting-{field.char}")
@@ -689,6 +721,7 @@ def test_smith_splitting_is_a_basis_of_the_image(field, monkeypatch):
             assert iso.fwd.augmentation() == tgt.matrix
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_constant_splitting_and_pair_iso(field):
     rng = make_rng(f"by-construction-constant-splitting-{field.char}")
@@ -794,6 +827,7 @@ def test_oracle_witness_with_wrong_endpoints_is_refused():
         extend_witness(p, oracle=wrong_ends)
 
 
+@pytest.mark.seeded
 def test_lawless_caller_lifter_is_refused():
     """A caller lifter's output that reduces to the mismatch but breaks a
     corner law is refused where it enters, before any glue or certificate."""
@@ -823,6 +857,7 @@ def test_lawless_caller_lifter_is_refused():
         cancel_witness(p, p, stab, aut_lifter_factory=factory(True))
 
 
+@pytest.mark.seeded
 def test_caller_lifter_off_the_square_leaves_a_cancel_obligation():
     """A lawful caller lifter output over the wrong ring, or one that does not
     reduce to the requested automorphism, is refused by ``checked_lifter``
@@ -863,6 +898,7 @@ def test_lawless_stabilized_iso_is_refused():
         cancel_witness(p, p, ModIso(src, src, zero, zero))
 
 
+@pytest.mark.seeded
 def test_non_idempotent_module_is_refused_by_the_splitting_engines():
     """Splittings are lawful only for idempotents, so both engines check
     their modules at entry."""
@@ -917,6 +953,7 @@ def record_normality(monkeypatch):
     return built
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("field", FIELDS)
 def test_engine_values_are_normal_by_construction(field, monkeypatch):
     """Every module, iso and GL pair that the engines and the GL lift build is

@@ -216,6 +216,30 @@ def test_bad_gens_file_is_input_error(tmp_path, capsys, payload):
     assert err.startswith("error: bad ") and "Traceback" not in err
 
 
+def cyclic_gens(n):
+    """The cyclic-n system: the elementary cyclic sums of degree 1..n-1, and x0...x(n-1) - 1."""
+    xs = [f"x{i}" for i in range(n)]
+    sums = [" + ".join("*".join(xs[(i + t) % n] for t in range(k)) for i in range(n))
+            for k in range(1, n)]
+    return sums + ["*".join(xs) + " - 1"]
+
+
+@pytest.mark.parametrize("field, gens, target", [
+    ("Fp:32003", cyclic_gens(5), "1"),
+    ("Q", ["x0 - x1"], "x0^2000000000"),
+], ids=["cyclic-5", "target-of-huge-degree"])
+def test_gb_member_past_the_work_budget_is_input_error(tmp_path, capsys, field, gens, target):
+    path = tmp_path / "g.gens"
+    with open(path, "w") as fh:
+        fh.write("srpb/1 gens\n" + json.dumps({
+            "ring": {"field": field, "vars": 5, "ideal": []}, "generators": gens}) + "\n")
+    start = time.perf_counter()
+    code = run(["gb", "member", "--gens", path, "--target", target])
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert "more than 1000000 term operations" in capsys.readouterr().err
+
+
 def test_gl_lift_whose_unit_inverse_outgrows_the_cap_is_input_error(tmp_path, capsys):
     # 1 + x0 is a unit mod x0^3000, but its inverse has 3000 terms
     def ring(power):

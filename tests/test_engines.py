@@ -140,6 +140,7 @@ def test_chain_oracles():
 
 # -- cancellation engine ------------------------------------------------------------
 
+@pytest.mark.seeded
 def test_cancel_identity_case():
     r = xy_ring()
     rng = make_rng("cancel-id")
@@ -152,6 +153,7 @@ def test_cancel_identity_case():
     assert res.iso.fwd == p.matrix
 
 
+@pytest.mark.seeded
 def test_cancel_lifts_through_the_extension_witness():
     """Q_2 = E over the cone side has apex terms, so the section alone cannot
     lift the overlap automorphism; conjugating by Q_2's extension witness can."""
@@ -170,6 +172,7 @@ def test_cancel_lifts_through_the_extension_witness():
     assert res.iso.fwd == e
 
 
+@pytest.mark.seeded
 def test_cancel_conjugate_pair():
     r = xy_ring()
     ctx = r.context
@@ -187,6 +190,7 @@ def test_cancel_conjugate_pair():
     assert res.iso.source.matrix == p.matrix and res.iso.target.matrix == q.matrix
 
 
+@pytest.mark.seeded
 def test_cancel_free_pair_with_whitehead_stab():
     from srpb import build_fiber_square
 
@@ -199,6 +203,7 @@ def test_cancel_free_pair_with_whitehead_stab():
     assert res.ok and verify_payload(res.certificate).ok
 
 
+@pytest.mark.seeded
 def test_cancel_obligations_on_hollow_triangle_stub():
     p, _ = hard_hollow_instance()
     stab = stabilize(ModIso.identity(p))
@@ -208,6 +213,7 @@ def test_cancel_obligations_on_hollow_triangle_stub():
     assert all(ob.kind == "cancel" for ob in res.obligations)
 
 
+@pytest.mark.seeded
 def test_cancel_rank_mismatch_rejected():
     r = xy_ring()
     p = ProjModule.free(r, 1, size=2)

@@ -6,7 +6,8 @@ wrapped in deep nesting, or one changed character of a text value (a single
 coefficient, variable or operator of a polynomial entry).  ``verify_payload``
 must return a report without raising, and ``srpb verify`` must exit with 0-3
 without printing a traceback.  The same holds for the text arguments
-``--expr``, ``--target`` and ``--field`` of the other verbs.
+``--expr``, ``--target`` and ``--field`` of the other verbs, and a gens file
+garbled at a few characters makes ``srpb gb member`` exit with 0 or 2.
 """
 
 import contextlib
@@ -139,3 +140,43 @@ def test_cli_text_arguments_exit_cleanly(cli_inputs, expr, target, field):
     run_cli(["gb", "member", "--gens", cli_inputs / "g.gens", f"--target={target}"])
     run_cli(["square", "check", "--complex", cli_inputs / "twopoints.cplx",
              f"--field={field}", "--degree", 2])
+
+
+# -- gens files ----------------------------------------------------------------------
+
+GENS_RING = {"field": "Q", "vars": 3, "ideal": ["x0*x1"]}
+GENERATORS = ["x0^2 + x1", "x1*x2 - 1", "x2^3 + x0"]
+EXPR_CHARS = st.sampled_from("0123456789x+-*^/() ")
+FILE_CHARS = st.sampled_from(list("0123456789x+-*^/() \"{}[],:.QFp") + ["\n", "é"])
+
+
+def garbled(data, text, chars):
+    """text with one to three characters replaced, dropped or inserted."""
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, max(len(text) - 1, 0)), label="position")
+        how = data.draw(st.sampled_from(("replace", "drop", "insert")), label="edit")
+        c = "" if how == "drop" else data.draw(chars, label="character")
+        text = text[:i] + c + text[i + (how != "insert"):]
+    return text
+
+
+@FUZZ
+@given(data=st.data())
+def test_gb_member_exits_cleanly_on_garbled_gens_files(data):
+    generators = list(GENERATORS)
+    whole_file = data.draw(st.booleans(), label="garble the file, not a generator")
+    if not whole_file:
+        k = data.draw(st.integers(0, len(generators) - 1), label="generator")
+        generators[k] = garbled(data, generators[k], EXPR_CHARS)
+    text = f"{HEADER} gens\n" + json.dumps({"ring": GENS_RING, "generators": generators})
+    if whole_file:
+        text = garbled(data, text, FILE_CHARS)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "garbled.gens")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gb", "member", "--gens", path, "--target", "x2 + 1"])
+    assert code in (0, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
