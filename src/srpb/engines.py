@@ -179,7 +179,7 @@ def _extend_base(oracle: Optional[ExtendOracle]):
     def base(p: ProjModule, q: ProjModule):
         if p.matrix.is_constant():
             return "constant", ModIso(p, q, p.matrix, p.matrix)
-        if len(p.ring.free_variables()) <= 1:
+        if len(p.ring.free_variables) <= 1:
             return "smith", _smith_freeness_iso(p)
         iso = oracle(p) if oracle is not None else None
         if iso is None:
@@ -220,7 +220,7 @@ def _cancel_base(p: ProjModule, q: ProjModule):
     """Base hook of the cancellation: constant pairs, then univariate freeness."""
     if p.matrix.is_constant() and q.matrix.is_constant():
         return "constant", _constant_pair_iso(p, q)
-    if len(p.ring.free_variables()) <= 1:
+    if len(p.ring.free_variables) <= 1:
         ip = _smith_freeness_iso(p)
         iq = _smith_freeness_iso(q)
         mid = _constant_pair_iso(ip.target, iq.target)

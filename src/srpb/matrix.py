@@ -150,9 +150,11 @@ class PolyMatrix:
         return acc
 
     def augmentation(self) -> "PolyMatrix":
-        """Evaluate every entry at x = 0 (constant matrix)."""
+        """Evaluate every entry at x = 0 (constant matrix); constant entries
+        are returned as they are."""
         ring = self.ring
-        return self.map_entries(lambda p: ring.constant(p.constant_term()))
+        return self.map_entries(
+            lambda p: p if p.is_constant() else ring.constant(p.constant_term()))
 
     # -- determinant and adjugate -------------------------------------------
     def det(self) -> Polynomial:

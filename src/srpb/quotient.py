@@ -13,11 +13,14 @@ and a term filter: it keeps, in order, the terms that meet no killed
 variable and survive in the target, so it neither substitutes nor re-sorts.
 The fiber square built from an apex decomposition is the workhorse for all
 patching constructions.  A ring recovers its complex and builds its square
-once per ring object (``sr_complex``, ``square``); the square's corners are
-read from the ring's ideal and hold their parts of the split as their
-complexes, so a live ring keeps its split tree, and nothing is cached
-process-wide.  Stanley-Reisner quotients are sorted antichains by
-construction (``sr_quotient``); ``QuotientRing.make`` minimalizes caller generators.
+once per ring object (``sr_complex``, ``square``).  The square's corners are
+read from the ring's ideal and its kill masks from the complex's facet
+masks; the split, whose parts are the corners' complexes, is built on first
+use, so a square that is only patched or printed builds none.  A live ring
+keeps its split tree, and nothing is cached process-wide.  Rings, complexes
+and squares are built on vertex masks.  Stanley-Reisner quotients are sorted
+antichains by construction (``sr_quotient``); ``QuotientRing.make``
+minimalizes caller generators.
 
 Each identity is checked once, where its data enters (``hom_check`` in
 ``RingHom.make``, ``GLMat(...)``, ``unit_inverse``); values derived from
@@ -35,12 +38,12 @@ its total ring, whose ideal is smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, reduce
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
-from typing import Optional, Sequence
+from operator import add, or_
+from typing import Callable, Optional, Sequence
 
 from .errors import (ContextError, HomError, InputError, InternalCheckError,
                      PreconditionError, ShapeError)
@@ -48,8 +51,8 @@ from .fields import Field
 from .matrix import PolyMatrix
 from .poly import (Polynomial, PolyRing, _format_monomial, _from_dict, exp_divides,
                    support_mask)
-from .simplicial import (ApexDecomposition, SimplicialComplex, apex_decomposition,
-                         bit_indices, minimal_transversals, sr_ideal)
+from .simplicial import (ApexDecomposition, SimplicialComplex, _from_masks,
+                         apex_decomposition, bit_indices, minimal_transversals, split_apex)
 
 
 def _generator_key(e: tuple) -> tuple:
@@ -187,15 +190,18 @@ class QuotientRing:
 
     @cached_property
     def sr_complex(self) -> SimplicialComplex:
-        """The complex this ring presents, recovered once per ring object and
-        round-trip checked; a square's corners and a ``build_fiber_square``
-        ring hold theirs from construction."""
+        """The complex this ring presents, made once per ring object: a square
+        corner's part of the split (``_corner``), else recovered from the
+        ideal and round-trip checked; a ``build_fiber_square`` ring holds its
+        complex from construction."""
+        part = self.__dict__.get("_part")
+        if part is not None:
+            return part()
         if not self.is_square_free():
             raise PreconditionError("ideal is not square-free; no underlying complex")
         # a vertex set is a face iff its complement meets every generator support
         full = (1 << self.nvars) - 1
-        facets = [bit_indices(full & ~t) for t in minimal_transversals(self.generator_masks)]
-        c = SimplicialComplex.from_facets(self.nvars, facets)
+        c = _from_masks(self.nvars, [full & ~t for t in minimal_transversals(self.generator_masks)])
         if _sr_ring(self.context, c) != self:
             raise InternalCheckError("complex reconstruction does not round-trip")
         return c
@@ -207,14 +213,11 @@ class QuotientRing:
         its split tree."""
         return _square(self)
 
+    @cached_property
     def free_variables(self) -> tuple:
         """Variables that appear in no generator at all."""
-        used = set()
-        for g in self.generators:
-            for i, e in enumerate(g):
-                if e:
-                    used.add(i)
-        return tuple(i for i in range(self.nvars) if i not in used)
+        used = reduce(or_, map(support_mask, self.generators), 0)
+        return tuple(bit_indices(((1 << self.nvars) - 1) & ~used))
 
 
 # a unit inverse whose partial sum outgrows this many terms is refused
@@ -256,7 +259,19 @@ def sr_quotient(field_: Field, c: SimplicialComplex) -> QuotientRing:
 
 
 def _sr_ring(ctx: PolyRing, c: SimplicialComplex) -> QuotientRing:
-    return QuotientRing(ctx, tuple(sorted(sr_ideal(c), key=_generator_key)))
+    full = (1 << c.ambient) - 1
+    return _mask_ring(ctx, minimal_transversals(full & ~f for f in c.facet_masks))
+
+
+def _mask_ring(ctx: PolyRing, masks) -> QuotientRing:
+    """The ring over ctx whose generators are the square-free monomials with
+    these supports, an antichain, sorted by ``_generator_key`` (by degree,
+    then exponent vector), with their masks recorded."""
+    n = ctx.nvars
+    gens = sorted(((m.bit_count(), tuple(m >> v & 1 for v in range(n)), m) for m in masks))
+    r = QuotientRing(ctx, tuple(e for _, e, _ in gens))
+    r.__dict__["generator_masks"] = tuple(m for _, _, m in gens)
+    return r
 
 
 def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
@@ -359,7 +374,8 @@ class FiberSquare:
         |i2         |j1
         a2 --j2-->  a0
 
-    j2 kills the apex variable and splits via ``section``.
+    j2 kills the apex variable and splits via ``section``.  ``split`` is
+    made on first read; ``parts`` makes it, and the corners share it.
     """
 
     a: QuotientRing
@@ -373,7 +389,11 @@ class FiberSquare:
     section: RingHom
     apex: int
     complex: SimplicialComplex
-    split: ApexDecomposition
+    parts: Callable[[], ApexDecomposition] = field(repr=False, compare=False)
+
+    @property
+    def split(self) -> ApexDecomposition:
+        return self.parts()
 
 
 def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
@@ -394,42 +414,48 @@ def _minimal_masks(masks) -> list:
     return out
 
 
-def _corner(ctx: PolyRing, masks, part: SimplicialComplex) -> QuotientRing:
+def _corner(ctx: PolyRing, masks, part: Callable[[], SimplicialComplex]) -> QuotientRing:
     """The ring over ctx with these minimal square-free generator masks,
-    sorted by ``_generator_key``, which presents part."""
-    gens = sorted((tuple(m >> v & 1 for v in range(ctx.nvars)) for m in masks),
-                  key=_generator_key)
-    return _presenting(QuotientRing(ctx, tuple(gens)), part)
+    which presents the complex ``part()`` returns (its ``sr_complex``)."""
+    r = _mask_ring(ctx, masks)
+    r.__dict__["_part"] = part
+    return r
 
 
 def _square(a: QuotientRing) -> FiberSquare:
-    """The patching square of a's complex over a; corners read from a's ideal
-    I, homs built by construction.
+    """The patching square of a's complex c over a; corners read from a's
+    ideal I, kill masks from c's facet masks, homs built by construction.
 
-    With x the apex, the deletion ring is min(I + (x)), the cone ring
-    min(I : x) (each generator with its apex bit dropped) and the link ring
+    The apex x is ``split_apex(c)``, the vertex ``apex_decomposition``
+    splits at.  The deletion ring is min(I + (x)), the cone ring min(I : x)
+    (each generator with its apex bit dropped) and the link ring
     min((I : x) + (x)): a non-face of the deletion contains x or a minimal
     non-face of c avoiding x; F is a non-face of the cone iff F + x is one of
-    c; a non-face of the link is either.  Each corner is stored with its
-    part of the split as its complex.  Each hom kills the ghost vertices of
-    its target (its degree-one generators; the link's include the apex) and,
-    for the section, the apex.  The deletion and cone parts are subcomplexes
+    c; a non-face of the link is either.  Each hom kills the ghost vertices
+    of its target (its degree-one generators; the link's include the apex)
+    and, for the section, the apex: the deletion uses c's vertices less x,
+    the link those of the facets through x less x, and the cone the link's
+    and x.  ``apex_decomposition`` makes the split on first read of
+    ``split`` or of a corner's ``sr_complex``, which is the corner's part
+    of it.  The deletion and cone parts are subcomplexes
     meeting in the link, which avoids the apex (by construction,
     ``ApexDecomposition``); so each hom kills its source ideal, the square
     commutes and j2 o section == id.  The verifier re-checks recorded
     squares (``hom-defined``, ``square-commutes``).
     """
-    c = a.sr_complex
-    split = apex_decomposition(c)
-    bit = 1 << split.apex
-    colon = _minimal_masks(g & ~bit for g in a.generator_masks)
-    masks = ([bit] + [g for g in a.generator_masks if not g & bit], colon, [bit] + colon)
-    parts = (split.deletion_part, split.cone_part(), split.link_part)
-    a1, a2, a0 = (_corner(a.context, m, part) for m, part in zip(masks, parts))
-    g1, g2, g0 = (((1 << c.ambient) - 1) & ~part.used_mask for part in parts)
+    c, ctx, gens = a.sr_complex, a.context, a.generator_masks
+    apex = split_apex(c)
+    bit, full = 1 << apex, (1 << c.ambient) - 1
+    colon = _minimal_masks(g & ~bit for g in gens)
+    parts = cache(lambda: apex_decomposition(c))
+    a1 = _corner(ctx, [bit] + [g for g in gens if not g & bit], lambda: parts().deletion_part)
+    a2 = _corner(ctx, colon, lambda: parts().cone_part())
+    a0 = _corner(ctx, [bit] + colon, lambda: parts().link_part)
+    link = reduce(or_, (f for f in c.facet_masks if f & bit)) & ~bit
+    g1, g2, g0 = full & ~(c.used_mask & ~bit), full & ~(link | bit), full & ~link
     return FiberSquare(a, a1, a2, a0, RingHom(a, a1, g1), RingHom(a, a2, g2),
                        RingHom(a1, a0, g0), RingHom(a2, a0, g0),
-                       RingHom(a0, a2, g2 | bit), split.apex, c, split)
+                       RingHom(a0, a2, g0), apex, c, parts)
 
 
 @dataclass(frozen=True)
@@ -502,7 +528,12 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
 # -- verified invertible matrices over a quotient -----------------------------
 
 class GLMat:
-    """A square matrix over a quotient ring together with a verified inverse."""
+    """A square matrix over a quotient ring together with a verified inverse.
+
+    ``GLMat(...)`` checks mat * inv == I alone: over a commutative ring,
+    A B == I for square A and B gives det(A) det(B) == 1, so A is invertible
+    and B == A^-1, whence B A == I too.
+    """
 
     __slots__ = ("ring", "mat", "inv")
 
@@ -511,8 +542,7 @@ class GLMat:
         inv = ring.nf_matrix(inv)
         if not mat.is_square or mat.rows != inv.rows or not inv.is_square:
             raise PreconditionError("GL element must be square with a square inverse")
-        eye = PolyMatrix.identity(ring.context, mat.rows)
-        if ring.mat_mul(mat, inv) != eye or ring.mat_mul(inv, mat) != eye:
+        if ring.mat_mul(mat, inv) != PolyMatrix.identity(ring.context, mat.rows):
             raise PreconditionError("matrix inverse fails to verify")
         self._set(ring, mat, inv)
 

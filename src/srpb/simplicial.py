@@ -3,9 +3,12 @@
 Faces are stored implicitly through the set of facets (maximal faces).
 The empty face belongs to every complex; vertices of the ambient set that
 appear in no face ("ghost" vertices) are permitted and contribute degree-one
-generators to the Stanley-Reisner ideal.  Internally faces are vertex
-bitmasks.  Everything works on the facets: a vertex set is a non-face iff it
-meets the complement of every facet, so the minimal non-faces are the
+generators to the Stanley-Reisner ideal.  Vertex bitmasks are the working
+form: the deletion, link and cone are built from facet masks
+(``_from_masks``, which records them), and vertex tuples are made only at
+the edges (the canonical ``facets``, ``minimal_nonfaces``, ``sr_ideal`` and
+printing).  Everything works on the facets: a vertex set is a non-face iff
+it meets the complement of every facet, so the minimal non-faces are the
 minimal transversals of the facet complements (``minimal_transversals``),
 and no routine visits all 2^n vertex sets.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable
 
 from .errors import InputError, PreconditionError
@@ -105,12 +108,7 @@ class SimplicialComplex:
             if fm >> ambient:
                 raise InputError(f"facet {sorted(f)} out of range for ambient {ambient}")
             masks.add(fm)
-        if not masks:
-            masks = {0}
-        # drop facets contained in another facet
-        maximal = {f for f in masks if not any(f != g and f & g == f for g in masks)}
-        canon = tuple(sorted((_unmask(f) for f in maximal), key=lambda t: (len(t), t)))
-        return SimplicialComplex(ambient, canon)
+        return SimplicialComplex(ambient, tuple(t for t, _ in _canonical(masks)))
 
     @staticmethod
     def simplex(ambient: int) -> "SimplicialComplex":
@@ -166,6 +164,25 @@ class SimplicialComplex:
         return f"Complex(ambient={self.ambient}, facets=[{body}])"
 
 
+def _canonical(masks) -> list:
+    """(vertex tuple, mask) of each maximal member of masks ({0} when there
+    are none), in the canonical facet order: by size, then lexicographic."""
+    maximal: list = []
+    for m in sorted(set(masks) or {0}, key=int.bit_count, reverse=True):
+        if not any(m & g == m for g in maximal):
+            maximal.append(m)
+    return sorted(((_unmask(m), m) for m in maximal), key=lambda p: (len(p[0]), p[0]))
+
+
+def _from_masks(ambient: int, masks) -> SimplicialComplex:
+    """The complex whose facets are the maximal members of these in-range
+    vertex masks, with its facet masks recorded, since they are at hand."""
+    facets = _canonical(masks)
+    c = SimplicialComplex(ambient, tuple(t for t, _ in facets))
+    c.__dict__["facet_masks"] = tuple(m for _, m in facets)
+    return c
+
+
 def minimal_nonfaces(c: SimplicialComplex) -> tuple:
     """Vertex sets that are not faces while every proper subset is a face:
     the minimal transversals of the facet complements."""
@@ -184,8 +201,7 @@ def deletion(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces of c that avoid v."""
     c._check_vertex(v)
     bit = 1 << v
-    return SimplicialComplex.from_facets(
-        c.ambient, [_unmask(fm & ~bit) for fm in c.facet_masks])
+    return _from_masks(c.ambient, [fm & ~bit for fm in c.facet_masks])
 
 
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -194,8 +210,7 @@ def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     bit = 1 << v
     if not c.used_mask & bit:
         raise InputError(f"link at unused vertex {v}")
-    return SimplicialComplex.from_facets(
-        c.ambient, [_unmask(fm & ~bit) for fm in c.facet_masks if fm & bit])
+    return _from_masks(c.ambient, [fm & ~bit for fm in c.facet_masks if fm & bit])
 
 
 def cone(c: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -204,8 +219,7 @@ def cone(c: SimplicialComplex, v: int) -> SimplicialComplex:
     bit = 1 << v
     if c.used_mask & bit:
         raise InputError(f"cone apex {v} already used by the complex")
-    return SimplicialComplex.from_facets(
-        c.ambient, [_unmask(fm | bit) for fm in c.facet_masks])
+    return _from_masks(c.ambient, [fm | bit for fm in c.facet_masks])
 
 
 def star(c: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -236,13 +250,18 @@ class ApexDecomposition:
         return cone(self.link_part, self.apex)
 
 
-def apex_decomposition(c: SimplicialComplex) -> ApexDecomposition:
-    """Split at the smallest used vertex whose star is proper, that is, the
-    smallest used vertex that some facet misses."""
+def split_apex(c: SimplicialComplex) -> int:
+    """The apex of c's split: the smallest used vertex whose star is proper,
+    that is, the smallest used vertex that some facet misses.  Every
+    non-simplex has one, as a facet other than the used vertex set misses a
+    used vertex."""
     if c.is_simplex():
         raise PreconditionError("cannot decompose a simplex")
-    apex = next((v for v in c.used_vertices()
-                 if any(not fm >> v & 1 for fm in c.facet_masks)), None)
-    if apex is None:
-        raise PreconditionError("no admissible apex found (complex is a cone over every vertex)")
+    missed = c.used_mask & ~reduce(and_, c.facet_masks)
+    return (missed & -missed).bit_length() - 1
+
+
+def apex_decomposition(c: SimplicialComplex) -> ApexDecomposition:
+    """Split at ``split_apex(c)``."""
+    apex = split_apex(c)
     return ApexDecomposition(apex, deletion(c, apex), link(c, apex))

@@ -1,8 +1,9 @@
 """Differential tests for the bitmask monomial layer.
 
 Each fast path (mask survival, minimal transversals, term-filter ring homs,
-square corners read from the ideal's generator masks) is checked against a
-direct reference computation on seeded random inputs.
+square corners read from the ideal's generator masks, complexes, rings and
+squares built on vertex masks) is checked against a direct reference
+computation on seeded random inputs.
 """
 
 import time
@@ -10,12 +11,12 @@ import time
 import pytest
 
 from srpb import (GF, QQ, Polynomial, PolyRing, QuotientRing, RingHom, SimplicialComplex,
-                  build_fiber_square, complex_of_ring)
+                  build_fiber_square, certs, complex_of_ring, quotient, simplicial)
 from srpb.errors import ContextError, HomError, InputError
 from srpb.poly import exp_divides, support_mask
 from srpb.quotient import _sr_ring, sr_quotient
-from srpb.simplicial import (ApexDecomposition, apex_decomposition,
-                             bit_indices, minimal_nonfaces, minimal_transversals)
+from srpb.simplicial import (ApexDecomposition, apex_decomposition, bit_indices, cone,
+                             deletion, link, minimal_nonfaces, minimal_transversals, sr_ideal)
 from helpers import (complexes_on, corpus_squares, make_rng, random_complex, random_poly,
                      substitute)
 
@@ -76,6 +77,20 @@ def test_generator_masks_only_for_square_free():
     assert QuotientRing.make(QQ, 3, ((1, 1, 0), (0, 0, 1))).generator_masks == (0b100, 0b011)
     assert QuotientRing.make(QQ, 2, ((2, 0),)).generator_masks is None
     assert QuotientRing.make(QQ, 2, ()).generator_masks == ()
+
+
+def test_free_variables_are_the_complement_of_the_generator_supports():
+    rng = make_rng("free-variables")
+    for field in FIELDS:
+        rings = [QuotientRing.make(field, 3, ()), QuotientRing.make(field, 3, ((0, 2, 0),))]
+        for n in (2, 4, 6):
+            rings += [random_square_free(field, n, rng) for _ in range(4)]
+            rings += [random_general(field, n, rng) for _ in range(4)]
+        for r in rings:
+            expected = tuple(v for v in range(r.nvars) if all(g[v] == 0 for g in r.generators))
+            assert r.free_variables == expected
+            assert r.free_variables is r.free_variables  # cached per ring
+    assert QuotientRing.make(QQ, 3, ((0, 2, 0),)).free_variables == (0, 2)
 
 
 def faces_by_enumeration(c):
@@ -179,6 +194,162 @@ def test_square_corners_read_from_the_ideal_match_their_parts():
         counts.append((split, ghosted))
     (exhaustive_split, _), (random_split, random_ghosted) = counts
     assert exhaustive_split > 7000 and random_split > 2000 and random_ghosted > 1500
+
+
+def reference_complex(ambient, facets):
+    """The complex with these facets, built on vertex sets: the maximal ones
+    as sorted tuples, by size, then lexicographic."""
+    sets = {frozenset(f) for f in facets} or {frozenset()}
+    maximal = (s for s in sets if not any(s < t for t in sets))
+    return SimplicialComplex(ambient, tuple(sorted((tuple(sorted(s)) for s in maximal),
+                                                   key=lambda t: (len(t), t))))
+
+
+def reference_split(c):
+    """(apex, deletion, cone, link) of c's split, on vertex sets: the apex is
+    the smallest used vertex that some facet misses."""
+    used = {v for f in c.facets for v in f}
+    apex = min(v for v in used if any(v not in f for f in c.facets))
+    deleted = reference_complex(c.ambient, [set(f) - {apex} for f in c.facets])
+    linked = reference_complex(c.ambient, [set(f) - {apex} for f in c.facets if apex in f])
+    coned = reference_complex(c.ambient, [set(f) | {apex} for f in linked.facets])
+    return apex, deleted, coned, linked
+
+
+def reference_ring(field, c):
+    """c's Stanley-Reisner ring from the exponent vectors of its minimal
+    non-faces, sorted by degree, then exponent vector."""
+    gens = sorted(sr_ideal(c), key=lambda e: (sum(e), e))
+    return QuotientRing(PolyRing(field, c.ambient), tuple(gens))
+
+
+def reference_square(field, c):
+    """(rings, homs, parts, payload) of c's fiber square, each hom's kill
+    set the vertices its target's complex leaves unused."""
+    apex, *parts = reference_split(c)
+    a = reference_ring(field, c)
+    a1, a2, a0 = (reference_ring(field, p) for p in parts)
+
+    def kill(part):
+        used = {v for f in part.facets for v in f}
+        return sum(1 << v for v in range(c.ambient) if v not in used)
+
+    k1, k2, k0 = (kill(p) for p in parts)
+    homs = (RingHom(a, a1, k1), RingHom(a, a2, k2), RingHom(a1, a0, k0),
+            RingHom(a2, a0, k0), RingHom(a0, a2, k2 | 1 << apex))
+    payload = {
+        "apex": apex,
+        "complex": {"ambient": c.ambient, "facets": [list(f) for f in c.facets]},
+        "rings": {name: certs.ring_payload(r)
+                  for name, r in zip(("a", "a1", "a2", "a0"), (a, a1, a2, a0))},
+        "homs": {name: ["0" if h.kill >> v & 1 else f"x{v}" for v in range(c.ambient)]
+                 for name, h in zip(("i1", "i2", "j1", "j2", "section"), homs)},
+    }
+    return (a, a1, a2, a0), homs, (apex, *parts), payload
+
+
+def assert_records_its_facet_masks(c):
+    assert c.facet_masks == tuple(sum(1 << v for v in f) for f in c.facets), str(c)
+
+
+def random_facet_lists(rng, count):
+    """(ambient, facets) on 2 to 12 vertices, with ghost vertices, repeated
+    facets and facets inside others."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        live = rng.sample(range(n), rng.randint(2, n))
+        facets = [rng.sample(live, rng.randint(0, len(live) - 1))
+                  for _ in range(rng.randint(1, 6))]
+        facets += [rng.sample(f, rng.randint(0, len(f))) for f in facets[:2]] + facets[:1]
+        out.append((n, facets))
+    return out
+
+
+def test_mask_built_complexes_rings_and_squares_match_tuple_references():
+    """Complexes built on masks (``from_facets``, ``deletion``, ``link``,
+    ``cone``), rings read from minimal-transversal masks and squares whose
+    kill masks come from facet masks equal references built on vertex
+    tuples and exponent vectors: facets, generators in order, generator
+    masks, the five homs, the split parts and the ``square_payload`` bytes,
+    on every complex on 2 to 5 vertices and on 3,000 seeded random ones on
+    2 to 12 vertices with ghost vertices."""
+    rng = make_rng("mask-equivalence")
+    cases = [(n, c.facets) for n in range(2, 6) for c in complexes_on(n)]
+    cases += random_facet_lists(rng, 3000)
+    squares = ghosted = 0
+    for k, (n, facets) in enumerate(cases):
+        c = SimplicialComplex.from_facets(n, facets)
+        assert c == reference_complex(n, facets), (n, facets)
+        if c.is_simplex():
+            continue
+        field = FIELDS[k % 2]
+        rings, homs, split, payload = reference_square(field, c)
+        sq = build_fiber_square(field, c)
+        for made, ref in zip((sq.a, sq.a1, sq.a2, sq.a0), rings):
+            assert made.generators == ref.generators, str(c)
+            assert made.generator_masks == tuple(map(support_mask, ref.generators)), str(c)
+        assert (sq.i1, sq.i2, sq.j1, sq.j2, sq.section) == homs, str(c)
+        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+        assert (sq.apex, *parts) == split, str(c)
+        for part in parts:
+            assert_records_its_facet_masks(part)
+        assert certs.dump_canonical(certs.square_payload(sq)) == \
+            certs.dump_canonical(payload), str(c)
+        squares += 1
+        ghosted += c.used_mask != (1 << n) - 1
+    assert squares > 9000 and ghosted > 1500
+
+
+def test_part_builders_match_tuple_references_at_every_vertex():
+    rng = make_rng("mask-parts")
+    for n, facets in random_facet_lists(rng, 500):
+        c = SimplicialComplex.from_facets(n, facets)
+        for v in range(n):
+            if c.used_mask >> v & 1:
+                made = [(deletion(c, v), [set(f) - {v} for f in c.facets]),
+                        (link(c, v), [set(f) - {v} for f in c.facets if v in f])]
+            else:
+                made = [(cone(c, v), [set(f) | {v} for f in c.facets])]
+            for part, facet_sets in made:
+                assert part == reference_complex(n, facet_sets), (str(c), v)
+                assert_records_its_facet_masks(part)
+
+
+def test_square_builds_its_split_parts_on_first_read(monkeypatch):
+    """``build_fiber_square`` builds no part of the split (no
+    ``apex_decomposition`` and no complex from masks) until ``split`` or a
+    corner's ``sr_complex`` is read; then one split serves the square and
+    all three corners."""
+    splits, built = [], []
+    decompose, from_masks = quotient.apex_decomposition, simplicial._from_masks
+
+    def counting_decomposition(c):
+        splits.append(c)
+        return decompose(c)
+
+    def counting_from_masks(ambient, masks):
+        built.append(ambient)
+        return from_masks(ambient, masks)
+
+    monkeypatch.setattr(quotient, "apex_decomposition", counting_decomposition)
+    monkeypatch.setattr(simplicial, "_from_masks", counting_from_masks)
+    pool = [c for n in range(2, 5) for c in complexes_on(n) if not c.is_simplex()]
+    for k, c in enumerate(pool):
+        sq = build_fiber_square(QQ, c)
+        certs.square_payload(sq)
+        assert not splits and not built, str(c)
+        corners = (sq.a1, sq.a2, sq.a0)
+        if k % 2:
+            corners[k % 3].sr_complex
+        else:
+            sq.split
+        assert splits == [c] and built, str(c)
+        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+        assert all(r.sr_complex is p for r, p in zip(corners, parts)), str(c)
+        assert splits == [c], str(c)
+        splits.clear()
+        built.clear()
 
 
 def test_minimal_nonfaces_on_a_wider_ambient():

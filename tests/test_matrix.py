@@ -73,6 +73,11 @@ def test_augmentation():
     x = ctx.variable(0)
     m = PolyMatrix.from_rows(ctx, [[x + ctx.one(), x]])
     assert m.augmentation() == PolyMatrix.from_scalars(ctx, [[1, 0]])
+    # constant entries are returned as they are
+    c = PolyMatrix.from_rows(ctx, [[ctx.constant(3), x + x, ctx.zero()]])
+    aug = c.augmentation()
+    assert aug == PolyMatrix.from_scalars(ctx, [[3, 0, 0]])
+    assert aug.entries[0] is c.entries[0] and aug.entries[2] is c.entries[2]
 
 
 def test_scalar_linear_algebra():

@@ -172,6 +172,39 @@ def test_glmat_verifies():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_glmat_one_sided_check_refuses_single_coefficient_mutations(field):
+    """``GLMat(...)`` checks mat * inv == I alone, which over a commutative
+    ring implies inv * mat == I; a change of one coefficient of either
+    matrix still breaks mat * inv == I, so every such pair is refused."""
+    rng = make_rng(f"glmat-one-sided-{field.char}")
+    refused = 0
+    for ring in (xy_ring(field), sr_quotient(field, hollow_triangle())):
+        ctx = ring.context
+        for _ in range(6):
+            g = random_gl_with_units(ring, rng.randint(2, 3), rng)
+            assert GLMat(ring, g.mat, g.inv) == g
+            for side in ("mat", "inv"):
+                m = getattr(g, side)
+                for _ in range(4):
+                    k = rng.randrange(len(m.entries))
+                    entry = m.entries[k]
+                    if entry.terms and rng.random() < 0.5:
+                        exps = rng.choice(entry.terms)[0]  # bump an existing coefficient
+                    else:
+                        exps = tuple(rng.randint(0, 1) for _ in range(ctx.nvars))
+                        if not ring.survives(exps):
+                            continue
+                    bumped = entry + ctx.monomial(exps, rng.choice((1, 2, -1)))
+                    entries = m.entries[:k] + (bumped,) + m.entries[k + 1:]
+                    mutated = PolyMatrix(ctx, m.rows, m.cols, entries)
+                    pair = (mutated, g.inv) if side == "mat" else (g.mat, mutated)
+                    with pytest.raises(PreconditionError, match="fails to verify"):
+                        GLMat(ring, *pair)
+                    refused += 1
+    assert refused > 60
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_glmat_products_and_inverses_stay_inverse_pairs(field):
     # products and inverses are built without re-verification; both
     # identities must still hold exactly
