@@ -126,7 +126,7 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
     def oracle(p: ProjModule) -> Optional[ModIso]:
         ring = p.ring
         try:
-            h = GLMat(ring, g.mat, g.inv)
+            h = GLMat.make(ring, g.mat, g.inv)
         except PreconditionError:
             return None
         if h.size != p.size:
@@ -135,7 +135,7 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
         if not c.is_constant():
             return None
         # the image of the checked pair h under x -> 0, a ring hom
-        h0 = GLMat._known_pair(ring, h.mat.augmentation(), h.inv.augmentation())
+        h0 = GLMat(ring, h.mat.augmentation(), h.inv.augmentation())
         target = ProjModule(ring, p.augmented_matrix())
         fwd = ring.mat_mul(ring.mat_mul(h0.mat, c), h.inv)
         bwd = ring.mat_mul(ring.mat_mul(h.mat, c), h0.inv)
@@ -388,7 +388,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     module, extends it from the base via the extension engine, realizes the
     comparison matrix from the witness pair and lifts it through the GL
     strategy stack.  The comparison pair and the lifted row are
-    lawful by algebra (``GLMat._known_pair``); the verifier re-checks both.
+    lawful by algebra (built by ``GLMat(...)``, unchecked); the verifier
+    re-checks both.
     """
     ring = row.ring
     if not ring.is_square_free():
@@ -410,9 +411,8 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     iso = ext.iso
     v0 = row.v.augmentation()
     w0 = row.w.augmentation()
-    sigma = GLMat._known_pair(
-        ring, iso.bwd + ring.mat_mul(row.w.transpose(), v0),
-        iso.fwd + ring.mat_mul(w0.transpose(), row.v))
+    sigma = GLMat(ring, iso.bwd + ring.mat_mul(row.w.transpose(), v0),
+                  iso.fwd + ring.mat_mul(w0.transpose(), row.v))
 
     pi = RingHom.quotient_map(target, ring)
     try:

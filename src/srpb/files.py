@@ -75,7 +75,7 @@ def load_glmat(path: str) -> GLMat:
         ring = _resolve_ring(payload["ring"], os.path.dirname(path))
         m = certs.parse_matrix(payload["m"], ring.context)
         minv = certs.parse_matrix(payload["minv"], ring.context)
-    return GLMat(ring, m, minv)
+    return GLMat.make(ring, m, minv)
 
 
 def load_gens(path: str) -> tuple:

@@ -72,7 +72,7 @@ def whitehead_lift(sigma: GLMat, j2: RingHom, section: RingHom) -> GLMat:
     if section.source != j2.target or section.target != j2.source:
         raise ContextError("section does not split the surjection")
     s = sigma.apply_hom(section)
-    return GLMat._known_pair(j2.source, s.mat.direct_sum(s.inv), s.inv.direct_sum(s.mat))
+    return GLMat(j2.source, s.mat.direct_sum(s.inv), s.inv.direct_sum(s.mat))
 
 
 # -- strategy implementations -------------------------------------------------
@@ -99,7 +99,7 @@ def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
     """m, normal over a quotient of up and so over up, as a GL element over up,
     or a failure naming the determinant."""
     try:
-        return GLMat._known_pair(up, m, det_unit_inverse(m, up))
+        return GLMat(up, m, det_unit_inverse(m, up))
     except NonUnitError as exc:
         raise _StrategyFailure(f"{what} determinant {exc.element} is not a unit upstairs")
 
@@ -138,9 +138,8 @@ def _lift_elementary(sigma: GLMat, pi: RingHom, _strategies: Sequence[str] = ())
     # inverse V D^-1 U (unit_inverse has checked each d * d^-1 == 1)
     u, u_inv, v, v_inv = w.transforms()
     ctx = up.context
-    return GLMat._known_pair(
-        up, up.mat_mul(up.mat_mul(u_inv, PolyMatrix.diagonal(ctx, units)), v_inv),
-        up.mat_mul(v, up.mat_mul(PolyMatrix.diagonal(ctx, inverses), u)))
+    return GLMat(up, up.mat_mul(up.mat_mul(u_inv, PolyMatrix.diagonal(ctx, units)), v_inv),
+                 up.mat_mul(v, up.mat_mul(PolyMatrix.diagonal(ctx, inverses), u)))
 
 
 def _lift_descent(sigma: GLMat, pi: RingHom, strategies: Sequence[str]) -> GLMat:

@@ -14,32 +14,33 @@ variable and survive in the target, so it neither substitutes nor re-sorts.
 The fiber square built from an apex decomposition is the workhorse for all
 patching constructions.  A ring recovers its complex and builds its square
 once per ring object (``sr_complex``, ``square``).  The square's corners are
-read from the ring's ideal and its kill masks from the complex's facet
-masks; the split, whose parts are the corners' complexes, is built on first
-use, so a square that is only patched or printed builds none.  A live ring
+read from the ring's ideal and its kill masks from the corners' generator
+masks; each corner builds its part of the split, its complex, on first
+read, so a square that is only patched or printed builds none.  A live ring
 keeps its split tree, and nothing is cached process-wide.  Rings, complexes
 and squares are built on vertex masks.  Stanley-Reisner quotients are sorted
 antichains by construction (``sr_quotient``); ``QuotientRing.make``
 minimalizes caller generators.
 
 Each identity is checked once, where its data enters (``hom_check`` in
-``RingHom.make``, ``GLMat(...)``, ``unit_inverse``); values derived from
-checked ones, such as the square's homs, are built by construction, and the
-verifier re-checks what a certificate records.  Normal form, too, runs only
-where data enters (the ``make`` constructors, ``GLMat(...)``, ``RingHom.make``'s
-images, ``unit_inverse``, ``det_unit_inverse``, ``GLMat.elementary``, the
-verifier's parsed matrices) and on products formed in the free context
-(``det``, ``adjugate``, Buchberger cofactors).  The surviving monomials are
-a basis, so ``mat_mul``, ``mul``, ring maps, sums of normal values and
-constants (``make`` refuses the generator 1) are normal by construction, and
-a value normal over a square's corner, such as a glued iso's, is normal over
+``RingHom.make``, ``GLMat.make``, ``unit_inverse``); values derived from
+checked ones, such as the square's homs and the GL pairs ``GLMat(...)``
+builds, are lawful by construction, and the verifier re-checks what a
+certificate records.  Normal form, too, runs only where data enters (the
+``make`` constructors, ``RingHom.make``'s images, ``unit_inverse``,
+``det_unit_inverse``, ``GLMat.elementary``, the verifier's parsed matrices)
+and on products formed in the free context (``det``, ``adjugate``,
+Buchberger cofactors).  The surviving monomials are a basis, so
+``mat_mul``, ``mul``, ring maps, sums of normal values and constants
+(``make`` refuses the generator 1) are normal by construction, and a value
+normal over a square's corner, such as a glued iso's, is normal over
 its total ring, whose ideal is smaller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add, or_
@@ -51,8 +52,8 @@ from .fields import Field
 from .matrix import PolyMatrix
 from .poly import (Polynomial, PolyRing, _format_monomial, _from_dict, exp_divides,
                    support_mask)
-from .simplicial import (ApexDecomposition, SimplicialComplex, _from_masks,
-                         apex_decomposition, bit_indices, minimal_transversals, split_apex)
+from .simplicial import (SimplicialComplex, _from_masks, bit_indices, cone, deletion, link,
+                         minimal_transversals, split_apex)
 
 
 def _generator_key(e: tuple) -> tuple:
@@ -190,10 +191,10 @@ class QuotientRing:
 
     @cached_property
     def sr_complex(self) -> SimplicialComplex:
-        """The complex this ring presents, made once per ring object: a square
-        corner's part of the split (``_corner``), else recovered from the
-        ideal and round-trip checked; a ``build_fiber_square`` ring holds its
-        complex from construction."""
+        """The complex this ring presents, made once per ring object: the one
+        recorded by ``_presenting`` (a square corner's part of the split, or
+        a ``build_fiber_square`` ring's complex), else recovered from the
+        ideal and round-trip checked."""
         part = self.__dict__.get("_part")
         if part is not None:
             return part()
@@ -279,9 +280,10 @@ def complex_of_ring(r: QuotientRing) -> SimplicialComplex:
     return r.sr_complex
 
 
-def _presenting(r: QuotientRing, c: SimplicialComplex) -> QuotientRing:
-    """r, recorded as presenting c, which it does by construction."""
-    r.__dict__["sr_complex"] = c
+def _presenting(r: QuotientRing, part: Callable[[], SimplicialComplex]) -> QuotientRing:
+    """r, which presents the complex ``part()`` returns by construction: its
+    ``sr_complex``, made on first read."""
+    r.__dict__["_part"] = part
     return r
 
 
@@ -374,8 +376,8 @@ class FiberSquare:
         |i2         |j1
         a2 --j2-->  a0
 
-    j2 kills the apex variable and splits via ``section``.  ``split`` is
-    made on first read; ``parts`` makes it, and the corners share it.
+    j2 kills the apex variable and splits via ``section``.  Each corner's
+    ``sr_complex`` is its part of the split at the apex, made on first read.
     """
 
     a: QuotientRing
@@ -388,12 +390,10 @@ class FiberSquare:
     j2: RingHom
     section: RingHom
     apex: int
-    complex: SimplicialComplex
-    parts: Callable[[], ApexDecomposition] = field(repr=False, compare=False)
 
     @property
-    def split(self) -> ApexDecomposition:
-        return self.parts()
+    def complex(self) -> SimplicialComplex:
+        return self.a.sr_complex
 
 
 def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
@@ -402,7 +402,7 @@ def build_fiber_square(field_: Field, c: SimplicialComplex) -> FiberSquare:
     ``square``.  The engines read ``ring.square`` of each node's own ring."""
     if c.is_simplex():
         raise PreconditionError("fiber square needs a non-simplex complex")
-    return _presenting(sr_quotient(field_, c), c).square
+    return _presenting(sr_quotient(field_, c), lambda: c).square
 
 
 def _minimal_masks(masks) -> list:
@@ -414,48 +414,37 @@ def _minimal_masks(masks) -> list:
     return out
 
 
-def _corner(ctx: PolyRing, masks, part: Callable[[], SimplicialComplex]) -> QuotientRing:
-    """The ring over ctx with these minimal square-free generator masks,
-    which presents the complex ``part()`` returns (its ``sr_complex``)."""
-    r = _mask_ring(ctx, masks)
-    r.__dict__["_part"] = part
-    return r
-
-
 def _square(a: QuotientRing) -> FiberSquare:
     """The patching square of a's complex c over a; corners read from a's
-    ideal I, kill masks from c's facet masks, homs built by construction.
+    ideal I, homs built by construction.
 
     The apex x is ``split_apex(c)``, the vertex ``apex_decomposition``
     splits at.  The deletion ring is min(I + (x)), the cone ring min(I : x)
     (each generator with its apex bit dropped) and the link ring
     min((I : x) + (x)): a non-face of the deletion contains x or a minimal
     non-face of c avoiding x; F is a non-face of the cone iff F + x is one of
-    c; a non-face of the link is either.  Each hom kills the ghost vertices
-    of its target (its degree-one generators; the link's include the apex)
-    and, for the section, the apex: the deletion uses c's vertices less x,
-    the link those of the facets through x less x, and the cone the link's
-    and x.  ``apex_decomposition`` makes the split on first read of
-    ``split`` or of a corner's ``sr_complex``, which is the corner's part
-    of it.  The deletion and cone parts are subcomplexes
-    meeting in the link, which avoids the apex (by construction,
-    ``ApexDecomposition``); so each hom kills its source ideal, the square
-    commutes and j2 o section == id.  The verifier re-checks recorded
-    squares (``hom-defined``, ``square-commutes``).
+    c; a non-face of the link is either.  Each hom kills the variables that
+    are 0 in its target, its single-vertex generators (the link's include
+    the apex, and the section uses the link's).  Each corner presents its
+    part of the split, made on first read of its ``sr_complex``: the
+    deletion and link of c at x and the cone over that link.  The deletion
+    and cone parts are subcomplexes meeting in the link, which avoids the
+    apex (by construction, ``ApexDecomposition``); so each hom kills its
+    source ideal, the square commutes and j2 o section == id.  The verifier
+    re-checks recorded squares (``hom-defined``, ``square-commutes``).
     """
     c, ctx, gens = a.sr_complex, a.context, a.generator_masks
     apex = split_apex(c)
-    bit, full = 1 << apex, (1 << c.ambient) - 1
+    bit = 1 << apex
     colon = _minimal_masks(g & ~bit for g in gens)
-    parts = cache(lambda: apex_decomposition(c))
-    a1 = _corner(ctx, [bit] + [g for g in gens if not g & bit], lambda: parts().deletion_part)
-    a2 = _corner(ctx, colon, lambda: parts().cone_part())
-    a0 = _corner(ctx, [bit] + colon, lambda: parts().link_part)
-    link = reduce(or_, (f for f in c.facet_masks if f & bit)) & ~bit
-    g1, g2, g0 = full & ~(c.used_mask & ~bit), full & ~(link | bit), full & ~link
+    a1 = _presenting(_mask_ring(ctx, [bit] + [g for g in gens if not g & bit]),
+                     lambda: deletion(c, apex))
+    a0 = _presenting(_mask_ring(ctx, [bit] + colon), lambda: link(c, apex))
+    a2 = _presenting(_mask_ring(ctx, colon), lambda: cone(a0.sr_complex, apex))
+    g1, g2, g0 = (sum(m for m in r.generator_masks if m.bit_count() == 1) for r in (a1, a2, a0))
     return FiberSquare(a, a1, a2, a0, RingHom(a, a1, g1), RingHom(a, a2, g2),
                        RingHom(a1, a0, g0), RingHom(a2, a0, g0),
-                       RingHom(a0, a2, g0), apex, c, parts)
+                       RingHom(a0, a2, g0), apex)
 
 
 @dataclass(frozen=True)
@@ -527,51 +516,43 @@ def fiber_check(square: FiberSquare, degree: int = 4) -> FiberReport:
 
 # -- verified invertible matrices over a quotient -----------------------------
 
+@dataclass(frozen=True, slots=True)
 class GLMat:
-    """A square matrix over a quotient ring together with a verified inverse.
+    """A square matrix over a quotient ring together with its inverse.
 
-    ``GLMat(...)`` checks mat * inv == I alone: over a commutative ring,
-    A B == I for square A and B gives det(A) det(B) == 1, so A is invertible
-    and B == A^-1, whence B A == I too.
+    ``GLMat(...)`` builds the pair as given; ``make`` checks a pair that
+    comes from outside (``files.load_glmat``, the conjugation oracle's g,
+    ``diagonal``'s unit pairs).  It checks mat * inv == I alone: over a
+    commutative ring, A B == I for square A and B gives det(A) det(B) == 1,
+    so A is invertible and B == A^-1, whence B A == I too.
+
+    Every other pair is built normal and inverse by algebra: the identity,
+    products, swaps, direct sums and ring-map images of lawful pairs
+    ((AB)(B^-1 A^-1) = I), I + fE_ij with I - fE_ij for i != j, U^-1 D V^-1
+    with V D^-1 U for transforms U, V tracked with their inverses and a
+    diagonal D of checked unit pairs (``lifting._lift_elementary``), m with
+    det(m)^-1 adj(m) (``lifting.det_unit_inverse``), and
+    (bwd + w^T v(0), fwd + w(0)^T v) for an iso from K = I - w^T v to K(0)
+    (``engines.umrow_lift``: the corner laws and v w^T == 1 leave
+    K + w^T v == I).  The verifier still re-checks every pair a certificate
+    records (rules ``whitehead``: U*U^-1 == I, and ``gl-lift``:
+    delta*delta^-1 == I).
     """
 
-    __slots__ = ("ring", "mat", "inv")
+    ring: QuotientRing
+    mat: PolyMatrix
+    inv: PolyMatrix
 
-    def __init__(self, ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix):
+    @staticmethod
+    def make(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
+        """The pair in normal form, checked square with mat * inv == I."""
         mat = ring.nf_matrix(mat)
         inv = ring.nf_matrix(inv)
         if not mat.is_square or mat.rows != inv.rows or not inv.is_square:
             raise PreconditionError("GL element must be square with a square inverse")
         if ring.mat_mul(mat, inv) != PolyMatrix.identity(ring.context, mat.rows):
             raise PreconditionError("matrix inverse fails to verify")
-        self._set(ring, mat, inv)
-
-    def _set(self, ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> None:
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "inv", inv)
-
-    @staticmethod
-    def _known_pair(ring: QuotientRing, mat: PolyMatrix, inv: PolyMatrix) -> "GLMat":
-        """A normal-form pair that is inverse by algebra, built unverified.
-
-        Products, swaps, direct sums and ring-map images of verified
-        pairs ((AB)(B^-1 A^-1) = I), I + fE_ij with I - fE_ij for i != j,
-        diagonals of checked unit pairs, U^-1 D V^-1 with V D^-1 U for
-        transforms U, V tracked with their inverses and such a diagonal D
-        (``lifting._lift_elementary``), m with det(m)^-1 adj(m)
-        (``lifting.det_unit_inverse``), and (bwd + w^T v(0), fwd + w(0)^T v)
-        for an iso from K = I - w^T v to K(0) (``engines.umrow_lift``: the
-        corner laws and v w^T == 1 leave K + w^T v == I); the verifier still
-        re-checks every pair a certificate records (rules ``whitehead``:
-        U*U^-1 == I, and ``gl-lift``: delta*delta^-1 == I).
-        """
-        g = object.__new__(GLMat)
-        g._set(ring, mat, inv)
-        return g
-
-    def __setattr__(self, *a):
-        raise AttributeError("GLMat is immutable")
+        return GLMat(ring, mat, inv)
 
     @property
     def size(self) -> int:
@@ -580,7 +561,7 @@ class GLMat:
     @staticmethod
     def identity(ring: QuotientRing, n: int) -> "GLMat":
         eye = PolyMatrix.identity(ring.context, n)
-        return GLMat._known_pair(ring, eye, eye)
+        return GLMat(ring, eye, eye)
 
     @staticmethod
     def elementary(ring: QuotientRing, n: int, i: int, j: int, f: Polynomial) -> "GLMat":
@@ -592,35 +573,29 @@ class GLMat:
         minv = [row[:] for row in m]
         m[i][j] = ring.normal_form(f)
         minv[i][j] = -m[i][j]
-        return GLMat._known_pair(ring, PolyMatrix.from_rows(ctx, m),
-                                 PolyMatrix.from_rows(ctx, minv))
+        return GLMat(ring, PolyMatrix.from_rows(ctx, m), PolyMatrix.from_rows(ctx, minv))
 
     @staticmethod
     def diagonal(ring: QuotientRing, entries: Sequence[tuple]) -> "GLMat":
         """Diagonal of (unit, inverse) pairs, each pair verified."""
         ctx = ring.context
-        return GLMat(ring, PolyMatrix.diagonal(ctx, [u for u, _ in entries]),
-                     PolyMatrix.diagonal(ctx, [uinv for _, uinv in entries]))
+        return GLMat.make(ring, PolyMatrix.diagonal(ctx, [u for u, _ in entries]),
+                          PolyMatrix.diagonal(ctx, [uinv for _, uinv in entries]))
 
     def __mul__(self, other: "GLMat") -> "GLMat":
         if self.ring != other.ring:
             raise ContextError("GL elements over different rings")
-        return GLMat._known_pair(self.ring,
-                                 self.ring.mat_mul(self.mat, other.mat),
-                                 self.ring.mat_mul(other.inv, self.inv))
+        return GLMat(self.ring, self.ring.mat_mul(self.mat, other.mat),
+                     self.ring.mat_mul(other.inv, self.inv))
 
     def inverse(self) -> "GLMat":
-        return GLMat._known_pair(self.ring, self.inv, self.mat)
+        return GLMat(self.ring, self.inv, self.mat)
 
     def apply_hom(self, h: RingHom) -> "GLMat":
         """The pair pushed along a ring map, which keeps both products I."""
         if h.source != self.ring:
             raise ContextError("hom source does not match")
-        return GLMat._known_pair(h.target, h.apply_matrix(self.mat), h.apply_matrix(self.inv))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GLMat) and self.ring == other.ring
-                and self.mat == other.mat and self.inv == other.inv)
+        return GLMat(h.target, h.apply_matrix(self.mat), h.apply_matrix(self.inv))
 
     def __repr__(self) -> str:
         return f"GLMat({self.mat!r})"

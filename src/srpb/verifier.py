@@ -323,6 +323,19 @@ def _verify_node(rd: _Reader, node: dict, where: str, report: VerifierReport) ->
         report.add(where, "structure", False, f"unknown node kind {kind!r}")
 
 
+def _check_target(rd: _Reader, node: dict, where: str, report: VerifierReport,
+                  ring: QuotientRing, e: PolyMatrix, target: PolyMatrix) -> None:
+    """An extension's target is its module's augmentation, a cancellation's
+    its other module; a node that names no task is an extension."""
+    if node.get("task", "extend") == "extend":
+        ok = target == e.augmentation() and target.is_constant()
+        report.add(where, "augmentation", ok,
+                   "" if ok else "target is not the augmented module")
+    else:
+        _eq(report, where, "restriction", target, rd.matrix(node["module_other"], ring.context),
+            "cancel target vs other module")
+
+
 def _verify_base(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:
     ring = rd.ring(node["ring"])
     ctx = ring.context
@@ -334,13 +347,7 @@ def _verify_base(rd: _Reader, node: dict, where: str, report: VerifierReport) ->
     target = rd.matrix(node["target"], ctx)
     fwd, bwd = rd.pair(node["iso"], ctx)
     _check_idempotent(report, where, ring, target)
-    if node.get("task") == "extend":
-        ok = target == e.augmentation() and target.is_constant()
-        report.add(where, "augmentation", ok,
-                   "" if ok else "target is not the augmented module")
-    else:
-        _eq(report, where, "restriction", target, rd.matrix(node["module_other"], ctx),
-            "cancel target vs other module")
+    _check_target(rd, node, where, report, ring, e, target)
     _check_iso_laws(report, where, ring, e, target, fwd, bwd)
 
 
@@ -386,13 +393,7 @@ def _verify_decompose(rd: _Reader, node: dict, where: str, report: VerifierRepor
     j1, j2 = sq.get("j1"), sq.get("j2")
     target = rd.matrix(node["target"], ctx)
     _check_idempotent(report, where, ring, target)
-    if task == "extend":
-        ok = target == e.augmentation() and target.is_constant()
-        report.add(where, "augmentation", ok,
-                   "" if ok else "target is not the augmented module")
-    else:
-        _eq(report, where, "restriction", target, rd.matrix(node["module_other"], ctx),
-            "cancel target vs other module")
+    _check_target(rd, node, where, report, ring, e, target)
 
     phi1_f, phi1_b = rd.node_iso(children[0], ctx)
     phi2_f, phi2_b = rd.node_iso(children[1], ctx)
@@ -489,19 +490,13 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     u = rd.matrix(node["u"], tctx)
     w_prime = rd.matrix(node["w_prime"], tctx)
     _eq(report, where, "compose", u,
-        target_ring.mat_mul(v0_in(tctx, v0), delta_i), "u vs v(0)*delta^-1")
+        target_ring.mat_mul(v0, delta_i), "u vs v(0)*delta^-1")
     _eq(report, where, "compose", w_prime,
-        target_ring.mat_mul(v0_in(tctx, w0), delta_m.transpose()), "w' vs w(0)*delta^T")
+        target_ring.mat_mul(w0, delta_m.transpose()), "w' vs w(0)*delta^T")
     _eq(report, where, "um-congruence", target_ring.mat_mul(u, w_prime.transpose()),
         PolyMatrix.identity(tctx, 1), "u*w'^T vs 1")
     _eq(report, where, "um-congruence", pi.apply_matrix(u), ring.nf_matrix(v),
         "u mod J vs v")
-
-
-def v0_in(ctx: PolyRing, m: PolyMatrix) -> PolyMatrix:
-    """Reinterpret a constant matrix in another context with the same shape."""
-    return PolyMatrix(ctx, m.rows, m.cols,
-                      [ctx.constant(p.constant_term()) for p in m.entries])
 
 
 def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport) -> None:

@@ -86,7 +86,7 @@ def permutation_pair(ring, perm):
     ctx, n = ring.context, len(perm)
     m = PolyMatrix.from_rows(ctx, [[ctx.one() if perm[a] == b else ctx.zero()
                                     for b in range(n)] for a in range(n)])
-    return GLMat(ring, m, m.transpose())
+    return GLMat.make(ring, m, m.transpose())
 
 
 def reference_elementary_lift(sigma, pi):
@@ -122,12 +122,12 @@ def reference_elementary_lift(sigma, pi):
             if i != k and not work[i][k].is_zero():
                 e = GLMat.elementary(down, n, i, k, -(work[i][k] * pinv))
                 work = down.mat_mul(e.mat, PolyMatrix.from_rows(ctx, work)).to_lists()
-                left_up.append(GLMat(up, e.mat, e.inv))
+                left_up.append(GLMat.make(up, e.mat, e.inv))
         for j in range(n):
             if j != k and not work[k][j].is_zero():
                 e = GLMat.elementary(down, n, k, j, -(work[k][j] * pinv))
                 work = down.mat_mul(PolyMatrix.from_rows(ctx, work), e.mat).to_lists()
-                right_up.append(GLMat(up, e.mat, e.inv))
+                right_up.append(GLMat.make(up, e.mat, e.inv))
     pairs = []
     for k in range(n):
         d = work[k][k]

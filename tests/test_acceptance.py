@@ -20,7 +20,7 @@ from srpb.errors import AllStrategiesFailed
 from srpb.certs import dump_canonical, gl_lift_node, patch_node
 from srpb.lifting import whitehead_lift
 from srpb.poly import PolyRing
-from srpb.quotient import apex_decomposition
+from srpb.simplicial import apex_decomposition
 from srpb import files as srpb_files
 from helpers import (SEED, complexes_on, conjugated_idempotent, corpus_complexes,
                      corpus_squares, hollow_triangle, make_rng, random_complex,

@@ -42,7 +42,7 @@ from srpb.engines import (_constant_pair_iso, _extend_base, _point_normalize,
                           _smith_freeness_iso, conjugation_witness_oracle,
                           extension_aut_lifter)
 from srpb.matrix import constant_splitting
-from srpb.simplicial import sr_ideal
+from srpb.simplicial import apex_decomposition, sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
 from srpb.errors import (AllStrategiesFailed, InternalCheckError, LifterError,
                          PreconditionError)
@@ -143,8 +143,8 @@ def overlap_automorphism(sq, q0, g0, rng):
     a twist h (+) I_1, which commutes with the corner."""
     a0, ctx = sq.a0, sq.a0.context
     h = random_gl_with_units(a0, 2, rng)
-    twist = GLMat._known_pair(a0, h.mat.direct_sum(PolyMatrix.identity(ctx, 1)),
-                              h.inv.direct_sum(PolyMatrix.identity(ctx, 1)))
+    twist = GLMat.make(a0, h.mat.direct_sum(PolyMatrix.identity(ctx, 1)),
+                       h.inv.direct_sum(PolyMatrix.identity(ctx, 1)))
     return ModIso.make(q0, q0, prod(a0, q0.matrix, g0.mat, twist.mat, g0.inv),
                        prod(a0, g0.mat, twist.inv, g0.inv, q0.matrix))
 
@@ -370,13 +370,16 @@ def test_ring_cache_serves_a_second_extend_without_a_split(monkeypatch):
     first = certs.dump_canonical(extend_witness(p, oracle=oracle).certificate)
 
     splits = []
-    decompose = quotient.apex_decomposition
 
-    def counting_decomposition(c):
-        splits.append(c)
-        return decompose(c)
+    def counting(builder):
+        def counted(c, *args):
+            splits.append(c)
+            return builder(c, *args)
+        return counted
 
-    monkeypatch.setattr(quotient, "apex_decomposition", counting_decomposition)
+    # a split picks its apex (``split_apex``) and builds its parts
+    for name in ("split_apex", "deletion", "link", "cone"):
+        monkeypatch.setattr(quotient, name, counting(getattr(quotient, name)))
     second = extend_witness(p, oracle=oracle)
     assert not splits
     assert certs.dump_canonical(second.certificate) == first
@@ -389,8 +392,9 @@ def test_ring_cache_serves_a_second_extend_without_a_split(monkeypatch):
 @pytest.mark.seeded
 def test_ring_cache_corners_hold_their_split_parts(monkeypatch):
     """Each corner presents its part of the split by construction and holds
-    it: ``complex_of_ring`` reads it back with no transversal search, and a
-    recovery from the corner's generators alone finds the same complex."""
+    it: ``complex_of_ring`` builds it with no transversal search and reads
+    the same object back, and a recovery from the corner's generators alone
+    finds the same complex."""
     from srpb import quotient
 
     searches = []
@@ -404,11 +408,13 @@ def test_ring_cache_corners_hold_their_split_parts(monkeypatch):
     squares += [build_fiber_square(QQ, c) for c in exhaustive_complexes(4)
                 if not c.is_simplex()]
     for sq in squares:
-        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+        split = apex_decomposition(sq.complex)
+        parts = (split.deletion_part, split.cone_part(), split.link_part)
         with monkeypatch.context() as m:
             m.setattr(quotient, "minimal_transversals", counting_search)
             for corner_ring, part in zip((sq.a1, sq.a2, sq.a0), parts):
-                assert complex_of_ring(corner_ring) is part
+                assert complex_of_ring(corner_ring) == part
+                assert complex_of_ring(corner_ring) is corner_ring.sr_complex
             assert not searches
         for corner_ring, part in zip((sq.a1, sq.a2, sq.a0), parts):
             recovered = QuotientRing(corner_ring.context, corner_ring.generators)
@@ -524,8 +530,8 @@ def test_elementary_lift_diagonal_is_inverse(field):
     ctx = down.context
     one, x, y = ctx.one(), ctx.variable(0), ctx.variable(1)
     # pivoting moves the first unit, at (1, 1), by a row and a column swap
-    swaps = GLMat(down, PolyMatrix.from_rows(ctx, [[one + x, one + y], [x, one]]),
-                  PolyMatrix.from_rows(ctx, [[one, -(one + y)], [-x, one + x]]))
+    swaps = GLMat.make(down, PolyMatrix.from_rows(ctx, [[one + x, one + y], [x, one]]),
+                       PolyMatrix.from_rows(ctx, [[one, -(one + y)], [-x, one + x]]))
     lifted = 0
     for sigma in [swaps] + [random_gl_with_units(up, 3, rng).apply_hom(pi) for _ in range(8)]:
         try:
@@ -566,21 +572,21 @@ def test_elementary_lift_matches_the_factor_by_factor_reference(field):
 def test_oracle_augmentation_pair_is_inverse(field, monkeypatch):
     rng = make_rng(f"by-construction-oracle-{field.char}")
     ring = build_fiber_square(field, hollow_triangle()).a
-    known = GLMat._known_pair
+    init = GLMat.__init__
     built = []
 
-    def record(r, mat, inv):
-        built.append(known(r, mat, inv))
-        return built[-1]
+    def record(self, r, mat, inv):
+        init(self, r, mat, inv)
+        built.append(self)
 
-    monkeypatch.setattr(GLMat, "_known_pair", staticmethod(record))
+    monkeypatch.setattr(GLMat, "__init__", record)
     for _ in range(4):
         e, g = conjugated_idempotent(ring, rng, size=3, rank=2)
         built.clear()
         iso = conjugation_witness_oracle(g)(ProjModule.make(ring, e))
         assert iso is not None
         assert_iso_laws(iso)
-        h0 = built[-1]  # the oracle's last known pair is the augmentation of g
+        h0 = built[-1]  # the oracle's last pair built is the augmentation of g
         assert h0.mat == g.mat.augmentation() and h0.inv == g.inv.augmentation()
         assert_gl_pair(h0)
 
@@ -924,8 +930,9 @@ def is_normal(ring, m) -> bool:
 
 
 def record_normality(monkeypatch):
-    """Wrap the construction of ProjModule, ModIso and GLMat (``_set``, which both
-    GLMat paths use): log each kind built, and fail where a matrix is not normal."""
+    """Wrap the construction of ProjModule, ModIso and GLMat (``__init__``, which
+    ``GLMat.make`` calls too): log each kind built, and fail where a matrix is
+    not normal."""
     built = []
 
     def log(kind, ring, *ms):
@@ -933,7 +940,7 @@ def record_normality(monkeypatch):
         for m in ms:
             assert is_normal(ring, m), f"{kind} built with {m!r}, not normal over {ring}"
 
-    module_init, iso_init, gl_set = ProjModule.__init__, ModIso.__init__, GLMat._set
+    module_init, iso_init, gl_init = ProjModule.__init__, ModIso.__init__, GLMat.__init__
 
     def module(self, ring, matrix):
         module_init(self, ring, matrix)
@@ -944,12 +951,12 @@ def record_normality(monkeypatch):
         log("ModIso", source.ring, fwd, bwd)
 
     def gl(self, ring, mat, inv):
-        gl_set(self, ring, mat, inv)
+        gl_init(self, ring, mat, inv)
         log("GLMat", ring, mat, inv)
 
     monkeypatch.setattr(ProjModule, "__init__", module)
     monkeypatch.setattr(ModIso, "__init__", iso)
-    monkeypatch.setattr(GLMat, "_set", gl)
+    monkeypatch.setattr(GLMat, "__init__", gl)
     return built
 
 

@@ -266,7 +266,7 @@ def test_gl_lift_past_the_size_bound_is_input_error(workdir, capsys, tmp_path):
     u = PolyMatrix.from_scalars(ring.context, [[int(j >= i) for j in range(n)] for i in range(n)])
     u_inv = PolyMatrix.from_scalars(ring.context, [[(i == j) - (j == i + 1) for j in range(n)]
                                                    for i in range(n)])
-    files.save_glmat(str(tmp_path / "sigma.glm"), GLMat(ring, u, u_inv))
+    files.save_glmat(str(tmp_path / "sigma.glm"), GLMat.make(ring, u, u_inv))
     start = time.perf_counter()
     code = run(["gl", "lift", "--sigma", tmp_path / "sigma.glm",
                 "--to-ring", workdir / "free2.ring", "--out", tmp_path / "delta.glm"])
@@ -374,7 +374,7 @@ def test_gl_lift_cli_and_adversarial_exit_3(workdir, capsys, tmp_path):
     xh = PolyMatrix.from_rows(hctx, [[x0 * p for p in h.row(0)],
                                      [x0 * p for p in h.row(1)]])
     eye = PolyMatrix.identity(hctx, 2)
-    sig = GLMat(hring, hring.nf_matrix(eye + xh), hring.nf_matrix(eye - xh))
+    sig = GLMat.make(hring, hring.nf_matrix(eye + xh), hring.nf_matrix(eye - xh))
     files.save_glmat(str(tmp_path / "adv.glm"), sig)
     files.save_ring(str(tmp_path / "free3.ring"), QuotientRing.make(QQ, 3, ()))
     assert run(["gl", "lift", "--sigma", tmp_path / "adv.glm",

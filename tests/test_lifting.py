@@ -108,8 +108,8 @@ def test_lift_constant_is_itself():
     B = xy_ring()
     up = QuotientRing.make(QQ, 2, ())
     pi = RingHom.quotient_map(up, B)
-    sig = GLMat(B, PolyMatrix.from_scalars(B.context, [[2, 1], [1, 1]]),
-                PolyMatrix.from_scalars(B.context, [[1, -1], [-1, 2]]))
+    sig = GLMat.make(B, PolyMatrix.from_scalars(B.context, [[2, 1], [1, 1]]),
+                     PolyMatrix.from_scalars(B.context, [[1, -1], [-1, 2]]))
     delta = lift_gl(sig, pi)
     assert delta.mat.is_constant()
     assert pi.apply_matrix(delta.mat) == sig.mat
@@ -137,7 +137,7 @@ def _adversarial_sigma(field=QQ):
     h = PolyMatrix.from_rows(ctx, [[x1 - x2, x1 + x2], [-(x1 + x2), x2 - x1]])
     xh = PolyMatrix.from_rows(ctx, [[x0 * p for p in h.row(0)], [x0 * p for p in h.row(1)]])
     eye = PolyMatrix.identity(ctx, 2)
-    return ring, GLMat(ring, ring.nf_matrix(eye + xh), ring.nf_matrix(eye - xh))
+    return ring, GLMat.make(ring, ring.nf_matrix(eye + xh), ring.nf_matrix(eye - xh))
 
 
 def test_adversarial_sigma_exhausts_stack():
@@ -154,8 +154,8 @@ def test_non_squarefree_quotient_descent_declines():
     ring = QuotientRing.make(QQ, 1, ((2,),))  # Q[x]/(x^2)
     ctx = ring.context
     x = ctx.variable(0)
-    sigma = GLMat(ring, PolyMatrix(ctx, 1, 1, (ctx.one() + x,)),
-                  PolyMatrix(ctx, 1, 1, (ctx.one() - x,)))
+    sigma = GLMat.make(ring, PolyMatrix(ctx, 1, 1, (ctx.one() + x,)),
+                       PolyMatrix(ctx, 1, 1, (ctx.one() - x,)))
     up = QuotientRing.make(QQ, 1, ())
     pi = RingHom.quotient_map(up, ring)
     with pytest.raises(AllStrategiesFailed) as exc:
@@ -173,7 +173,7 @@ def test_descent_succeeds_where_entrywise_fails():
     eye = PolyMatrix.identity(ctx, 2)
     glued = B.nf_matrix(m1 + m2 - eye)
     glued_inv = B.nf_matrix((eye - (m1 - eye)) + (eye - (m2 - eye)) - eye)
-    sigma = GLMat(B, glued, glued_inv)
+    sigma = GLMat.make(B, glued, glued_inv)
     up = QuotientRing.make(QQ, 2, ())
     pi = RingHom.quotient_map(up, B)
     with pytest.raises(AllStrategiesFailed):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from srpb import (GF, QQ, Polynomial, PolyRing, QuotientRing, RingHom, SimplicialComplex,
-                  build_fiber_square, certs, complex_of_ring, quotient, simplicial)
+                  build_fiber_square, certs, complex_of_ring, simplicial)
 from srpb.errors import ContextError, HomError, InputError
 from srpb.poly import exp_divides, support_mask
 from srpb.quotient import _sr_ring, sr_quotient
@@ -174,8 +174,9 @@ def random_ghosted_complex(rng):
 def test_square_corners_read_from_the_ideal_match_their_parts():
     """a1 = min(I + (x)), a2 = min(I : x) and a0 = min((I : x) + (x)) at the
     apex x are the Stanley-Reisner rings of the deletion, cone and link parts,
-    generator for generator, on every non-simplex complex on 2 to 5 vertices
-    and on seeded random complexes on 2 to 12, most with ghost vertices."""
+    generator for generator, and present them (``sr_complex``), on every
+    non-simplex complex on 2 to 5 vertices and on seeded random complexes on
+    2 to 12, most with ghost vertices."""
     rng = make_rng("square-corners")
     exhaustive = [c for n in range(2, 6) for c in complexes_on(n)]
     randoms = [random_ghosted_complex(rng) for _ in range(3000)]
@@ -186,8 +187,10 @@ def test_square_corners_read_from_the_ideal_match_their_parts():
             if c.is_simplex():
                 continue
             sq = build_fiber_square(QQ, c)
-            parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+            s = apex_decomposition(c)
+            parts = (s.deletion_part, s.cone_part(), s.link_part)
             for corner, part in zip((sq.a1, sq.a2, sq.a0), parts):
+                assert corner.sr_complex == part, str(c)
                 assert corner.generators == _sr_ring(sq.a.context, part).generators, str(c)
             split += 1
             ghosted += c.used_mask != (1 << c.ambient) - 1
@@ -269,9 +272,10 @@ def random_facet_lists(rng, count):
 def test_mask_built_complexes_rings_and_squares_match_tuple_references():
     """Complexes built on masks (``from_facets``, ``deletion``, ``link``,
     ``cone``), rings read from minimal-transversal masks and squares whose
-    kill masks come from facet masks equal references built on vertex
-    tuples and exponent vectors: facets, generators in order, generator
-    masks, the five homs, the split parts and the ``square_payload`` bytes,
+    kill masks come from the corners' generator masks equal references built
+    on vertex tuples and exponent vectors: facets, generators in order,
+    generator masks, the five homs, the corners' complexes (the split
+    parts) and the ``square_payload`` bytes,
     on every complex on 2 to 5 vertices and on 3,000 seeded random ones on
     2 to 12 vertices with ghost vertices."""
     rng = make_rng("mask-equivalence")
@@ -290,8 +294,10 @@ def test_mask_built_complexes_rings_and_squares_match_tuple_references():
             assert made.generators == ref.generators, str(c)
             assert made.generator_masks == tuple(map(support_mask, ref.generators)), str(c)
         assert (sq.i1, sq.i2, sq.j1, sq.j2, sq.section) == homs, str(c)
-        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
+        parts = (sq.a1.sr_complex, sq.a2.sr_complex, sq.a0.sr_complex)
         assert (sq.apex, *parts) == split, str(c)
+        s = apex_decomposition(c)
+        assert (s.apex, s.deletion_part, s.cone_part(), s.link_part) == split, str(c)
         for part in parts:
             assert_records_its_facet_masks(part)
         assert certs.dump_canonical(certs.square_payload(sq)) == \
@@ -316,40 +322,58 @@ def test_part_builders_match_tuple_references_at_every_vertex():
                 assert_records_its_facet_masks(part)
 
 
+def counting_from_masks(monkeypatch):
+    """Wrap ``simplicial._from_masks``, which builds every part of a split,
+    and return the list of complexes it builds."""
+    built = []
+    from_masks = simplicial._from_masks
+
+    def counted(ambient, masks):
+        built.append(from_masks(ambient, masks))
+        return built[-1]
+
+    monkeypatch.setattr(simplicial, "_from_masks", counted)
+    return built
+
+
 def test_square_builds_its_split_parts_on_first_read(monkeypatch):
-    """``build_fiber_square`` builds no part of the split (no
-    ``apex_decomposition`` and no complex from masks) until ``split`` or a
-    corner's ``sr_complex`` is read; then one split serves the square and
-    all three corners."""
-    splits, built = [], []
-    decompose, from_masks = quotient.apex_decomposition, simplicial._from_masks
-
-    def counting_decomposition(c):
-        splits.append(c)
-        return decompose(c)
-
-    def counting_from_masks(ambient, masks):
-        built.append(ambient)
-        return from_masks(ambient, masks)
-
-    monkeypatch.setattr(quotient, "apex_decomposition", counting_decomposition)
-    monkeypatch.setattr(simplicial, "_from_masks", counting_from_masks)
+    """``build_fiber_square`` builds no part of the split (no complex from
+    masks) until a corner's ``sr_complex`` is read; then each corner holds
+    its part, the one ``apex_decomposition`` makes."""
     pool = [c for n in range(2, 5) for c in complexes_on(n) if not c.is_simplex()]
-    for k, c in enumerate(pool):
+    splits = [(s.deletion_part, s.cone_part(), s.link_part)
+              for s in map(apex_decomposition, pool)]
+    built = counting_from_masks(monkeypatch)
+    for k, (c, parts) in enumerate(zip(pool, splits)):
         sq = build_fiber_square(QQ, c)
         certs.square_payload(sq)
-        assert not splits and not built, str(c)
+        assert not built, str(c)
         corners = (sq.a1, sq.a2, sq.a0)
-        if k % 2:
-            corners[k % 3].sr_complex
-        else:
-            sq.split
-        assert splits == [c] and built, str(c)
-        parts = (sq.split.deletion_part, sq.split.cone_part(), sq.split.link_part)
-        assert all(r.sr_complex is p for r, p in zip(corners, parts)), str(c)
-        assert splits == [c], str(c)
-        splits.clear()
+        corners[k % 3].sr_complex
+        assert built, str(c)
+        assert all(r.sr_complex == p for r, p in zip(corners, parts)), str(c)
+        assert all(r.sr_complex is r.sr_complex for r in corners), str(c)
+        assert len(built) == 3, str(c)
         built.clear()
+
+
+def test_reading_one_corner_builds_its_part_alone(monkeypatch):
+    """The first read of one corner's ``sr_complex`` builds that corner's part
+    and no other: the deletion for a1, the link for a0, and for a2 the cone
+    over the link, which a0 then holds."""
+    pool = [c for n in range(2, 6) for c in complexes_on(n) if not c.is_simplex()]
+    splits = [(s.deletion_part, s.cone_part(), s.link_part)
+              for s in map(apex_decomposition, pool)]
+    built = counting_from_masks(monkeypatch)
+    for c, (deleted, coned, linked) in zip(pool, splits):
+        for corner, parts in (("a1", [deleted]), ("a0", [linked]), ("a2", [linked, coned])):
+            sq = build_fiber_square(QQ, c)
+            ring = getattr(sq, corner)
+            assert ring.sr_complex is built[-1], (str(c), corner)
+            assert built == parts, (str(c), corner)
+            if corner == "a2":
+                assert sq.a0.sr_complex is built[0], str(c)
+            built.clear()
 
 
 def test_minimal_nonfaces_on_a_wider_ambient():

@@ -167,13 +167,38 @@ def test_glmat_verifies():
     e = GLMat.elementary(r, 2, 0, 1, ctx.variable(0))
     assert (e * e.inverse()).mat == PolyMatrix.identity(ctx, 2)
     with pytest.raises(PreconditionError):
-        GLMat(r, PolyMatrix.from_scalars(ctx, [[1, 0], [0, 1]]),
-              PolyMatrix.from_scalars(ctx, [[1, 1], [0, 1]]))
+        GLMat.make(r, PolyMatrix.from_scalars(ctx, [[1, 0], [0, 1]]),
+                   PolyMatrix.from_scalars(ctx, [[1, 1], [0, 1]]))
+
+
+def test_glmat_constructor_builds_the_pair_as_given():
+    """``GLMat(...)`` keeps its matrices as given, with no normal form and no
+    check, and is frozen; ``GLMat.make`` puts them in normal form and checks."""
+    r = xy_ring()
+    ctx = r.context
+    x, y = ctx.variable(0), ctx.variable(1)
+    eye = PolyMatrix.identity(ctx, 2)
+    raw = PolyMatrix.from_rows(ctx, [[ctx.one(), x * y], [ctx.zero(), ctx.one()]])  # x*y == 0
+    g = GLMat(r, raw, eye)
+    assert g.ring is r and g.mat is raw and g.inv is eye
+    assert GLMat.make(r, raw, eye) == GLMat(r, eye, eye) != g
+    shear = PolyMatrix.from_scalars(ctx, [[1, 1], [0, 1]])
+    bad = GLMat(r, eye, shear)
+    assert (bad.mat, bad.inv) == (eye, shear)
+    with pytest.raises(PreconditionError, match="fails to verify"):
+        GLMat.make(r, eye, shear)
+    wide = PolyMatrix.zeros(ctx, 1, 2)
+    assert GLMat(r, wide, wide).mat is wide
+    with pytest.raises(PreconditionError, match="must be square"):
+        GLMat.make(r, wide, wide)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.mat = eye
+    assert not hasattr(g, "__dict__")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_glmat_one_sided_check_refuses_single_coefficient_mutations(field):
-    """``GLMat(...)`` checks mat * inv == I alone, which over a commutative
+    """``GLMat.make`` checks mat * inv == I alone, which over a commutative
     ring implies inv * mat == I; a change of one coefficient of either
     matrix still breaks mat * inv == I, so every such pair is refused."""
     rng = make_rng(f"glmat-one-sided-{field.char}")
@@ -182,7 +207,7 @@ def test_glmat_one_sided_check_refuses_single_coefficient_mutations(field):
         ctx = ring.context
         for _ in range(6):
             g = random_gl_with_units(ring, rng.randint(2, 3), rng)
-            assert GLMat(ring, g.mat, g.inv) == g
+            assert GLMat.make(ring, g.mat, g.inv) == g
             for side in ("mat", "inv"):
                 m = getattr(g, side)
                 for _ in range(4):
@@ -199,7 +224,7 @@ def test_glmat_one_sided_check_refuses_single_coefficient_mutations(field):
                     mutated = PolyMatrix(ctx, m.rows, m.cols, entries)
                     pair = (mutated, g.inv) if side == "mat" else (g.mat, mutated)
                     with pytest.raises(PreconditionError, match="fails to verify"):
-                        GLMat(ring, *pair)
+                        GLMat.make(ring, *pair)
                     refused += 1
     assert refused > 60
 

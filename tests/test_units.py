@@ -132,8 +132,8 @@ def test_entrywise_diagnostic_names_the_determinant():
     up = QuotientRing.make(QQ, 1, ())
     ctx = down.context
     x = ctx.variable(0)
-    sig = GLMat(down, PolyMatrix(ctx, 1, 1, (ctx.one() + x,)),
-                PolyMatrix(ctx, 1, 1, (ctx.one() - x,)))
+    sig = GLMat.make(down, PolyMatrix(ctx, 1, 1, (ctx.one() + x,)),
+                     PolyMatrix(ctx, 1, 1, (ctx.one() - x,)))
     with pytest.raises(AllStrategiesFailed) as info:
         lift_gl(sig, RingHom.quotient_map(up, down), strategies=("entrywise",))
     assert info.value.diagnostics == {

@@ -388,6 +388,23 @@ def test_glued_node_with_an_undischarged_child_fails():
         _failures(verify_payload(cert))
 
 
+def test_a_node_that_names_no_task_is_an_extension():
+    """Base and decompose nodes read a missing ``task`` alike, as an
+    extension: the golden constant extension, whose root is a base node, and
+    the hollow one, whose root decomposes, verify with the same entries once
+    their root names no task."""
+    from test_golden import extend_constant
+
+    for cert, kind in ((extend_constant().certificate, "base"),
+                       (_hollow_extension(), "decompose")):
+        assert cert["root"]["kind"] == kind and cert["root"]["task"] == "extend"
+        untasked = copy.deepcopy(cert)
+        del untasked["root"]["task"]
+        rep, ref = verify_payload(untasked), verify_payload(cert)
+        assert rep.ok and ref.ok, rep.summary()
+        assert rep.entries == ref.entries and rep.warnings == ref.warnings
+
+
 def test_square_that_does_not_commute_fails():
     # the root square splits the hollow triangle at x0, so j1(i1(x1)) == x1
     cert = _hollow_extension()
