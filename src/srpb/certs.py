@@ -20,6 +20,10 @@ from .quotient import FiberSquare, QuotientRing, RingHom
 
 HEADER = "srpb/1"
 
+# a ring names its variables x0..x63, as the expression grammar does, and a
+# complex's vertex v is the variable xv
+MAX_VARS = 64
+
 NODE_KINDS = ("base", "decompose", "umrow-lift", "gl-lift", "patch", "empty")
 
 
@@ -67,6 +71,8 @@ def parse_ring(payload: dict) -> QuotientRing:
     try:
         fld = Field.from_name(payload["field"])
         nvars = _count(payload, "vars")
+        if nvars > MAX_VARS:
+            raise ValueError(f"vars is {nvars}, over {MAX_VARS}")
         ctx = PolyRing(fld, nvars)
         gens = []
         for text in payload["ideal"]:
@@ -124,7 +130,10 @@ def parse_complex(payload: dict):
     from .simplicial import SimplicialComplex
 
     try:
-        return SimplicialComplex.from_facets(_count(payload, "ambient"), payload["facets"])
+        ambient = _count(payload, "ambient")
+        if ambient > MAX_VARS:
+            raise ValueError(f"ambient is {ambient}, over {MAX_VARS}")
+        return SimplicialComplex.from_facets(ambient, payload["facets"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad complex: {exc!r}") from exc
 

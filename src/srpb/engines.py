@@ -9,10 +9,11 @@ glue.  Extension is the case where q is the augmentation of p; cancellation
 takes q from the caller.  Each node reads its ring's cached complex and
 square (``QuotientRing.sr_complex``, ``.square``), built once per ring object;
 a square's corners hold their deletion and cone parts as their complexes.
-Extension base cases are discharged by a built-in oracle chain (constant
-presentations, then univariate freeness via Smith normal form) followed by
-an optional caller oracle; anything else surfaces as an Obligation rather
-than a guess.  The built-in base isos come from splittings E == B R with
+Both engines discharge a simplex corner by one corner rule, ``_witness``
+(a constant presentation, univariate freeness via Smith normal form, then
+the extension's caller oracle); anything else surfaces as an Obligation
+rather than a guess.  Cancellation's base is ext(Q)^-1 o (P(0) ~ Q(0)) o
+ext(P).  The built-in base isos come from splittings E == B R with
 R B == I_r (``_split_iso``), so they are lawful by algebra once the entry
 point has checked its modules idempotent.  Row lifting extends the row's
 kernel module and lifts the comparison matrix that the witness yields.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from . import certs
@@ -121,7 +123,7 @@ def conjugation_witness_oracle(g: GLMat) -> ExtendOracle:
 
     When the module at a base case is a conjugate of a constant idempotent
     by the image of ``g``, the reinterpreted conjugator is a witness; the
-    oracle checks g and declines otherwise; ``_extend_base`` checks the witness.
+    oracle checks g and declines otherwise; ``_witness`` checks the witness.
     """
     def oracle(p: ProjModule) -> Optional[ModIso]:
         ring = p.ring
@@ -173,23 +175,21 @@ def _point_normalize(iso: ModIso) -> ModIso:
     return ModIso(iso.source, iso.target, fwd, bwd)
 
 
-def _extend_base(oracle: Optional[ExtendOracle]):
-    """Base hook of the extension: constant presentations, univariate freeness
-    via Smith normal form, then the oracle, whose witness is checked here once."""
-    def base(p: ProjModule, q: ProjModule):
-        if p.matrix.is_constant():
-            return "constant", ModIso(p, q, p.matrix, p.matrix)
-        if len(p.ring.free_variables) <= 1:
-            return "smith", _smith_freeness_iso(p)
-        iso = oracle(p) if oracle is not None else None
-        if iso is None:
-            return None
-        if iso.source.matrix != p.matrix or iso.target.matrix != q.matrix:
-            raise PreconditionError("oracle witness does not run from the module "
-                                    "to its augmentation")
-        return "oracle", _point_normalize(ModIso.make(p, q, iso.fwd, iso.bwd))
-
-    return base
+def _witness(p: ProjModule, p0: ProjModule, oracle: Optional[ExtendOracle]):
+    """The corner rule: (method, iso P -> P(0)) or None, where p0 is P(0).
+    Constant presentations, univariate freeness via Smith normal form, then
+    the oracle, whose witness is checked here once."""
+    if p.matrix.is_constant():
+        return "constant", ModIso(p, p0, p.matrix, p.matrix)
+    if len(p.ring.free_variables) <= 1:
+        return "smith", _smith_freeness_iso(p)
+    iso = oracle(p) if oracle is not None else None
+    if iso is None:
+        return None
+    if iso.source.matrix != p.matrix or iso.target.matrix != p0.matrix:
+        raise PreconditionError("oracle witness does not run from the module "
+                                "to its augmentation")
+    return "oracle", _point_normalize(ModIso.make(p, p0, iso.fwd, iso.bwd))
 
 
 def _split_iso(p: ProjModule, q: ProjModule, split_p: tuple, split_q: tuple) -> ModIso:
@@ -217,20 +217,15 @@ def _smith_freeness_iso(p: ProjModule) -> ModIso:
 
 
 def _cancel_base(p: ProjModule, q: ProjModule):
-    """Base hook of the cancellation: constant pairs, then univariate freeness."""
-    if p.matrix.is_constant() and q.matrix.is_constant():
-        return "constant", _constant_pair_iso(p, q)
-    if len(p.ring.free_variables) <= 1:
-        ip = _smith_freeness_iso(p)
-        iq = _smith_freeness_iso(q)
-        mid = _constant_pair_iso(ip.target, iq.target)
-        return "smith", iq.inverse().compose(mid).compose(ip)
-    return None
-
-
-def _constant_pair_iso(p: ProjModule, q: ProjModule) -> ModIso:
-    """Iso between equal-rank constant idempotents, split by row reduction."""
-    return _split_iso(p, q, constant_splitting(p.matrix), constant_splitting(q.matrix))
+    """Base hook of the cancellation, from extension witnesses: P ~ P(0) and
+    Q ~ Q(0) by the corner rule, and P(0) ~ Q(0) split by row reduction."""
+    p0, q0 = (ProjModule(p.ring, m.augmented_matrix()) for m in (p, q))
+    ext_p, ext_q = _witness(p, p0, None), _witness(q, q0, None)
+    if ext_p is None or ext_q is None:
+        return None
+    pair = _split_iso(p0, q0, constant_splitting(p0.matrix), constant_splitting(q0.matrix))
+    method = "constant" if ext_p[0] == ext_q[0] == "constant" else "smith"
+    return method, ext_q[1].inverse().compose(pair).compose(ext_p[1])
 
 
 # -- the patching recursion ---------------------------------------------------------
@@ -317,7 +312,8 @@ def _extend(p: ProjModule, oracle: Optional[ExtendOracle] = None) -> PatchResult
     """``extend_witness`` of an idempotent over a square-free ring, unchecked."""
     q = ProjModule(p.ring, p.augmented_matrix())
     kind = getattr(oracle, "obligation_kind", "extend")
-    return _solve(_Task("extend", kind, _extend_base(oracle), section_aut_lifter), p, q)
+    return _solve(_Task("extend", kind, partial(_witness, oracle=oracle), section_aut_lifter),
+                  p, q)
 
 
 def extension_aut_lifter(square: FiberSquare, q2: ProjModule) -> Callable[[ModIso], ModIso]:

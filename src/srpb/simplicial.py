@@ -104,10 +104,10 @@ class SimplicialComplex:
             raise InputError("ambient vertex count must be at least 1")
         masks = set()
         for f in facets:
-            fm = _mask(f)
-            if fm >> ambient:
+            f = tuple(f)
+            if any(v >= ambient for v in f):  # tested before 1 << v is built
                 raise InputError(f"facet {sorted(f)} out of range for ambient {ambient}")
-            masks.add(fm)
+            masks.add(_mask(f))
         return SimplicialComplex(ambient, tuple(t for t, _ in _canonical(masks)))
 
     @staticmethod

@@ -232,6 +232,16 @@ def _show(m: PolyMatrix) -> str:
                            for i in range(m.rows)) + "]"
 
 
+def _square_pairs(report, where, **pairs: tuple) -> bool:
+    """Each GL pair's halves are square and of one size.  A pair that is not
+    is one structure FAIL, found before any identity of its size is built."""
+    bad = [name for name, (m, inv) in pairs.items()
+           if not m.rows == m.cols == inv.rows == inv.cols]
+    for name in bad:
+        report.add(where, "structure", False, f"{name} halves are not square and of one size")
+    return not bad
+
+
 def _check_idempotent(report, where, ring: QuotientRing, e: PolyMatrix) -> None:
     _eq(report, where, "idempotency", ring.mat_mul(e, e), e, "E*E vs E")
 
@@ -279,7 +289,7 @@ def _load_square(rd: _Reader, node: dict) -> dict:
             sq[name] = RingHom(rings[src], rings[tgt], image_mask(rings[src], rings[tgt], imgs))
         except (ContextError, HomError):
             pass  # not a term filter: no map, so the checks that would apply it are skipped
-    sq["apex"] = int(node["apex"]) if "apex" in node else int(node["square"]["apex"])
+    sq["apex"] = certs._count(node if "apex" in node else node["square"], "apex")
     return sq
 
 
@@ -445,6 +455,10 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     ctx = ring.context
     v = rd.matrix(node["v"], ctx)
     w = rd.matrix(node["w"], ctx)
+    if not v.rows == w.rows == 1 or v.cols != w.cols:
+        # refused before the kernel I - w^T v, as wide as the stated width, is built
+        report.add(where, "structure", False, "v and w are not rows of one width")
+        return
     _eq(report, where, "um-congruence", ring.mat_mul(v, w.transpose()),
         PolyMatrix.identity(ctx, 1), "v*w^T vs 1")
 
@@ -461,6 +475,8 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
         report.warnings.append(f"{where}: row lift left partial")
         return
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
+    if not _square_pairs(report, where, sigma=(sigma_m, sigma_i)):
+        return
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
         PolyMatrix.identity(ctx, sigma_m.rows), "sigma*sigma^-1 vs I")
     v0 = v.augmentation()
@@ -481,6 +497,8 @@ def _verify_umrow(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     ok = all(not ring.survives(g) for g in target_ring.generators)
     report.add(where, "structure", ok, "" if ok else "target ideal escapes the quotient")
     delta_m, delta_i = rd.glpair(node["delta"], tctx)
+    if not _square_pairs(report, where, delta=(delta_m, delta_i)):
+        return
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
         PolyMatrix.identity(tctx, delta_m.rows), "delta*delta^-1 vs I")
     pi = RingHom(target_ring, ring, ring.zero_mask)
@@ -505,6 +523,8 @@ def _verify_gl_lift(rd: _Reader, node: dict, where: str, report: VerifierReport)
     ctx, tctx = ring.context, target_ring.context
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     delta_m, delta_i = rd.glpair(node["delta"], tctx)
+    if not _square_pairs(report, where, sigma=(sigma_m, sigma_i), delta=(delta_m, delta_i)):
+        return
     _eq(report, where, "gl-lift", ring.mat_mul(sigma_m, sigma_i),
         PolyMatrix.identity(ctx, sigma_m.rows), "sigma*sigma^-1 vs I")
     _eq(report, where, "gl-lift", target_ring.mat_mul(delta_m, delta_i),
@@ -525,9 +545,14 @@ def _verify_patch(rd: _Reader, node: dict, where: str, report: VerifierReport) -
     ring = rd.ring(node["ring"])
     report.add(where, "structure", ring == a, "" if ring == a else "ring is not the square total")
     ctx = a.context
-    rank = int(node["rank"])
+    rank = certs._count(node, "rank")
     sigma_m, sigma_i = rd.glpair(node["sigma"], ctx)
     u_m, u_i = rd.glpair(node["whitehead"], ctx)
+    if not _square_pairs(report, where, sigma=(sigma_m, sigma_i), whitehead=(u_m, u_i)):
+        return
+    if rank != sigma_m.rows:
+        report.add(where, "structure", False, f"rank {rank} is not sigma's size {sigma_m.rows}")
+        return
     _eq(report, where, "gl-lift", a0.mat_mul(sigma_m, sigma_i),
         PolyMatrix.identity(ctx, rank), "sigma*sigma^-1 vs I")
     _eq(report, where, "whitehead", a2.mat_mul(u_m, u_i),

@@ -28,6 +28,7 @@ and the GL lift build into a module, an iso or a GL pair is normal.
 import dataclasses
 import gc
 import weakref
+from functools import partial
 
 import pytest
 
@@ -38,9 +39,8 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, PolyRing, ProjModule,
                   smith_normal_form, sr_quotient, umrow_lift, verify_payload,
                   whitehead_lift)
 from srpb import certs, engines
-from srpb.engines import (_constant_pair_iso, _extend_base, _point_normalize,
-                          _smith_freeness_iso, conjugation_witness_oracle,
-                          extension_aut_lifter)
+from srpb.engines import (_point_normalize, _smith_freeness_iso, _split_iso, _witness,
+                          conjugation_witness_oracle, extension_aut_lifter)
 from srpb.matrix import constant_splitting
 from srpb.simplicial import apex_decomposition, sr_ideal
 from srpb.smith import uni_coeff, uni_degree, uni_divides
@@ -637,7 +637,7 @@ def univariate_rings(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_base_case_witnesses_keep_the_corner_laws(field):
     rng = make_rng(f"by-construction-base-{field.char}")
-    base = _extend_base(None)
+    base = partial(_witness, oracle=None)
     for ring in univariate_rings(field):
         for _ in range(6):
             e, _ = conjugated_idempotent(ring, rng, elementaries=3)
@@ -681,7 +681,7 @@ def test_oracle_witness_point_normalized_keeps_the_corner_laws(field):
             norm = _point_normalize(w)
             assert_iso_laws(norm)
             assert norm.fwd.augmentation() == q.matrix
-            assert _extend_base(lambda _: w)(p, q) == ("oracle", norm)
+            assert _witness(p, q, lambda _: w) == ("oracle", norm)
 
 
 def record_splittings(monkeypatch):
@@ -746,10 +746,53 @@ def test_constant_splitting_and_pair_iso(field):
             p = modules[0]
             q = next((m for m in modules if m != p), p)
             distinct += q != p
-            iso = _constant_pair_iso(p, q)
+            iso = _split_iso(p, q, constant_splitting(p.matrix), constant_splitting(q.matrix))
             assert (iso.source, iso.target) == (p, q)
             assert ModIso.make(p, q, iso.fwd, iso.bwd) == iso
     assert distinct >= 2
+
+
+def reference_cancel_base(p, q):
+    """The cancellation base with constant and Smith branches of its own:
+    the constant pair split by row reduction, else, with at most one free
+    variable, Smith(q)^-1 o pair(p(0), q(0)) o Smith(p)."""
+    def pair(a, b):
+        return _split_iso(a, b, constant_splitting(a.matrix), constant_splitting(b.matrix))
+
+    if p.matrix.is_constant() and q.matrix.is_constant():
+        return "constant", pair(p, q)
+    if len(p.ring.free_variables) <= 1:
+        ip, iq = _smith_freeness_iso(p), _smith_freeness_iso(q)
+        return "smith", iq.inverse().compose(pair(ip.target, iq.target)).compose(ip)
+    return None
+
+
+@pytest.mark.seeded
+@pytest.mark.parametrize("field", FIELDS)
+def test_cancel_base_from_extension_witnesses_matches_the_reference(field):
+    rng = make_rng(f"by-construction-cancel-base-{field.char}")
+    two_free = QuotientRing.make(field, 2, ())
+    cases = {"constant": 0, "smith": 0, None: 0}
+    for ring in (two_free,) + univariate_rings(field):
+        for size in (2, 3):
+            rank = rng.randint(1, size - 1)
+            modules = [conjugated_idempotent(ring, rng, size=size, rank=rank, max_deg=0)[0]
+                       for _ in range(2)]
+            while len(modules) < 4:
+                e, _ = conjugated_idempotent(ring, rng, size=size, rank=rank, elementaries=3)
+                if not e.is_constant():
+                    modules.append(e)
+            modules = [ProjModule.make(ring, e) for e in modules]
+            for p in modules:
+                for q in modules:
+                    got = engines._cancel_base(p, q)
+                    assert got == reference_cancel_base(p, q)
+                    cases[got and got[0]] += 1
+                    if got is not None:
+                        assert (got[1].source, got[1].target) == (p, q)
+                        assert_iso_laws(got[1])
+    # two free variables and a moving module still need an oracle
+    assert all(cases.values()), cases
 
 
 def liftable_rows(field, rng, count=4):

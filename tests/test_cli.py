@@ -142,6 +142,23 @@ def test_ring_file_with_wrongly_typed_value_is_input_error(tmp_path, capsys, rin
 RING2 = {"field": "Q", "vars": 2, "ideal": ["x0*x1"]}
 
 
+def test_rings_and_complexes_have_at_most_64_variables(tmp_path, capsys):
+    # the grammar names x0..x63; a stated count past that is refused before
+    # anything of that size is built
+    for count, code in ((64, 0), (65, 2), (10_000_000, 2)):
+        ring = tmp_path / "wide.ring"
+        with open(ring, "w") as fh:
+            fh.write("srpb/1 ring\n" + json.dumps(dict(RING2, vars=count)) + "\n")
+        assert run(["ring", "nf", "--ring", ring, "--expr", "x0 + 1"]) == code
+        cplx = tmp_path / "wide.cplx"
+        with open(cplx, "w") as fh:
+            fh.write("srpb/1 complex\n" + json.dumps({"ambient": count, "facets": [[0], [1]]}))
+        assert run(["complex", "nonfaces", "--complex", cplx]) == code
+        err = capsys.readouterr().err
+        assert (f"vars is {count}, over 64" in err) == (code == 2)
+        assert (f"ambient is {count}, over 64" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("name", ["Fp:0", "Fp:000"])
 def test_prime_field_of_characteristic_zero_is_input_error(workdir, tmp_path, capsys, name):
     # Fp:0 is not another name for Q: 1/2 must not parse over it

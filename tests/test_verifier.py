@@ -443,3 +443,59 @@ def test_gl_lift_whose_target_ideal_escapes_the_quotient_fails():
     # over the ring's own ideal the same node passes with no structure entry
     rep = verify_payload(gl_lift_node(r, r, sigma, sigma, prof))
     assert rep.ok and all(e.check == "gl-lift" for e in rep.entries), rep.summary()
+
+
+# -- counts and shapes the file states, checked before anything of that size is built
+
+# a 2000 x 0 matrix and its 0 x 2000 "inverse": a few bytes whose products are 2000 x 2000
+WIDE_PAIR = {"m": {"rows": 2000, "cols": 0, "entries": []},
+             "minv": {"rows": 0, "cols": 2000, "entries": []}}
+
+
+def _only_failure(cert):
+    rep = verify_payload(cert)
+    failures = [(e.node, e.check, e.detail) for e in rep.entries if not e.ok]
+    assert len(failures) == 1, rep.summary()
+    return failures[0]
+
+
+def test_patch_rank_and_apex_are_exact_integers_and_rank_is_sigmas_size():
+    cert = dict(corpus_certificates())["patch"]
+    assert cert["root"]["rank"] == 2 and verify_payload(cert).ok
+    apex = cert["root"]["square"]["apex"]
+    for key, holder, value in [("rank", (), v) for v in (2.9, "2", 2.0)] + [
+            ("apex", ("square",), v) for v in (float(apex), str(apex))]:
+        bad = copy.deepcopy(cert)
+        _get(bad["root"], holder)[key] = value
+        node, check, detail = _only_failure(bad)
+        assert (node, check) == ("root", "structure") and f"{key} must be an integer" in detail
+    for rank in (3, 2000):
+        bad = copy.deepcopy(cert)
+        bad["root"]["rank"] = rank
+        assert _only_failure(bad) == ("root", "structure", f"rank {rank} is not sigma's size 2")
+
+
+def test_gl_pairs_whose_halves_are_not_square_of_one_size_are_refused():
+    corpus = dict(corpus_certificates())
+    for name, key in (("gl-lift", "sigma"), ("gl-lift", "delta"), ("umrow", "sigma"),
+                      ("umrow", "delta"), ("patch", "sigma"), ("patch", "whitehead")):
+        cert = copy.deepcopy(corpus[name])
+        assert verify_payload(cert).ok
+        cert["root"][key] = WIDE_PAIR
+        assert _only_failure(cert) == ("root", "structure",
+                                       f"{key} halves are not square and of one size"), name
+    cert = copy.deepcopy(corpus["gl-lift"])
+    cert["root"]["sigma"] = cert["root"]["delta"] = WIDE_PAIR
+    rep = verify_payload(cert)
+    assert [e.detail for e in rep.entries] == [
+        "sigma halves are not square and of one size",
+        "delta halves are not square and of one size"], rep.summary()
+
+
+def test_row_lift_whose_rows_are_not_of_one_width_is_refused():
+    cert = dict(corpus_certificates())["umrow"]
+    for v, w in (({"rows": 0, "cols": 2000, "entries": []},) * 2,
+                 (cert["root"]["v"], {"rows": 1, "cols": 1, "entries": ["1"]})):
+        bad = copy.deepcopy(cert)
+        bad["root"]["v"], bad["root"]["w"] = v, w
+        assert _only_failure(bad) == ("root", "structure", "v and w are not rows of one width")

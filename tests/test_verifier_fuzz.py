@@ -7,7 +7,10 @@ coefficient, variable or operator of a polynomial entry).  ``verify_payload``
 must return a report without raising, and ``srpb verify`` must exit with 0-3
 without printing a traceback.  The same holds for the text arguments
 ``--expr``, ``--target`` and ``--field`` of the other verbs, and a gens file
-garbled at a few characters makes ``srpb gb member`` exit with 0 or 2.
+garbled at a few characters makes ``srpb gb member`` exit with 0 or 2.  Ring,
+matrix, GL matrix, row and complex files, garbled at a few characters or at
+one value, make the verbs that read them exit with 0-3, each within
+``CASE_SECONDS``.
 """
 
 import contextlib
@@ -17,15 +20,19 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from srpb import verify_payload  # noqa: E402
+from srpb import (QQ, GLMat, PolyMatrix, QuotientRing, build_fiber_square, certs,  # noqa: E402
+                  milnor_patch, verify_payload)
 from srpb.certs import HEADER  # noqa: E402
 from srpb.cli import main  # noqa: E402
+from srpb.lifting import whitehead_lift  # noqa: E402
+from helpers import hollow_triangle  # noqa: E402
 from test_verifier import _get, _value_paths, corpus_certificates  # noqa: E402
 
 GARBLES = ("type", "drop", "extra", "copy", "nest", "character")
@@ -47,11 +54,18 @@ def _corpus():
 
 def garbled_certificate(data, max_nesting):
     name, cert = data.draw(st.sampled_from(_corpus()), label="certificate")
-    cert = copy.deepcopy(cert)
+    return garbled_payload(data, cert, max_nesting)
+
+
+def garbled_payload(data, payload, max_nesting):
+    """A copy of a JSON payload garbled at one site, in one of the ``GARBLES``
+    ways ("character" only where it holds a nonempty string)."""
+    cert = copy.deepcopy(payload)
     paths = list(_value_paths(cert))
-    how = data.draw(st.sampled_from(GARBLES), label="garble")
+    texts = [p for p in paths if isinstance(_get(cert, p), str) and _get(cert, p)]
+    how = data.draw(st.sampled_from(GARBLES if texts else GARBLES[:-1]), label="garble")
     if how == "character":
-        paths = [p for p in paths if isinstance(_get(cert, p), str) and _get(cert, p)]
+        paths = texts
     path = data.draw(st.sampled_from(paths), label="path")
     parent, key = _get(cert, path[:-1]), path[-1]
     value = parent[key]
@@ -180,3 +194,112 @@ def test_gb_member_exits_cleanly_on_garbled_gens_files(data):
             code = main(["gb", "member", "--gens", path, "--target", "x2 + 1"])
     assert code in (0, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- ring, matrix, glmatrix, umrow and complex files ---------------------------------
+
+CASE_SECONDS = 1.0  # the CLI verbs below answer each case in milliseconds
+
+
+def _clean_files() -> dict:
+    """kind -> payload of one clean file of each kind the file verbs read; the
+    module extends, the GL pair and the row lift, over Q[x0, x1]/(x0 x1)."""
+    xy = QuotientRing.make(QQ, 2, ((1, 1),))
+    ctx = xy.context
+    x0, x1 = ctx.variable(0), ctx.variable(1)
+    g = GLMat.elementary(xy, 2, 0, 1, x0 + x1)
+    corner = PolyMatrix.from_scalars(ctx, [[1, 0], [0, 0]])
+    module = xy.mat_mul(xy.mat_mul(g.mat, corner), g.inv)
+    m = GLMat.elementary(xy, 2, 0, 1, x0) * GLMat.elementary(xy, 2, 1, 0, x1)
+    ring = certs.ring_payload(xy)
+    return {
+        "ring": {"field": "Q", "vars": 3, "ideal": ["x0*x1*x2"]},
+        "matrix": dict(certs.matrix_payload(module), ring=ring),
+        "glmatrix": dict(certs.glmat_payload(m), ring=ring),
+        "umrow": {"ring": ring, "v": certs.matrix_payload(PolyMatrix(ctx, 1, 2, m.mat.row(0))),
+                  "w": certs.matrix_payload(PolyMatrix(ctx, 1, 2, m.inv.col(0)))},
+        "complex": certs.complex_payload(hollow_triangle()),
+    }
+
+
+CLEAN_FILES = _clean_files()
+
+
+def _verbs(kind: str, path: str, tmp: str) -> list:
+    """The CLI calls that read a file of this kind."""
+    out = os.path.join(tmp, "out")
+    return {
+        "ring": [["ring", "nf", "--ring", path, "--expr", "x0*x1*x2 + x0 + 1"]],
+        "matrix": [["extend", "--module", path, "--out", out]],
+        "glmatrix": [["gl", "lift", "--sigma", path, "--to-ring", os.path.join(tmp, "free.ring"),
+                      "--out", out]],
+        "umrow": [["umrow", "lift", "--row", path, "--out", out]],
+        "complex": [["complex", "faces", "--complex", path],
+                    ["square", "check", "--complex", path, "--degree", "2"]],
+        "cert": [["verify", "--cert", path]],
+    }[kind]
+
+
+@st.composite
+def garbled_files(draw):
+    """(kind, file text): a clean file garbled at one to three characters of
+    its text or at one JSON value."""
+    data = draw(st.data())
+    kind = data.draw(st.sampled_from(sorted(CLEAN_FILES)), label="kind")
+    if data.draw(st.booleans(), label="garble the text, not a value"):
+        text = garbled(data, json.dumps(CLEAN_FILES[kind]), FILE_CHARS)
+    else:
+        text = json.dumps(garbled_payload(data, CLEAN_FILES[kind], max_nesting=300))
+    return kind, f"{HEADER} {kind}\n{text}\n"
+
+
+def _certificate(root: dict) -> str:
+    cert = {"format": "srpb-cert", "version": 1, "profile": {}, "obligations": [], "root": root}
+    return f"{HEADER} cert\n{json.dumps(cert)}\n"
+
+
+def _patch_root(rank) -> dict:
+    """The root of ``srpb patch``'s certificate over the hollow triangle, with its rank replaced."""
+    sq = build_fiber_square(QQ, hollow_triangle())
+    sigma = GLMat.elementary(sq.a0, 2, 0, 1, sq.a0.context.variable(1))
+    module = milnor_patch(sq, 2, sigma)
+    u = whitehead_lift(sigma, sq.j2, sq.section)
+    return dict(certs.patch_node(sq, 2, sigma, u, module.matrix, {})["root"], rank=rank)
+
+
+# files whose stated counts cost time and memory in proportion at the parser or verifier:
+# a 2000 x 0 matrix with its 0 x 2000 "inverse" (products 2000 x 2000), a patch of rank
+# 2000 (identities 2000 x 2000), a ring of 10^7 variables, and two points among 4000
+# (or 2^62) vertices or a vertex numbered 2^62
+WIDE = {"m": {"rows": 2000, "cols": 0, "entries": []},
+        "minv": {"rows": 0, "cols": 2000, "entries": []}}
+FREE_ONE = {"field": "Q", "vars": 1, "ideal": []}
+GL_LIFT_2000 = _certificate({"kind": "gl-lift", "discharged": True, "ring": FREE_ONE,
+                             "target_ring": FREE_ONE, "sigma": WIDE, "delta": WIDE})
+PATCH_RANK_2000 = _certificate(_patch_root(2000))
+RING_10M_VARS = f"{HEADER} ring\n" + json.dumps({"field": "Q", "vars": 10_000_000, "ideal": []})
+POINTS_AMONG_4000 = f"{HEADER} complex\n" + json.dumps({"ambient": 4000, "facets": [[0], [1]]})
+POINTS_AMONG_2_62 = f"{HEADER} complex\n" + json.dumps({"ambient": 2 ** 62, "facets": [[0], [1]]})
+VERTEX_2_62 = f"{HEADER} complex\n" + json.dumps({"ambient": 3, "facets": [[0], [2 ** 62]]})
+
+
+@settings(FUZZ, max_examples=150)
+@given(case=garbled_files())
+@example(case=("ring", RING_10M_VARS))
+@example(case=("cert", GL_LIFT_2000))
+@example(case=("cert", PATCH_RANK_2000))
+@example(case=("complex", POINTS_AMONG_4000))
+@example(case=("complex", POINTS_AMONG_2_62))
+@example(case=("complex", VERTEX_2_62))
+def test_file_verbs_exit_cleanly_on_garbled_files(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"garbled.{kind}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(os.path.join(tmp, "free.ring"), "w", encoding="utf-8") as fh:
+            fh.write(f"{HEADER} ring\n" + json.dumps({"field": "Q", "vars": 2, "ideal": []}))
+        for args in _verbs(kind, path, tmp):
+            start = time.perf_counter()
+            run_cli(args)
+            assert time.perf_counter() - start < CASE_SECONDS, args
