@@ -33,7 +33,7 @@ from srpb.certs import HEADER  # noqa: E402
 from srpb.cli import main  # noqa: E402
 from srpb.lifting import whitehead_lift  # noqa: E402
 from helpers import hollow_triangle  # noqa: E402
-from test_verifier import _get, _value_paths, corpus_certificates  # noqa: E402
+from test_verifier import WIDE_PAIR, _get, _value_paths, corpus_certificates  # noqa: E402
 
 GARBLES = ("type", "drop", "extra", "copy", "nest", "character")
 
@@ -271,11 +271,10 @@ def _patch_root(rank) -> dict:
 # a 2000 x 0 matrix with its 0 x 2000 "inverse" (products 2000 x 2000), a patch of rank
 # 2000 (identities 2000 x 2000), a ring of 10^7 variables, and two points among 4000
 # (or 2^62) vertices or a vertex numbered 2^62
-WIDE = {"m": {"rows": 2000, "cols": 0, "entries": []},
-        "minv": {"rows": 0, "cols": 2000, "entries": []}}
 FREE_ONE = {"field": "Q", "vars": 1, "ideal": []}
 GL_LIFT_2000 = _certificate({"kind": "gl-lift", "discharged": True, "ring": FREE_ONE,
-                             "target_ring": FREE_ONE, "sigma": WIDE, "delta": WIDE})
+                             "target_ring": FREE_ONE, "sigma": WIDE_PAIR,
+                             "delta": WIDE_PAIR})
 PATCH_RANK_2000 = _certificate(_patch_root(2000))
 RING_10M_VARS = f"{HEADER} ring\n" + json.dumps({"field": "Q", "vars": 10_000_000, "ideal": []})
 POINTS_AMONG_4000 = f"{HEADER} complex\n" + json.dumps({"ambient": 4000, "facets": [[0], [1]]})
