@@ -264,33 +264,27 @@ def _patch(task: _Task, p: ProjModule, q: ProjModule):
     other = q.matrix if task.name == "cancel" else None
     if ring.sr_complex.is_simplex() or (p.matrix.is_constant() and q.matrix.is_constant()):
         got = task.base(p, q)
-        if got is None:
-            ob = Obligation(task.obligation_kind, ring, p.matrix)
-            node = certs.base_node(task.name, ring, p.matrix, other=other, obligation=ob.kind)
-            return None, node, [ob]
-        method, iso = got
-        node = certs.base_node(task.name, ring, p.matrix, other=other, method=method,
-                               target=q.matrix, iso=iso)
-        return iso, node, []
+        method, iso = got or (None, None)
+        obligations = [] if got else [Obligation(task.obligation_kind, ring, p.matrix)]
+        node = certs.base_node(task.name, ring, p.matrix, method, q.matrix, iso, other=other,
+                               obligation=None if got else task.obligation_kind)
+        return iso, node, obligations
 
     square = ring.square
     q2 = base_change(q, square.i2)
     iso1, node1, ob1 = _patch(task, base_change(p, square.i1), base_change(q, square.i1))
     iso2, node2, ob2 = _patch(task, base_change(p, square.i2), q2)
     obligations = ob1 + ob2
+    iso = trace = None
     if not obligations:
         try:
             iso, trace = glue_iso_traced(square, p, q, iso1, iso2,
                                          task.lifter_factory(square, q2))
         except LifterError:
             obligations = [Obligation(task.obligation_kind, ring, p.matrix)]
-        else:
-            node = certs.decompose_node(task.name, ring, p.matrix, square, [node1, node2],
-                                        glue=trace, iso=iso, target=q.matrix, other=other)
-            return iso, node, []
     node = certs.decompose_node(task.name, ring, p.matrix, square, [node1, node2],
-                                other=other)
-    return None, node, obligations
+                                glue=trace, iso=iso, target=q.matrix, other=other)
+    return iso, node, obligations
 
 
 # -- extension and cancellation engines ----------------------------------------------
@@ -380,21 +374,21 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
                target: Optional[QuotientRing] = None) -> UmLiftResult:
     """Lift a unimodular row along R/I -> R/J for square-free monomial J.
 
-    The row is checked once, here, by ``UmRow.make``.  Builds the kernel
-    module, extends it from the base via the extension engine, realizes the
-    comparison matrix from the witness pair and lifts it through the GL
-    strategy stack.  The comparison pair and the lifted row are
-    lawful by algebra (built by ``GLMat(...)``, unchecked); the verifier
-    re-checks both.
+    The target R/I (default: the free ring) is checked first, by building
+    pi = ``RingHom.quotient_map`` onto the row's ring: ContextError on another
+    context, HomError unless I lies in J.  The row is checked once, here, by
+    ``UmRow.make``.  Builds the kernel module, extends it from the base via
+    the extension engine, realizes the comparison matrix from the witness
+    pair and lifts it along pi through the GL strategy stack.  The comparison
+    pair and the lifted row are lawful by algebra (built by ``GLMat(...)``,
+    unchecked); the verifier re-checks both.
     """
     ring = row.ring
     if not ring.is_square_free():
         raise PreconditionError("row lifting needs a square-free quotient")
     if target is None:
         target = QuotientRing(ring.context, ())
-    for g in target.generators:
-        if ring.survives(g):
-            raise PreconditionError("target ideal is not contained in the row's ideal")
+    pi = RingHom.quotient_map(target, ring)
 
     row = UmRow.make(ring, row.v, row.w)
     ext = _extend(kernel_module(row), oracle)
@@ -410,7 +404,6 @@ def umrow_lift(row: UmRow, oracle: Optional[ExtendOracle] = None,
     sigma = GLMat(ring, iso.bwd + ring.mat_mul(row.w.transpose(), v0),
                   iso.fwd + ring.mat_mul(w0.transpose(), row.v))
 
-    pi = RingHom.quotient_map(target, ring)
     try:
         delta = lift_gl(sigma, pi)
     except AllStrategiesFailed as exc:

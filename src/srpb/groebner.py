@@ -121,17 +121,11 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise ContextError("generators over different contexts")
-    fld = ring.field
     budget = _Budget()
 
     unit_rows = [tuple(ring.one() if j == i else ring.zero() for j in range(len(gens)))
                  for i in range(len(gens))]
-    work = []  # list of [poly, cofactor tuple]
-    for g, row in zip(gens, unit_rows):
-        if not g.is_zero():
-            lc = g.leading()[1]
-            inv = fld.inv(lc)
-            work.append((g.scale(inv), tuple(c.scale(inv) for c in row)))
+    work = [_monic(g, row) for g, row in zip(gens, unit_rows) if not g.is_zero()]
     if not work:
         raise InputError("all generators are zero")
 
@@ -145,13 +139,9 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         del pairs[i, j]
         gi, rowi = work[i]
         gj, rowj = work[j]
-        ei, ci = gi.leading()
-        ej, cj = gj.leading()
-        if not any(min(a, b) for a, b in zip(ei, ej)):
+        if not any(map(min, gi.leading()[0], gj.leading()[0])):
             continue  # coprime leading monomials reduce to zero
-        lcm = exp_lcm(ei, ej)
-        mi = ring.monomial(exp_div(lcm, ei), fld.inv(ci))
-        mj = ring.monomial(exp_div(lcm, ej), fld.inv(cj))
+        mi, mj = _s_multipliers(gi, gj)
         budget.spend(gi, gj, *rowi, *rowj)
         s = mi * gi - mj * gj
         srow = tuple(mi * a - mj * b for a, b in zip(rowi, rowj))
@@ -159,10 +149,7 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
         r, cofs = gb.reduce(s, budget)
         if r.is_zero():
             continue
-        total = tuple(a + b for a, b in zip(srow, tuple(-c for c in cofs)))
-        lc = r.leading()[1]
-        inv = fld.inv(lc)
-        work.append((r.scale(inv), tuple(c.scale(inv) for c in total)))
+        work.append(_monic(r, tuple(a - c for a, c in zip(srow, cofs))))
         k = len(work) - 1
         pairs.update(((k, t), spair_degree(k, t)) for t in range(k))
 
@@ -172,22 +159,26 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     return out
 
 
+def _monic(g: Polynomial, row: Sequence[Polynomial]) -> tuple:
+    """g and its cofactor row scaled by the inverse of g's leading coefficient."""
+    inv = g.ring.field.inv(g.leading()[1])
+    return g.scale(inv), tuple(c.scale(inv) for c in row)
+
+
+def _s_multipliers(gi: Polynomial, gj: Polynomial) -> tuple:
+    """(mi, mj) with mi * gi - mj * gj the S-polynomial of gi and gj."""
+    (ei, ci), (ej, cj) = gi.leading(), gj.leading()
+    lcm, ring = exp_lcm(ei, ej), gi.ring
+    return (ring.monomial(exp_div(lcm, ei), ring.field.inv(ci)),
+            ring.monomial(exp_div(lcm, ej), ring.field.inv(cj)))
+
+
 def _minimalize_and_reduce(gens, work, budget: _Budget) -> list:
-    ring = gens[0].ring
     # minimal: drop elements whose leading monomial another one divides
-    keep = []
-    for idx, (g, row) in enumerate(work):
-        le = g.leading()[0]
-        dominated = False
-        for jdx, (h, _) in enumerate(work):
-            if jdx == idx:
-                continue
-            he = h.leading()[0]
-            if exp_divides(he, le) and (he != le or jdx < idx):
-                dominated = True
-                break
-        if not dominated:
-            keep.append((g, row))
+    lead = [g.leading()[0] for g, _ in work]
+    keep = [item for idx, (item, le) in enumerate(zip(work, lead))
+            if not any(exp_divides(he, le) and (he != le or jdx < idx)
+                       for jdx, he in enumerate(lead) if jdx != idx)]
     # tail-reduce each survivor against the others
     out = []
     for idx, (g, row) in enumerate(keep):
@@ -199,31 +190,19 @@ def _minimalize_and_reduce(gens, work, budget: _Budget) -> list:
         r, cofs = partial.reduce(g, budget)
         if r.is_zero():
             continue
-        total = tuple(a - b for a, b in zip(row, cofs))
-        lc = r.leading()[1]
-        inv = ring.field.inv(lc)
-        out.append((r.scale(inv), tuple(c.scale(inv) for c in total)))
+        out.append(_monic(r, tuple(a - b for a, b in zip(row, cofs))))
     out.sort(key=lambda item: grevlex(item[0].leading()[0]))
     return out
 
 
 def _self_check(gb: GroebnerBasis, budget: _Budget) -> None:
-    ring = gb.ring
-    fld = ring.field
     for g, row in gb.basis:
-        acc = ring.zero()
-        for c, src in zip(row, gb.inputs):
-            acc = acc + c * src
-        if acc != g:
+        if not MembershipCertificate(g, gb.inputs, row).verify():
             raise InternalCheckError("groebner: cofactor identity broken")
     polys = gb.polys()
     for i in range(len(polys)):
         for j in range(i):
-            ei = polys[i].leading()[0]
-            ej = polys[j].leading()[0]
-            lcm = exp_lcm(ei, ej)
-            mi = ring.monomial(exp_div(lcm, ei), fld.inv(polys[i].leading()[1]))
-            mj = ring.monomial(exp_div(lcm, ej), fld.inv(polys[j].leading()[1]))
+            mi, mj = _s_multipliers(polys[i], polys[j])
             s = mi * polys[i] - mj * polys[j]
             r, _ = gb.reduce(s, budget)
             if not r.is_zero():

@@ -1,6 +1,7 @@
 """Matrix units and GL lifting along monomial quotients.
 
-``lift_gl`` finds a preimage in GL_r(R) of an invertible matrix over R/J.
+``lift_gl`` finds a preimage in GL_r(R) of an invertible matrix over R/J,
+along a quotient map R -> R/J that ``hom_check`` has checked at entry.
 The stack of strategies, tried in order:
 
   entrywise   lift each entry by reinterpreting its normal form in R and
@@ -30,7 +31,7 @@ from typing import Sequence
 from .errors import (AllStrategiesFailed, ContextError, InputError,
                      InternalCheckError, NonUnitError, PreconditionError)
 from .matrix import PolyMatrix, RowColWorker
-from .quotient import GLMat, QuotientRing, RingHom, unit_inverse
+from .quotient import GLMat, QuotientRing, RingHom, hom_check, unit_inverse
 
 DEFAULT_STRATEGIES = ("entrywise", "elementary", "descent")
 
@@ -88,11 +89,7 @@ def _require_compatible(sigma: GLMat, pi: RingHom) -> None:
         raise ContextError("pi must map onto sigma's ring")
     if pi.kill != pi.target.zero_mask:
         raise PreconditionError("lift_gl expects a quotient map, x_v -> x_v")
-    up_gens = set(pi.source.generators)
-    down = pi.target
-    for g in up_gens:
-        if down.survives(g):
-            raise PreconditionError("pi is not a quotient map: upstairs ideal escapes")
+    hom_check(pi)
 
 
 def _gl_upstairs(m: PolyMatrix, up: QuotientRing, what: str) -> GLMat:
@@ -177,10 +174,12 @@ def lift_gl(sigma: GLMat, pi: RingHom,
             strategies: Sequence[str] = DEFAULT_STRATEGIES) -> GLMat:
     """Preimage of sigma in GL_r(pi.source) with a verified inverse.
 
-    Raises AllStrategiesFailed with per-strategy diagnostics when the stack
-    is exhausted; a returned lift always satisfies pi(lift) == sigma and
-    lift * lift^-1 == I exactly.  A sigma larger than MAX_LIFT_SIZE is an
-    InputError.
+    pi must map onto sigma's ring (ContextError), as x_v -> x_v
+    (PreconditionError), and kill its source's ideal (``hom_check``,
+    HomError).  Raises AllStrategiesFailed with per-strategy diagnostics
+    when the stack is exhausted; a returned lift always satisfies
+    pi(lift) == sigma and lift * lift^-1 == I exactly.  A sigma larger than
+    MAX_LIFT_SIZE is an InputError.
     """
     if sigma.size > MAX_LIFT_SIZE:
         raise InputError(f"lifting a {sigma.size} x {sigma.size} matrix: "

@@ -31,6 +31,14 @@ def random_poly(ring, rng, max_deg=2, terms=3, nonzero=False):
     return out
 
 
+def cyclic_gens(n):
+    """The cyclic-n system: the elementary cyclic sums of degree 1..n-1, and x0...x(n-1) - 1."""
+    xs = [f"x{i}" for i in range(n)]
+    sums = [" + ".join("*".join(xs[(i + t) % n] for t in range(k)) for i in range(n))
+            for k in range(1, n)]
+    return sums + ["*".join(xs) + " - 1"]
+
+
 def substitute(f, assignment, target=None):
     """f with x_i -> assignment[i] over target (default f's context), unassigned
     variables to themselves: the plain reference that ring maps are compared with."""

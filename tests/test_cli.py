@@ -9,7 +9,8 @@ from srpb import certs, files
 from srpb.cli import main
 from srpb.lifting import MAX_LIFT_SIZE
 from srpb.quotient import build_fiber_square
-from helpers import hollow_triangle, make_rng, random_elementary_product, two_points
+from helpers import (cyclic_gens, hollow_triangle, make_rng, random_elementary_product,
+                     two_points)
 
 
 @pytest.fixture
@@ -233,14 +234,6 @@ def test_bad_gens_file_is_input_error(tmp_path, capsys, payload):
     assert err.startswith("error: bad ") and "Traceback" not in err
 
 
-def cyclic_gens(n):
-    """The cyclic-n system: the elementary cyclic sums of degree 1..n-1, and x0...x(n-1) - 1."""
-    xs = [f"x{i}" for i in range(n)]
-    sums = [" + ".join("*".join(xs[(i + t) % n] for t in range(k)) for i in range(n))
-            for k in range(1, n)]
-    return sums + ["*".join(xs) + " - 1"]
-
-
 @pytest.mark.parametrize("field, gens, target", [
     ("Fp:32003", cyclic_gens(5), "1"),
     ("Q", ["x0 - x1"], "x0^2000000000"),
@@ -397,6 +390,35 @@ def test_gl_lift_cli_and_adversarial_exit_3(workdir, capsys, tmp_path):
     assert run(["gl", "lift", "--sigma", tmp_path / "adv.glm",
                 "--to-ring", tmp_path / "free3.ring",
                 "--out", tmp_path / "nope.glm"]) == 3
+
+
+@pytest.mark.parametrize("target", [
+    {"field": "Q", "vars": 4, "ideal": []},
+    {"field": "Fp:5", "vars": 3, "ideal": []},
+    {"field": "Q", "vars": 3, "ideal": ["x0"]},
+], ids=["more-variables", "other-field", "escaping-ideal"])
+@pytest.mark.parametrize("verb", ["gl", "umrow"])
+def test_lift_to_a_ring_that_does_not_map_onto_the_input_is_input_error(
+        workdir, capsys, tmp_path, verb, target):
+    # the inputs live over the hollow triangle's Q[x0,x1,x2]/(x0x1x2): a foreign
+    # context, or an ideal that escapes it, ends in exit 2 before anything is written
+    ring = sr_quotient(QQ, hollow_triangle())
+    ctx = ring.context
+    with open(tmp_path / "target.ring", "w") as fh:
+        fh.write("srpb/1 ring\n" + json.dumps(target) + "\n")
+    if verb == "gl":
+        files.save_glmat(str(tmp_path / "in"), GLMat.elementary(ring, 2, 0, 1, ctx.variable(1)))
+        args = ["gl", "lift", "--sigma"]
+    else:
+        files.save_umrow(str(tmp_path / "in"), ring,
+                         PolyMatrix(ctx, 1, 2, (ctx.one(), ctx.variable(2))),
+                         PolyMatrix.from_scalars(ctx, [[1, 0]]))
+        args = ["umrow", "lift", "--row"]
+    assert run(args + [tmp_path / "in", "--to-ring", tmp_path / "target.ring",
+                       "--out", tmp_path / "out", "--cert", tmp_path / "out.cert"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.cert").exists()
 
 
 def test_patch_cli(workdir, capsys, tmp_path):

@@ -7,9 +7,10 @@ from srpb import (GF, QQ, GLMat, ModIso, PolyMatrix, ProjModule, QuotientRing,
                   UmRow, cancel_witness, extend_witness, module_rank,
                   parse_expression, section_aut_lifter, sr_quotient, umrow_lift,
                   unimodular_cert, verify_payload)
+from srpb import engines
 from srpb.engines import (always_fail_oracle, chain_oracles,
                           conjugation_witness_oracle, stable_adapter)
-from srpb.errors import PreconditionError
+from srpb.errors import ContextError, HomError, PreconditionError
 from helpers import (conjugated_idempotent, hollow_triangle, make_rng,
                      random_elementary_product, stabilize, two_points)
 
@@ -369,6 +370,27 @@ def test_umrow_partial_when_the_gl_stack_is_exhausted():
     rep = verify_payload(res.certificate)
     assert rep.ok, rep.summary()
     assert "root: row lift left partial" in rep.warnings
+
+
+@pytest.mark.parametrize("target, error", [
+    (QuotientRing.make(QQ, 4, ()), ContextError),
+    (QuotientRing.make(GF(5), 3, ()), ContextError),
+    (QuotientRing.make(QQ, 3, ((1, 0, 0),)), HomError),
+], ids=["more-variables", "other-field", "escaping-ideal"])
+def test_umrow_refuses_a_target_that_does_not_map_onto_the_row_ring(monkeypatch, target,
+                                                                    error):
+    # (1, x2) over the hollow triangle's ring; no extension may run
+    ring = sr_quotient(QQ, hollow_triangle())
+    ctx = ring.context
+    row = UmRow.make(ring, PolyMatrix(ctx, 1, 2, (ctx.one(), ctx.variable(2))),
+                     PolyMatrix.from_scalars(ctx, [[1, 0]]))
+
+    def no_extension(*args):
+        raise AssertionError("the target is checked before any extension runs")
+
+    monkeypatch.setattr(engines, "_extend", no_extension)
+    with pytest.raises(error):
+        umrow_lift(row, target=target)
 
 
 def test_umrow_profile_recorded():

@@ -17,6 +17,8 @@ from srpb.expr import parse_expression
 from srpb.poly import Polynomial
 from helpers import SEED, make_rng
 
+pytestmark = pytest.mark.seeded
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 

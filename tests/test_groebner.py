@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
 from srpb import (GF, QQ, PolyMatrix, PolyRing, QuotientRing, buchberger,
                   member, unimodular_cert, unit_inverse)
+from srpb import groebner
 from srpb.errors import InputError
-from helpers import make_rng, random_poly
+from srpb.expr import parse_expression
+from helpers import cyclic_gens, make_rng, random_poly
 
 
 def ctx2(field=QQ):
@@ -115,3 +119,43 @@ def test_unimodular_cert_examples():
     v2 = PolyMatrix(ctx, 1, 2, (x, ctx.one() - x))
     w2 = unimodular_cert(v2, ring)
     assert ring.nf_matrix(v2 * w2.transpose())[0, 0] == ctx.one()
+
+
+# (field, nvars, generators, term operations spent, digest of the basis and its
+# cofactor rows): a change to Buchberger must keep both its work and its output
+PINNED_BASES = {
+    "cyclic4-Q": (QQ, 4, cyclic_gens(4), 7_716, "e842f96d83bc7844"),
+    "cyclic4-F5": (GF(5), 4, cyclic_gens(4), 7_710, "96794f505b9b208e"),
+    "cyclic4-F32003": (GF(32003), 4, cyclic_gens(4), 7_716, "c0abcf371645f02f"),
+    "parabola-hyperbola-Q": (QQ, 2, ["x0^2 - x1", "x0*x1 - 1"],
+                             61, "f30fc5a6219389fa"),
+    "twisted-cubic-Q": (QQ, 4, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"],
+                        61, "fbfc2363357dbf1c"),
+    "cyclic-swap-F7": (GF(7), 3, ["x0*x1 - x2", "x1*x2 - x0", "x0*x2 - x1"],
+                       464, "8cecc94a5139e7cf"),
+    "with-zero-and-unit-F5": (GF(5), 2, ["0", "2*x0 + 3", "x0*x1^2 + x1"],
+                              46, "14ef97fd5b0b6a10"),
+}
+
+
+def basis_digest(gb) -> str:
+    text = "\n".join(f"{g} | " + ", ".join(str(c) for c in row) for g, row in gb.basis)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_buchberger_work_and_output_are_pinned(monkeypatch, name):
+    field, nvars, texts, spent, digest = PINNED_BASES[name]
+    ctx = PolyRing(field, nvars)
+    budgets = []
+
+    class Tracked(groebner._Budget):
+        def __init__(self):
+            super().__init__()
+            budgets.append(self)
+
+    monkeypatch.setattr(groebner, "_Budget", Tracked)
+    gb = buchberger([parse_expression(t, ctx) for t in texts])
+    assert len(budgets) == 1
+    assert (groebner.BUCHBERGER_MAX_TERM_OPS - budgets[0].left, basis_digest(gb)) == \
+        (spent, digest)

@@ -3,7 +3,7 @@ import pytest
 from srpb import (GF, QQ, GLMat, PolyMatrix, QuotientRing, RingHom,
                   build_fiber_square, det_unit_inverse, lift_gl,
                   whitehead_lift)
-from srpb.errors import AllStrategiesFailed, NonUnitError
+from srpb.errors import AllStrategiesFailed, ContextError, HomError, NonUnitError
 from helpers import (hollow_triangle, make_rng, random_elementary_product,
                      random_gl_with_units, random_poly, two_points)
 
@@ -128,6 +128,25 @@ def test_lift_roundtrips(field):
         assert pi.apply_matrix(delta.mat) == sigma.mat
         eye = PolyMatrix.identity(up.context, 3)
         assert up.mat_mul(delta.mat, delta.inv) == eye
+
+
+def test_lift_gl_refuses_a_map_whose_source_ideal_escapes():
+    # x0 survives in Q[x0,x1]/(x0x1), so x_v -> x_v from Q[x0,x1]/(x0) is no ring map
+    down = xy_ring()
+    up = QuotientRing.make(QQ, 2, ((1, 0),))
+    sigma = GLMat.elementary(down, 2, 0, 1, down.context.variable(1))
+    with pytest.raises(HomError):
+        lift_gl(sigma, RingHom(up, down, down.zero_mask))
+
+
+@pytest.mark.parametrize("field, nvars", [(QQ, 3), (GF(5), 2)],
+                         ids=["more-variables", "other-field"])
+def test_lift_gl_refuses_a_map_onto_a_foreign_ring(field, nvars):
+    down = xy_ring()
+    sigma = GLMat.elementary(down, 2, 0, 1, down.context.variable(1))
+    foreign = QuotientRing.make(field, nvars, ())
+    with pytest.raises(ContextError):
+        lift_gl(sigma, RingHom.identity(foreign))
 
 
 def _adversarial_sigma(field=QQ):

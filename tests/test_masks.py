@@ -20,6 +20,8 @@ from srpb.simplicial import (ApexDecomposition, apex_decomposition, bit_indices,
 from helpers import (complexes_on, corpus_squares, make_rng, random_complex, random_poly,
                      substitute)
 
+pytestmark = pytest.mark.seeded
+
 FIELDS = (QQ, GF(5))
 
 

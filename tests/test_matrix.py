@@ -5,6 +5,8 @@ from srpb.errors import ShapeError
 from srpb.matrix import constant_splitting, scalar_rank
 from helpers import make_rng, random_poly
 
+pytestmark = pytest.mark.seeded
+
 
 def ctx2():
     return PolyRing(QQ, 2)

@@ -11,6 +11,8 @@ from helpers import (complexes_on, corpus_complexes, corpus_squares, hollow_tria
                      make_rng, random_elementary_product, random_gl_with_units,
                      random_poly, two_points)
 
+pytestmark = pytest.mark.seeded
+
 
 def xy_ring(field=QQ):
     return QuotientRing.make(field, 2, ((1, 1),))

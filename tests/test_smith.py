@@ -5,6 +5,8 @@ from srpb.errors import UnsupportedRingError
 from srpb.smith import uni_divides
 from helpers import make_rng
 
+pytestmark = pytest.mark.seeded
+
 
 def tctx(field=QQ):
     return PolyRing(field, 1)

@@ -17,6 +17,8 @@ import pytest
 from srpb import GF, QQ, PolyMatrix, PolyRing, QuotientRing, smith_normal_form
 from helpers import make_rng
 
+pytestmark = pytest.mark.seeded
+
 sympy = pytest.importorskip("sympy")
 
 FIELDS = [QQ, GF(5)]

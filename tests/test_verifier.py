@@ -1,5 +1,7 @@
 import copy
 
+import pytest
+
 from srpb import (GLMat, QQ, PolyMatrix, ProjModule, QuotientRing, RingHom,
                   UmRow, build_fiber_square, extend_witness, lift_gl,
                   milnor_patch, sr_quotient, umrow_lift, verify_payload)
@@ -11,6 +13,8 @@ from srpb.poly import format_polynomial
 from srpb.verifier import MAX_NODE_DEPTH
 from helpers import (conjugated_idempotent, hollow_triangle, make_rng,
                      random_elementary_product, random_gl_with_units)
+
+pytestmark = pytest.mark.seeded
 
 
 def xy_ring():
